@@ -307,6 +307,13 @@ def cmd_run(args) -> int:
     except RuntimeFault as e:
         print(_bad(f"run failed: {e}"))
         return 1
+    for name, result in sorted(results.items()):
+        if not result.all_terminated:
+            faults.extend(
+                (name, RuntimeFault(f"role {ep.role} ended with its session unfinished"))
+                for ep in result.terminals.values()
+                if not ep.is_terminated()
+            )
     lines = []
     for name in sorted(sessions):
         lines.append(f"# session {name}")

@@ -26,10 +26,9 @@ from .core import (
     Recv,
     Role,
     Send,
-    alpha_normalize,
     roles_of,
-    unfold,
 )
+from .fsm import StateGraph
 from .projection import MergeError, ProjectionError, close_loop, merge_all, project
 
 
@@ -58,34 +57,43 @@ def restrict_to_partner(l: LocalType, partner: Role) -> LocalType:
 
 def dual(a: LocalType, b: LocalType) -> bool:
     """Coinductive duality: a send in one view is a receive in the other,
-    with equal sort sets and pairwise-dual continuations."""
+    with equal sort sets and pairwise-dual continuations.
+
+    Both views are compiled into `StateGraph`s sharing one hash-cons table,
+    and the walk goes depth first over pairs of their state ids, visiting
+    each pair once.  A state is still a closed unfolding up to renaming of
+    bound variables, so the pairs visited and the verdict are those of
+    unfolding by substitution.
+    """
+    cons: dict = {}
     seen: set = set()
-
-    def go(x: LocalType, y: LocalType) -> bool:
-        x, y = unfold(x), unfold(y)
-        key = (alpha_normalize(x), alpha_normalize(y))
-        if key in seen:
-            return True
-        seen.add(key)
-        if isinstance(x, End) and isinstance(y, End):
-            return True
-        pair: Optional[tuple] = None
-        if isinstance(x, Send) and isinstance(y, Recv):
-            pair = (x, y)
-        elif isinstance(x, Recv) and isinstance(y, Send):
-            pair = (y, x)
-        if pair is None:
+    stack = [(StateGraph(a, cons), 0, StateGraph(b, cons), 0)]
+    while stack:
+        gx, x, gy, y = stack.pop()
+        kx, x = gx.state(x)
+        ky, y = gy.state(y)
+        if (kx, ky) in seen:
+            continue
+        seen.add((kx, ky))
+        tx, ty = gx.nodes[x], gy.nodes[y]
+        if isinstance(tx, End) and isinstance(ty, End):
+            continue
+        if isinstance(tx, Send) and isinstance(ty, Recv):
+            gs, s, gr, r = gx, x, gy, y
+        elif isinstance(tx, Recv) and isinstance(ty, Send):
+            gs, s, gr, r = gy, y, gx, x
+        else:
             return False
-        snd, rcv = pair
-        if (snd.sender, snd.receiver) != (rcv.sender, rcv.receiver):
+        if (tx.sender, tx.receiver) != (ty.sender, ty.receiver):
             return False
-        snd_conts = {s.name: c for s, c in snd.branches}
-        rcv_conts = {s.name: c for s, c in rcv.branches}
-        if set(snd_conts) != set(rcv_conts):
+        snd_conts = {n.name: k for (n, _), k in zip(gs.nodes[s].branches, gs.links[s])}
+        rcv_conts = {n.name: k for (n, _), k in zip(gr.nodes[r].branches, gr.links[r])}
+        if snd_conts.keys() != rcv_conts.keys():
             return False
-        return all(go(snd_conts[n], rcv_conts[n]) for n in snd_conts)
-
-    return go(a, b)
+        stack.extend(
+            (gs, snd_conts[n], gr, rcv_conts[n]) for n in reversed(snd_conts)
+        )
+    return True
 
 
 @dataclass(frozen=True)

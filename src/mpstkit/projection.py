@@ -14,8 +14,6 @@ set of sends its partner may see.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     Com,
     End,
@@ -174,10 +172,3 @@ def project(g: GlobalType, role: Role) -> LocalType:
             raise ProjectionError(role, path, e) from e
 
     return walk(g, "$")
-
-
-def try_project(g: GlobalType, role: Role) -> Optional[LocalType]:
-    try:
-        return project(g, role)
-    except ProjectionError:
-        return None

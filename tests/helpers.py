@@ -3,13 +3,15 @@
 Everything here is deliberately written from first principles so the code
 under test never certifies itself: the substitution oracle is a fresh
 structural recursion, the duality oracle flips constructors syntactically,
-and the trace acceptor replays runs against the global type's own step
-semantics without touching projection or the runtime.
+the reference `dual` and `interpret` unfold by substitution instead of
+walking a state graph, and the trace acceptor replays runs against the
+global type's own step semantics without touching projection or the runtime.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from mpstkit.core import (
     Com,
@@ -30,6 +32,7 @@ from mpstkit.core import (
     unfold,
 )
 from mpstkit import typecheck as tc
+from mpstkit.fsm import RECV, SEND, Action, Fsm
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +65,82 @@ def manual_dual(l):
     if isinstance(l, Loop):
         return Loop(l.var, manual_dual(l.body))
     return l
+
+
+# ---------------------------------------------------------------------------
+# Substitution-based references for the state-graph `dual` and `interpret`:
+# both unfold by substitution and key states on alpha-normalized terms.
+
+def oracle_dual(a, b) -> bool:
+    """Coinductive duality: a send in one view is a receive in the other,
+    with equal sort sets and pairwise-dual continuations."""
+    seen: set = set()
+
+    def go(x, y) -> bool:
+        x, y = unfold(x), unfold(y)
+        key = (alpha_normalize(x), alpha_normalize(y))
+        if key in seen:
+            return True
+        seen.add(key)
+        if isinstance(x, End) and isinstance(y, End):
+            return True
+        pair = None
+        if isinstance(x, Send) and isinstance(y, Recv):
+            pair = (x, y)
+        elif isinstance(x, Recv) and isinstance(y, Send):
+            pair = (y, x)
+        if pair is None:
+            return False
+        snd, rcv = pair
+        if (snd.sender, snd.receiver) != (rcv.sender, rcv.receiver):
+            return False
+        snd_conts = {s.name: c for s, c in snd.branches}
+        rcv_conts = {s.name: c for s, c in rcv.branches}
+        if set(snd_conts) != set(rcv_conts):
+            return False
+        return all(go(snd_conts[n], rcv_conts[n]) for n in snd_conts)
+
+    return go(a, b)
+
+
+def oracle_interpret(l) -> Fsm:
+    """Build the FSM of a closed, contractive local type.
+
+    Breadth-first discovery assigns state ids from 1; the initial state is
+    always 1.  State identity is the alpha-normalized unfolding, which is
+    what folds recursion into cycles.
+    """
+    ids: dict = {}
+    states: list = []
+    finals: set = set()
+    transitions: list = []
+
+    def state_of(t) -> tuple:
+        key = alpha_normalize(unfold(t))
+        if key in ids:
+            return ids[key], None
+        sid = len(states) + 1
+        ids[key] = sid
+        states.append(sid)
+        return sid, key
+
+    first, key = state_of(l)
+    queue = deque([(first, key)])
+    while queue:
+        sid, node = queue.popleft()
+        if isinstance(node, End):
+            finals.add(sid)
+            continue
+        assert isinstance(node, (Send, Recv))
+        direction = SEND if isinstance(node, Send) else RECV
+        self_role = node.sender if isinstance(node, Send) else node.receiver
+        peer = node.receiver if isinstance(node, Send) else node.sender
+        for sort, cont in node.branches:
+            dst, fresh = state_of(cont)
+            transitions.append((sid, Action(direction, peer, self_role, sort), dst))
+            if fresh is not None:
+                queue.append((dst, fresh))
+    return Fsm(states, first, finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +244,18 @@ def random_global(rng: random.Random, roles: list, depth: int = 4, bound=(),
         for s in _pick_sorts(rng, n)
     )
     return Com(Role(sender), Role(receiver), branches)
+
+
+def long_chain(steps: int) -> tuple:
+    """A loop of `steps` sends from A to B, each with its own sort, and its
+    mirrored loop of receives; built with constructors, not the parser."""
+    x = RecVar("X")
+    sends, recvs = Recur(x), Recur(x)
+    for i in reversed(range(steps)):
+        sort = Sort(f"M{i}")
+        sends = Send(A, B, ((sort, sends),))
+        recvs = Recv(A, B, ((sort, recvs),))
+    return Loop(x, sends), Loop(x, recvs)
 
 
 def mergeable_pair(rng: random.Random, merged):

@@ -192,6 +192,20 @@ class TestRun:
         assert result.returncode == 1
         assert "not offered" in result.stderr
 
+    def test_unchecked_orphan_message_exits_one(self, tmp_path):
+        # B ends without receiving A's Ping: the run must not pass
+        orphan = tmp_path / "orphan.mpst"
+        orphan.write_text(
+            "sort Ping;\n"
+            "global G = A -> B : Ping . end;\n"
+            "proc a plays A in G { send B Ping; end }\n"
+            "proc b plays B in G { end }\n"
+        )
+        result = mpstkit("run", str(orphan), "--unchecked")
+        assert result.returncode == 1
+        assert "role B ended with its session unfinished" in result.stderr
+        assert "role A" not in result.stderr
+
     def test_three_buyer_two_session_trace(self, tmp_path):
         trace = tmp_path / "trace.txt"
         result = mpstkit("run", fx("three_buyer.mpst"), "--trace", str(trace))

@@ -13,6 +13,7 @@ from mpstkit.core import (
     Role,
     Send,
     Sort,
+    UnfoldError,
     struct_eq,
     well_formed,
 )
@@ -24,6 +25,7 @@ import helpers
 from helpers import (
     A,
     B,
+    long_chain,
     manual_dual,
     negotiation_global,
     random_local,
@@ -107,6 +109,16 @@ class TestDual:
         x = RecVar("X")
         a = Loop(x, Send(A, B, ((Sort("Ok"), Recur(x)), (Quit, END))))
         assert dual(a, manual_dual(a))
+
+    def test_long_chain_is_stack_safe(self):
+        sends, recvs = long_chain(5000)
+        assert dual(sends, recvs)
+        assert dual(recvs, sends)
+
+    def test_non_contractive_raises(self):
+        x = RecVar("X")
+        with pytest.raises(UnfoldError):
+            dual(Loop(x, Recur(x)), END)
 
     def test_terminates_on_mismatched_loops(self):
         x = RecVar("X")

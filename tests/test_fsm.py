@@ -1,5 +1,7 @@
 """FSM interpretation of local types and DOT export."""
 
+import pytest
+
 from mpstkit.core import (
     END,
     Loop,
@@ -8,6 +10,7 @@ from mpstkit.core import (
     Role,
     Send,
     Sort,
+    UnfoldError,
     alpha_normalize,
     subterms,
     well_formed,
@@ -19,8 +22,10 @@ from helpers import (
     A,
     B,
     fsm_paths,
+    long_chain,
     negotiation_global,
     negotiation_local_b,
+    oracle_interpret,
     random_local,
     seeded,
     seller_decision_local,
@@ -94,6 +99,45 @@ class TestInterpret:
             if well_formed(l):
                 continue
             assert isomorphic(interpret(l), interpret(alpha_normalize(l)))
+
+    def test_long_chain_is_stack_safe(self):
+        sends, _ = long_chain(5000)
+        machine = interpret(sends)
+        assert len(machine.states) == 5000
+        assert machine.transitions[-1][2] == machine.initial
+
+    def test_states_tell_binders_apart(self):
+        # the two inner loops differ only in which binder each Recur names:
+        # different terms, so the states reached through them stay apart
+        x, y = RecVar("X"), RecVar("Y")
+        go, stay = Sort("Go"), Sort("Stay")
+
+        def loops(first, second):
+            inner = Send(A, B, ((go, Recur(first)), (stay, Recur(second))))
+            return Send(A, B, ((Ok, Loop(x, Send(A, B, ((Ok, Loop(y, inner)),)))),))
+
+        l = Send(A, B, ((go, loops(x, y)), (stay, loops(y, x))))
+        machine = interpret(l)
+        assert len(machine.states) == 7
+        assert machine == oracle_interpret(l)
+
+    def test_states_tell_closures_apart(self):
+        # `A -> B ! Ok . X` occurs in two loops; closed, the two are different
+        # terms, so they are two states
+        x = RecVar("X")
+        go = Sort("Go")
+        first = Loop(x, Send(A, B, ((Ok, Recur(x)),)))
+        second = Loop(x, Send(A, B, ((go, Send(A, B, ((Ok, Recur(x)),))),)))
+        l = Send(A, B, ((go, first), (Ok, second)))
+        machine = interpret(l)
+        assert len(machine.states) == 4
+        assert machine == oracle_interpret(l)
+
+    def test_non_contractive_raises(self):
+        x, y = RecVar("X"), RecVar("Y")
+        for l in (Loop(x, Recur(x)), Send(A, B, ((Ok, Loop(x, Loop(y, Recur(x)))),))):
+            with pytest.raises(UnfoldError):
+                interpret(l)
 
     def test_state_count_budget(self):
         for l in (negotiation_local_b(), seller_decision_local()):

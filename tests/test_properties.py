@@ -26,10 +26,19 @@ from mpstkit.core import (
     well_formed,
 )
 from mpstkit.elaborate import load_text
+from mpstkit.fsm import interpret
 from mpstkit.projection import merge
 from mpstkit.surface import render_global_type
 
-from helpers import manual_dual, subst_oracle
+from helpers import (
+    SORT_POOL,
+    manual_dual,
+    oracle_dual,
+    oracle_interpret,
+    random_local,
+    seeded,
+    subst_oracle,
+)
 
 A, B, C = Role("A"), Role("B"), Role("C")
 SORTS = [Sort("Aa"), Sort("Bb"), Sort("Cc", "int"), Sort("Dd", "string"), Sort("Ee")]
@@ -170,3 +179,75 @@ def test_render_parse_inverse_on_global_types(g):
     text = SORT_HEADER + f"global T = {render_global_type(g)};\n"
     pf = load_text(text)
     assert struct_eq(pf.concrete["T"], g)
+
+
+# ---------------------------------------------------------------------------
+# The state-graph `interpret` and `dual` against their substitution-based
+# references, over `random_local` types drawn from a hypothesis seed.
+
+random_locals = st.builds(
+    lambda seed, depth: random_local(seeded(seed), B, A, depth=depth),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+)
+
+
+def comm_count(t) -> int:
+    if isinstance(t, Loop):
+        return comm_count(t.body)
+    if isinstance(t, (Send, Recv)):
+        return 1 + sum(comm_count(c) for _, c in t.branches)
+    return 0
+
+
+def mutate(t, index: int, how: str):
+    """Flip one sort, or send one message to the wrong peer, at the
+    `index`-th communication in preorder."""
+    counter = [0]
+
+    def walk(node):
+        if isinstance(node, Loop):
+            return Loop(node.var, walk(node.body))
+        if not isinstance(node, (Send, Recv)):
+            return node
+        here = counter[0]
+        counter[0] += 1
+        branches = tuple((s, walk(c)) for s, c in node.branches)
+        if here != index:
+            return type(node)(node.sender, node.receiver, branches)
+        if how == "sort":
+            used = {s.name for s, _ in branches}
+            fresh = next(s for s in SORT_POOL if s.name not in used)
+            return type(node)(
+                node.sender, node.receiver, ((fresh, branches[0][1]),) + branches[1:]
+            )
+        if isinstance(node, Send):
+            return Send(node.sender, C, branches)
+        return Recv(C, node.receiver, branches)
+
+    return walk(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_locals)
+def test_interpret_matches_substitution_oracle(l):
+    machine, reference = interpret(l), oracle_interpret(l)
+    assert machine.states == reference.states
+    assert machine.initial == reference.initial
+    assert machine.finals == reference.finals
+    assert machine.transitions == reference.transitions
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_locals, random_locals, st.data())
+def test_dual_matches_substitution_oracle(l, other, data):
+    d = manual_dual(l)
+    assert dual(l, d) == oracle_dual(l, d) == True  # noqa: E712
+    assert dual(l, other) == oracle_dual(l, other)
+    n = comm_count(d)
+    if n:
+        index = data.draw(st.integers(0, n - 1))
+        how = data.draw(st.sampled_from(["sort", "peer"]))
+        m = mutate(d, index, how)
+        assert dual(l, m) == oracle_dual(l, m)
+        assert dual(m, l) == oracle_dual(m, l)

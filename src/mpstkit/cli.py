@@ -24,7 +24,6 @@ from .elaborate import ElabError, ProtocolFile, elaborate
 from .fsm import interpret, to_dot
 from .projection import ProjectionError, project
 from .runtime import GlobalSession, RuntimeFault, run
-from .surface import render_local_type
 from .typecheck import check_session
 
 
@@ -64,6 +63,14 @@ def load_file(path: str):
         return elaborate(result.file), []
     except ElabError as e:
         return None, [f"{path}:{e}"]
+
+
+def _load_or_report(path: str):
+    """load_file, printing its errors to stderr; None when there were any."""
+    pf, errors = load_file(path)
+    for e in errors:
+        print(_bad(str(e)), file=sys.stderr)
+    return pf
 
 
 @dataclass
@@ -138,10 +145,8 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
 
 
 def cmd_check(args) -> int:
-    pf, errors = load_file(args.file)
-    if errors:
-        for e in errors:
-            print(_bad(str(e)), file=sys.stderr)
+    pf = _load_or_report(args.file)
+    if pf is None:
         return 2
     outcome = check_protocol_file(pf, args.file, args.consistency)
     if args.json:
@@ -187,10 +192,8 @@ def _pick_protocol(pf: ProtocolFile, requested) -> str:
 
 
 def cmd_project(args) -> int:
-    pf, errors = load_file(args.file)
-    if errors:
-        for e in errors:
-            print(_bad(str(e)), file=sys.stderr)
+    pf = _load_or_report(args.file)
+    if pf is None:
         return 2
     name = _pick_protocol(pf, args.protocol)
     try:
@@ -201,15 +204,13 @@ def cmd_project(args) -> int:
     if args.json:
         print(json.dumps(type_to_json(local), indent=2))
     else:
-        print(render_local_type(local))
+        print(local)
     return 0
 
 
 def cmd_fsm(args) -> int:
-    pf, errors = load_file(args.file)
-    if errors:
-        for e in errors:
-            print(_bad(str(e)), file=sys.stderr)
+    pf = _load_or_report(args.file)
+    if pf is None:
         return 2
     name = _pick_protocol(pf, args.protocol)
     try:
@@ -236,7 +237,8 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
     """Execute every process script of a file; returns (sessions, results, faults).
 
     One thread per process; each thread initialises its sessions in binding
-    order, then interprets the term."""
+    order, then interprets the term.  A fault in any process cancels every
+    session, so its peers fail at once instead of waiting out `timeout`."""
     needed: dict = {}
     for proc in pf.procs:
         for role, proto, _ in proc.bindings:
@@ -263,6 +265,8 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
             results[proc.name] = run(endpoints, proc.term)
         except BaseException as e:  # faults surface in the main thread
             faults.append((proc.name, e))
+            for session in sessions.values():
+                session.cancel()
 
     threads = [
         threading.Thread(target=worker, args=(proc,), daemon=True, name=proc.name)
@@ -287,10 +291,8 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
 
 
 def cmd_run(args) -> int:
-    pf, errors = load_file(args.file)
-    if errors:
-        for e in errors:
-            print(_bad(str(e)), file=sys.stderr)
+    pf = _load_or_report(args.file)
+    if pf is None:
         return 2
     if not pf.procs:
         print("nothing to run (no process scripts)")
@@ -408,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", required=True)
     p.add_argument("--protocol", help="protocol name (default: the file's only one)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true", help="textual local type (default)")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("fsm", help="interpret a projection as a finite-state machine")

@@ -14,7 +14,6 @@ role; nobody else can tell the difference.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from queue import SimpleQueue
@@ -97,27 +96,30 @@ class TraceEvent:
         }
 
 
+_CANCELLED = object()  # queued by cancel(); stays queued so every reader sees it
+
+
 class Network:
-    """One unbounded FIFO queue per (sender, receiver) pair."""
+    """One unbounded FIFO queue per ordered pair of a session's roles."""
 
-    def __init__(self):
-        self._queues: dict = {}
-        self._lock = threading.Lock()
-
-    def _queue(self, sender: Role, receiver: Role) -> SimpleQueue:
-        key = (sender, receiver)
-        with self._lock:
-            q = self._queues.get(key)
-            if q is None:
-                q = SimpleQueue()
-                self._queues[key] = q
-            return q
+    def __init__(self, roles, name: str):
+        self.name = name
+        self._queues = {(a, b): SimpleQueue() for a in roles for b in roles}
 
     def put(self, sender: Role, receiver: Role, msg: Message) -> None:
-        self._queue(sender, receiver).put(msg)
+        self._queues[sender, receiver].put(msg)
 
     def get(self, sender: Role, receiver: Role, timeout: Optional[float] = None) -> Message:
-        return self._queue(sender, receiver).get(timeout=timeout)
+        q = self._queues[sender, receiver]
+        msg = q.get(timeout=timeout)
+        if msg is _CANCELLED:
+            q.put(msg)
+            raise RuntimeFault(f"session {self.name} cancelled after a fault")
+        return msg
+
+    def cancel(self) -> None:
+        for q in self._queues.values():
+            q.put(_CANCELLED)
 
 
 class GlobalSession:
@@ -133,13 +135,10 @@ class GlobalSession:
         self.protocol = protocol
         self.name = name
         self.roles = frozenset(roles_of(protocol))
-        if not self.roles:
-            self.roles = frozenset()
-        self.network = Network()
+        self.network = Network(self.roles, name)
         self._barrier = threading.Barrier(max(len(self.roles), 1))
         self._lock = threading.Lock()
         self._initialized: set = set()
-        self._counter = itertools.count(1)
         self._trace: list = []
         self.barrier_release_seq: Optional[int] = None
 
@@ -162,21 +161,23 @@ class GlobalSession:
             with self._lock:
                 self._initialized.discard(role)
             raise SessionSetupFault(f"cannot project {self.name} onto {role}: {e}")
-        self._barrier.wait()
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            raise RuntimeFault(f"session {self.name} cancelled after a fault") from None
         with self._lock:
             if self.barrier_release_seq is None:
-                self.barrier_release_seq = self._next_seq_peek()
+                self.barrier_release_seq = len(self._trace) + 1
         return Endpoint(role, self, local)
 
-    def _next_seq_peek(self) -> int:
-        # value the next event will get; only used to timestamp the barrier
-        value = next(self._counter)
-        self._counter = itertools.chain([value], self._counter)
-        return value
+    def cancel(self) -> None:
+        """Fail every pending and future receive and init of this session."""
+        self.network.cancel()
+        self._barrier.abort()
 
     def record(self, sender: Role, receiver: Role, sort: Sort, payload) -> TraceEvent:
         with self._lock:
-            event = TraceEvent(next(self._counter), sender, receiver, sort, payload)
+            event = TraceEvent(len(self._trace) + 1, sender, receiver, sort, payload)
             self._trace.append(event)
             return event
 
@@ -332,12 +333,6 @@ class RunResult:
         return all(ep.is_terminated() for ep in self.terminals.values())
 
 
-class _RecurSignal(Exception):
-    def __init__(self, var: str, endpoint: Endpoint):
-        self.var = var
-        self.endpoint = endpoint
-
-
 class _Interp:
     def __init__(self, env: dict, bindings: dict):
         self.env = dict(bindings) if bindings else {}
@@ -366,6 +361,7 @@ class _Interp:
         raise RuntimeFault(f"cannot evaluate {e!r}")
 
     def exec(self, term: tc.ProcessTerm) -> None:
+        loops: list = []  # the enclosing LoopT nodes, innermost last
         while True:
             if isinstance(term, tc.SendT):
                 ep = self._endpoint(term.session)
@@ -395,19 +391,18 @@ class _Interp:
                 term = arm.cont
             elif isinstance(term, tc.LoopT):
                 ep = self._endpoint(term.session)
-                body_ep = ep.enter_loop()
-                while True:
-                    self.env[term.bind] = body_ep
-                    try:
-                        self.exec(term.body)
-                        return
-                    except _RecurSignal as sig:
-                        if sig.var != term.recur_var:
-                            raise
-                        body_ep = sig.endpoint.recur()
+                self.env[term.bind] = ep.enter_loop()
+                loops.append(term)
+                term = term.body
             elif isinstance(term, tc.RecurT):
                 ep = self._endpoint(term.session)
-                raise _RecurSignal(term.recur_var, ep)
+                while loops and loops[-1].recur_var != term.recur_var:
+                    loops.pop()
+                if not loops:
+                    raise RuntimeFault(f"recur {term.recur_var} outside a loop of that name")
+                loop = loops[-1]
+                self.env[loop.bind] = ep.recur()
+                term = loop.body
             elif isinstance(term, tc.EndT):
                 for name, value in self.env.items():
                     # delegated or superseded handles belong elsewhere now

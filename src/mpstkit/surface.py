@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import core
 
@@ -39,18 +39,17 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
-  | (?P<arrow>->)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*|_)
   | (?P<int>\d+)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<punct>[{}()\[\];:.,=@!?<\-])
+  | (?P<punct>->|[{}()\[\];:.,=@!?<\-])
+  | (?P<bad>(?s:.))
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "punct" | "kw" | "eof"
     text: str
     line: int
@@ -73,34 +72,21 @@ class ParseError(Exception):
 
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
-        lexeme = m.group(0)
-        kind = m.lastgroup
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "bad":
+            raise ParseError(line, col, f"unexpected character {lexeme!r}")
+        if kind == "ident" and lexeme in KEYWORDS:
+            kind = "kw"
         if kind not in ("ws", "comment"):
-            if kind == "arrow":
-                tokens.append(Token("punct", "->", line, col))
-            elif kind == "ident":
-                k = "kw" if lexeme in KEYWORDS else "ident"
-                tokens.append(Token(k, lexeme, line, col))
-            elif kind == "int":
-                tokens.append(Token("int", lexeme, line, col))
-            elif kind == "string":
-                tokens.append(Token("string", lexeme, line, col))
-            else:
-                tokens.append(Token("punct", lexeme, line, col))
+            tokens.append(Token(kind, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = start + lexeme.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -340,17 +326,19 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self, k: int = 0) -> Token:
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+    # the token list always ends with eof, and next() never steps past it
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "eof":
             self.i += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "kw")
+        tok = self.tokens[self.i]
+        return tok.text == text and tok.kind in ("punct", "kw")
 
     def accept(self, text: str) -> Optional[Token]:
         if self.at(text):
@@ -375,10 +363,19 @@ class _Parser:
         decls: list = []
         errors: list = []
         while self.peek().kind != "eof":
+            start = self.i
             try:
                 decls.append(self.decl())
             except ParseError as e:
                 errors.append(e)
+                self._sync()
+            except RecursionError:
+                # syncing from just after the keyword always makes progress, and
+                # finds the same place as syncing from where the stack ran out,
+                # since no top-level keyword occurs inside a declaration
+                kw = self.tokens[start]
+                errors.append(ParseError(kw.line, kw.col, "declaration nested too deeply"))
+                self.i = start + 1
                 self._sync()
         return ParseResult(SurfaceFile(decls), errors)
 
@@ -705,37 +702,9 @@ def parse_protocol_file(text: str) -> ParseResult:
 # Rendering (the inverse of parsing, up to layout)
 
 
-def render_global_type(t: core.GlobalType) -> str:
-    if isinstance(t, core.End):
-        return "end"
-    if isinstance(t, core.Recur):
-        return t.var.name
-    if isinstance(t, core.Loop):
-        return f"rec {t.var.name} . {render_global_type(t.body)}"
-    assert isinstance(t, core.Com)
-    return f"{t.sender} -> {t.receiver} : {_render_branches(t.branches, render_global_type)}"
-
-
 def render_local_type(t: core.LocalType) -> str:
-    if isinstance(t, core.End):
-        return "end"
-    if isinstance(t, core.Recur):
-        return t.var.name
-    if isinstance(t, core.Loop):
-        return f"rec {t.var.name} . {render_local_type(t.body)}"
-    direction = "!" if isinstance(t, core.Send) else "?"
-    return (
-        f"{t.sender} -> {t.receiver} {direction} "
-        f"{_render_branches(t.branches, render_local_type)}"
-    )
-
-
-def _render_branches(branches, sub) -> str:
-    if len(branches) == 1:
-        s, cont = branches[0]
-        return f"{s.name} . {sub(cont)}"
-    inner = ", ".join(f"{s.name} . {sub(cont)}" for s, cont in branches)
-    return "{ " + inner + " }"
+    """The .mpst text of a local type; core types render themselves."""
+    return str(t)
 
 
 def _render_sty(t) -> str:
@@ -748,23 +717,19 @@ def _render_sty(t) -> str:
             return f"{t.name}[{', '.join(_render_sty(a) for a in t.args)}]"
         return t.name
     if isinstance(t, STCom):
-        return f"{t.sender} -> {t.receiver} : {_render_sbranches(t.branches, _render_sty)}"
+        return f"{t.sender} -> {t.receiver} : {_render_sbranches(t.branches)}"
     assert isinstance(t, SLAct)
     return (
         f"{t.sender} -> {t.receiver} {t.direction} "
-        f"{_render_sbranches(t.branches, _render_slty)}"
+        f"{_render_sbranches(t.branches)}"
     )
 
 
-def _render_slty(t) -> str:
-    return _render_sty(t)
-
-
-def _render_sbranches(branches, sub) -> str:
+def _render_sbranches(branches) -> str:
     if len(branches) == 1:
         name, cont = branches[0]
-        return f"{name} . {sub(cont)}"
-    inner = ", ".join(f"{name} . {sub(cont)}" for name, cont in branches)
+        return f"{name} . {_render_sty(cont)}"
+    inner = ", ".join(f"{name} . {_render_sty(cont)}" for name, cont in branches)
     return "{ " + inner + " }"
 
 

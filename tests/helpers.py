@@ -4,13 +4,16 @@ Everything here is deliberately written from first principles so the code
 under test never certifies itself: the substitution oracle is a fresh
 structural recursion, the duality oracle flips constructors syntactically,
 the reference `dual` and `interpret` unfold by substitution instead of
-walking a state graph, and the trace acceptor replays runs against the
-global type's own step semantics without touching projection or the runtime.
+walking a state graph, the reference lexer matches one token at a time, the
+reference local-type printer does not use core's `__str__`, and the trace
+acceptor replays runs against the global type's own step semantics without
+touching projection or the runtime.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 from mpstkit.core import (
@@ -33,6 +36,7 @@ from mpstkit.core import (
 )
 from mpstkit import typecheck as tc
 from mpstkit.fsm import RECV, SEND, Action, Fsm
+from mpstkit.surface import KEYWORDS, ParseError, Token
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,80 @@ def oracle_interpret(l) -> Fsm:
             if fresh is not None:
                 queue.append((dst, fresh))
     return Fsm(states, first, finals, transitions)
+
+
+# ---------------------------------------------------------------------------
+# References for the surface lexer and the local-type renderer: a scanner
+# that matches one token at a time and tracks line and column by hand, and a
+# printer that does not go through the core types' `__str__`.
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<arrow>->)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*|_)
+  | (?P<int>\d+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<punct>[{}()\[\];:.,=@!?<\-])
+    """,
+    re.VERBOSE,
+)
+
+
+def oracle_tokenize(text: str) -> list:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+        lexeme = m.group(0)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            if kind == "arrow":
+                tokens.append(Token("punct", "->", line, col))
+            elif kind == "ident":
+                k = "kw" if lexeme in KEYWORDS else "ident"
+                tokens.append(Token(k, lexeme, line, col))
+            elif kind == "int":
+                tokens.append(Token("int", lexeme, line, col))
+            elif kind == "string":
+                tokens.append(Token("string", lexeme, line, col))
+            else:
+                tokens.append(Token("punct", lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def oracle_render_local(t) -> str:
+    if isinstance(t, End):
+        return "end"
+    if isinstance(t, Recur):
+        return t.var.name
+    if isinstance(t, Loop):
+        return f"rec {t.var.name} . {oracle_render_local(t.body)}"
+    direction = "!" if isinstance(t, Send) else "?"
+    return (
+        f"{t.sender} -> {t.receiver} {direction} "
+        f"{_oracle_render_branches(t.branches, oracle_render_local)}"
+    )
+
+
+def _oracle_render_branches(branches, sub) -> str:
+    if len(branches) == 1:
+        s, cont = branches[0]
+        return f"{s.name} . {sub(cont)}"
+    inner = ", ".join(f"{s.name} . {sub(cont)}" for s, cont in branches)
+    return "{ " + inner + " }"
 
 
 # ---------------------------------------------------------------------------

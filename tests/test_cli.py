@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 import conftest
 
@@ -59,6 +62,15 @@ class TestCheck:
         result = mpstkit("check", str(bad))
         assert result.returncode == 2
         assert "1:8" in result.stderr
+
+    def test_too_long_protocol_exits_two_without_traceback(self, tmp_path):
+        steps = "A -> B : M . " * 600
+        long = tmp_path / "long.mpst"
+        long.write_text(f"sort M;\nglobal Long = {steps}end;\n")
+        result = mpstkit("check", str(long), "--consistency")
+        assert result.returncode == 2
+        assert f"{long}:2:1: declaration nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_json_output_parses(self):
         result = mpstkit("check", fx("negotiation.mpst"), "--consistency", "--json")
@@ -191,6 +203,19 @@ class TestRun:
         )
         assert result.returncode == 1
         assert "not offered" in result.stderr
+
+    @pytest.mark.parametrize(
+        "mutation", ["oneshot_bad_send.mpst", "negotiation_wrong_recur.mpst"]
+    )
+    def test_fault_cancels_peers_without_waiting_for_timeout(self, mutation):
+        start = time.monotonic()
+        result = mpstkit("run", fx(f"mutations/{mutation}"), "--unchecked")
+        assert time.monotonic() - start < 2.0
+        assert result.returncode == 1
+        faults = [l for l in result.stderr.splitlines() if l.startswith("fault in")]
+        assert "cancelled after a fault" not in faults[0]
+        assert any("cancelled after a fault" in l for l in faults[1:])
+        assert "timeout" not in result.stderr
 
     def test_unchecked_orphan_message_exits_one(self, tmp_path):
         # B ends without receiving A's Ping: the run must not pass

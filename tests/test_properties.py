@@ -28,13 +28,15 @@ from mpstkit.core import (
 from mpstkit.elaborate import load_text
 from mpstkit.fsm import interpret
 from mpstkit.projection import merge
-from mpstkit.surface import render_global_type
+from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
 
 from helpers import (
     SORT_POOL,
     manual_dual,
     oracle_dual,
     oracle_interpret,
+    oracle_render_local,
+    oracle_tokenize,
     random_local,
     seeded,
     subst_oracle,
@@ -176,7 +178,7 @@ def test_well_formed_rejects_mutants(g):
 @settings(max_examples=100, deadline=None)
 @given(global_types())
 def test_render_parse_inverse_on_global_types(g):
-    text = SORT_HEADER + f"global T = {render_global_type(g)};\n"
+    text = SORT_HEADER + f"global T = {g};\n"
     pf = load_text(text)
     assert struct_eq(pf.concrete["T"], g)
 
@@ -251,3 +253,34 @@ def test_dual_matches_substitution_oracle(l, other, data):
         m = mutate(d, index, how)
         assert dual(l, m) == oracle_dual(l, m)
         assert dual(m, l) == oracle_dual(m, l)
+
+
+# ---------------------------------------------------------------------------
+# The surface lexer and the local-type renderer against their references.
+
+# every character class the lexer treats differently, plus characters it
+# rejects; keywords are drawn whole, since random letters rarely spell one
+LEX_ALPHABET = "abzAQZ09_{}()[];:.,=@!?<->\"\\/$ \t\n\r"
+lex_inputs = st.lists(
+    st.one_of(st.text(LEX_ALPHABET, max_size=4), st.sampled_from(sorted(KEYWORDS))),
+    max_size=25,
+).map("".join)
+
+
+def lexed(lexer, text):
+    try:
+        return [tuple(tok) for tok in lexer(text)]
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lex_inputs)
+def test_tokenize_matches_oracle(text):
+    assert lexed(tokenize, text) == lexed(oracle_tokenize, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_locals)
+def test_render_local_matches_oracle(l):
+    assert render_local_type(l) == oracle_render_local(l)

@@ -273,6 +273,19 @@ class TestFifoAndUseOnce:
         sessions, results, faults = run_protocol_file(pf, timeout=1.0)
         assert any(isinstance(e, LinearityFault) for _, e in faults)
 
+    def test_recur_without_its_loop_faults_and_cancels_the_peer(self):
+        pf = load_text(
+            "sort Ping;\n"
+            "global G = rec X . A -> B : Ping . X;\n"
+            "proc a plays A in G { loop X { send B Ping; recur Y } }\n"
+            "proc b plays B in G { loop X { recv A { Ping(_) -> recur X } } }\n"
+        )
+        _, _, faults = run_protocol_file(pf, timeout=10.0)
+        assert [(name, str(e)) for name, e in faults] == [
+            ("a", "recur Y outside a loop of that name"),
+            ("b", "session G cancelled after a fault"),
+        ]
+
 
 class TestDelegation:
     def test_three_buyer_completes_both_sessions(self):

@@ -4,10 +4,48 @@ import pytest
 
 from mpstkit.core import END, Loop, Recur, Role, struct_eq
 from mpstkit.elaborate import ElabError, elaborate, instantiate, load_text
-from mpstkit.surface import parse_protocol_file, render_file
+from mpstkit.surface import ParseError, parse_protocol_file, render_file, tokenize
 
 import conftest
-from helpers import negotiation_global, negotiation_local_b
+from helpers import negotiation_global, negotiation_local_b, oracle_tokenize
+
+
+def lexemes(text):
+    return [tuple(tok) for tok in tokenize(text)]
+
+
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "fixture",
+        sorted(p.relative_to(conftest.FIXTURES).as_posix()
+               for p in conftest.FIXTURES.rglob("*.mpst")),
+    )
+    def test_fixture_tokens_match_oracle(self, fixture):
+        text = conftest.fixture_path(fixture).read_text()
+        assert tokenize(text) == oracle_tokenize(text)
+
+    def test_positions_after_a_string_spanning_two_lines(self):
+        assert lexemes('let s = "a\nbc"; x') == [
+            ("kw", "let", 1, 1),
+            ("ident", "s", 1, 5),
+            ("punct", "=", 1, 7),
+            ("string", '"a\nbc"', 1, 9),
+            ("punct", ";", 2, 4),
+            ("ident", "x", 2, 6),
+            ("eof", "", 2, 7),
+        ]
+
+    def test_comment_ending_the_file_without_newline(self):
+        assert lexemes("end -> // done") == [
+            ("kw", "end", 1, 1),
+            ("punct", "->", 1, 5),
+            ("eof", "", 1, 15),
+        ]
+
+    def test_illegal_character_position(self):
+        with pytest.raises(ParseError) as exc:
+            tokenize("sort A;\n  $")
+        assert str(exc.value) == "2:3: unexpected character '$'"
 
 
 class TestParse:
@@ -55,6 +93,17 @@ class TestParse:
         assert len(result.errors) == 2
         # the good declaration after the bad ones still parsed
         assert any(getattr(d, "name", None) == "U" for d in result.file.decls)
+
+    def test_too_deep_declaration_is_a_located_error(self):
+        steps = "".join(f"A -> B : M{i % 3} . " for i in range(600))
+        text = (
+            "sort M0; sort M1; sort M2;\n"
+            f"global Long = {steps}end;\n"
+            "global Short = A -> B : M0 . end;\n"
+        )
+        result = parse_protocol_file(text)
+        assert [str(e) for e in result.errors] == ["2:1: declaration nested too deeply"]
+        assert [d.name for d in result.file.global_defs()] == ["Short"]
 
     def test_duplicate_definition_rejected(self):
         text = "sort Ok; global T = A -> B : Ok . end; global T = end;"

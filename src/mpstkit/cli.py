@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import surface
 from .consistency import consistent
-from .core import Role, struct_eq, type_to_json, well_formed
+from .core import Role, roles_of, struct_eq, type_to_json, well_formed
 from .elaborate import ElabError, ProtocolFile, elaborate
 from .fsm import interpret, to_dot
 from .projection import ProjectionError, project
@@ -180,27 +180,34 @@ def cmd_check(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def _pick_protocol(pf: ProtocolFile, requested) -> str:
-    if requested:
-        if requested not in pf.concrete:
-            raise SystemExit(_bad(f"unknown protocol {requested}"))
-        return requested
-    if len(pf.concrete) == 1:
-        return next(iter(pf.concrete))
-    names = ", ".join(sorted(pf.concrete))
-    raise SystemExit(_bad(f"file defines several protocols ({names}); use --protocol"))
+def _project_or_exit(args) -> tuple:
+    """(protocol name, local type) for `--protocol` and `--role`; exits 2 when
+    the file does not load and 1, with one line on stderr, on an unknown
+    protocol or role or a failed projection."""
+    pf = _load_or_report(args.file)
+    if pf is None:
+        raise SystemExit(2)
+    if not args.protocol and len(pf.concrete) != 1:
+        names = ", ".join(sorted(pf.concrete))
+        raise SystemExit(_bad(f"file defines several protocols ({names}); use --protocol"))
+    name = args.protocol or next(iter(pf.concrete))
+    if name not in pf.concrete:
+        raise SystemExit(_bad(f"unknown protocol {name}"))
+    g = pf.concrete[name]
+    roles = sorted(r.name for r in roles_of(g))
+    # a protocol without roles (just `end`) projects to `end` onto any role
+    if roles and args.role not in roles:
+        raise SystemExit(
+            _bad(f"unknown role {args.role} in protocol {name} (roles: {', '.join(roles)})")
+        )
+    try:
+        return name, project(g, Role(args.role))
+    except (ProjectionError, ValueError) as e:  # ValueError: an invalid role name
+        raise SystemExit(_bad(str(e)))
 
 
 def cmd_project(args) -> int:
-    pf = _load_or_report(args.file)
-    if pf is None:
-        return 2
-    name = _pick_protocol(pf, args.protocol)
-    try:
-        local = project(pf.concrete[name], Role(args.role))
-    except ProjectionError as e:
-        print(_bad(str(e)), file=sys.stderr)
-        return 1
+    _, local = _project_or_exit(args)
     if args.json:
         print(json.dumps(type_to_json(local), indent=2))
     else:
@@ -209,15 +216,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_fsm(args) -> int:
-    pf = _load_or_report(args.file)
-    if pf is None:
-        return 2
-    name = _pick_protocol(pf, args.protocol)
-    try:
-        local = project(pf.concrete[name], Role(args.role))
-    except ProjectionError as e:
-        print(_bad(str(e)), file=sys.stderr)
-        return 1
+    name, local = _project_or_exit(args)
     machine = interpret(local)
     dot = to_dot(machine)
     if args.dot:
@@ -244,8 +243,6 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
         for role, proto, _ in proc.bindings:
             needed.setdefault(proto, set()).add(role)
     sessions: dict = {}
-    from .core import roles_of
-
     for proto, implemented in needed.items():
         g = pf.concrete[proto]
         missing = sorted(r.name for r in roles_of(g) if r not in implemented)

@@ -114,7 +114,7 @@ class Loop:
     body: "TypeNode"
 
     def __str__(self) -> str:
-        return f"rec {self.var} . {self.body}"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,6 @@ class Recur:
 Branches = tuple  # tuple[tuple[Sort, TypeNode], ...]
 
 
-def _show_branches(branches: Branches) -> str:
-    if len(branches) == 1:
-        s, cont = branches[0]
-        return f"{s} . {cont}"
-    inner = ", ".join(f"{s} . {cont}" for s, cont in branches)
-    return "{ " + inner + " }"
-
-
 @dataclass(frozen=True)
 class Com:
     """A communication step in a global type: sender -> receiver : branches."""
@@ -145,7 +137,7 @@ class Com:
     branches: Branches
 
     def __str__(self) -> str:
-        return f"{self.sender} -> {self.receiver} : {_show_branches(self.branches)}"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -157,7 +149,7 @@ class Send:
     branches: Branches
 
     def __str__(self) -> str:
-        return f"{self.sender} -> {self.receiver} ! {_show_branches(self.branches)}"
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -169,7 +161,30 @@ class Recv:
     branches: Branches
 
     def __str__(self) -> str:
-        return f"{self.sender} -> {self.receiver} ? {_show_branches(self.branches)}"
+        return _render(self)
+
+
+_OPS = {Com: ":", Send: "!", Recv: "?"}
+
+
+def _render(t: "TypeNode") -> str:
+    """The text of a type, built with an explicit stack so that long types
+    render without deep recursion.  Branch lists print `S . T` when there is
+    one branch and `{ S1 . T1, S2 . T2 }` otherwise."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Loop):
+            stack += [x.body, f"rec {x.var} . "]
+        elif isinstance(x, (Com, Send, Recv)):
+            opening, closing = ("", "") if len(x.branches) == 1 else ("{ ", " }")
+            parts: list = [f"{x.sender} -> {x.receiver} {_OPS[type(x)]} {opening}"]
+            for k, (s, cont) in enumerate(x.branches):
+                parts += [", " if k else "", f"{s} . ", cont]
+            stack += [closing, *reversed(parts)]
+        else:
+            out.append(str(x))  # a text piece, End or Recur
+    return "".join(out)
 
 
 GlobalType = Union[Com, End, Loop, Recur]
@@ -283,19 +298,8 @@ def is_guarded(var: RecVar, t: TypeNode) -> bool:
 
 
 def roles_of(t: TypeNode) -> set:
-    out: set = set()
-
-    def walk(node: TypeNode) -> None:
-        if isinstance(node, (Com, Send, Recv)):
-            out.add(node.sender)
-            out.add(node.receiver)
-            for _, c in node.branches:
-                walk(c)
-        elif isinstance(node, Loop):
-            walk(node.body)
-
-    walk(t)
-    return out
+    comms = (n for n in subterms(t) if isinstance(n, (Com, Send, Recv)))
+    return {r for n in comms for r in (n.sender, n.receiver)}
 
 
 @dataclass(frozen=True)
@@ -361,12 +365,15 @@ def branch_lookup_name(branches: Branches, name: str) -> Optional[TypeNode]:
 
 
 def subterms(t: TypeNode) -> Iterator[TypeNode]:
-    yield t
-    if isinstance(t, (Com, Send, Recv)):
-        for _, c in t.branches:
-            yield from subterms(c)
-    elif isinstance(t, Loop):
-        yield from subterms(t.body)
+    """Every subterm of t in preorder, walked with an explicit stack."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Loop):
+            stack.append(node.body)
+        elif isinstance(node, (Com, Send, Recv)):
+            stack += [c for _, c in reversed(node.branches)]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ class StateGraph:
     (-1 when unbound).  `state(i)` unfolds node i by following pointers and
     names the result by hash-consing, in the table `cons`, the de Bruijn form
     of its closed unfolding.  Two graphs that share a table give equal state
-    ids exactly to alpha-equal closed unfoldings.
+    ids exactly to alpha-equal closed unfoldings.  `closed(i)` names node i's
+    own closed term the same way, and `term(i)` rebuilds it for display.
     """
 
     def __init__(self, l: LocalType, cons: dict):
@@ -145,13 +146,15 @@ class StateGraph:
     def state(self, i: int) -> tuple:
         """(state id, head node) of the unfolding of node i."""
         h = self.head(i)
-        return self._closed(h, self.depth[h]), h
+        return self.closed(h), h
 
-    def _closed(self, n: int, theta: int) -> int:
-        """Cons id of node n where a Recur whose binder has depth >= theta
-        stays a de Bruijn variable and any other Recur stands for its
-        binder's closed term.  With theta = depth[n] this is n's closed term."""
-        memo, stride = self._memo, self._stride
+    def closed(self, n: int) -> int:
+        """Cons id of node n's closed term: n's subterm with each Recur bound
+        outside it replaced by its binder's closed term.  Equal ids mean
+        alpha-equal closed terms; a type is not equal to its unfolding.  Under
+        theta = depth[n], a Recur whose binder has depth >= theta stays a de
+        Bruijn variable; any other Recur stands for its binder's closed term."""
+        memo, stride, theta = self._memo, self._stride, self.depth[n]
         top = n * stride + theta
         if top in memo:
             return memo[top]
@@ -201,6 +204,37 @@ class StateGraph:
             stack.pop()
         return memo[top]
 
+    def term(self, i: int) -> LocalType:
+        """Node i's closed term, rebuilt with its variable names for display.
+        Built like `closed`, with terms in place of cons ids."""
+        nodes, links, depth = self.nodes, self.links, self.depth
+        done: dict = {}  # (node, theta) -> closed term
+        stack = [(i, depth[i])]
+        while stack:
+            n, theta = stack[-1]
+            t, link = nodes[n], links[n]
+            if isinstance(t, Recur) and link >= 0 and depth[link] < theta:
+                kids = [(link, depth[link])]
+            elif isinstance(t, (Send, Recv)):
+                kids = [(k, theta) for k in link]
+            else:
+                kids = [(link, theta)] if isinstance(t, Loop) else []
+            missing = [k for k in kids if k not in done]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            parts = [done[k] for k in kids]
+            if isinstance(t, Loop):
+                t = Loop(t.var, parts[0])
+            elif isinstance(t, (Send, Recv)):
+                branches = tuple((s, c) for (s, _), c in zip(t.branches, parts))
+                t = type(t)(t.sender, t.receiver, branches)
+            elif parts:
+                t = parts[0]  # a Recur bound outside: its binder's term
+            done[n, theta] = t
+        return done[i, depth[i]]
+
 
 def _sort_key(s: Sort):
     # Sorts are equal by name unless one carries an endpoint; those few keep
@@ -217,7 +251,6 @@ def interpret(l: LocalType) -> Fsm:
     """
     graph = StateGraph(l, {})
     ids: dict = {}
-    states: list = []
     finals: set = set()
     transitions: list = []
 
@@ -225,10 +258,8 @@ def interpret(l: LocalType) -> Fsm:
         key, head = graph.state(node)
         if key in ids:
             return ids[key], None
-        sid = len(states) + 1
-        ids[key] = sid
-        states.append(sid)
-        return sid, head
+        ids[key] = len(ids) + 1
+        return ids[key], head
 
     first, head = state_of(0)
     queue = deque([(first, head)])
@@ -248,7 +279,7 @@ def interpret(l: LocalType) -> Fsm:
             transitions.append((sid, Action(direction, peer, self_role, sort), dst))
             if fresh is not None:
                 queue.append((dst, fresh))
-    return Fsm(states, first, finals, transitions)
+    return Fsm(list(range(1, len(ids) + 1)), first, finals, transitions)
 
 
 def to_dot(f: Fsm) -> str:

@@ -3,14 +3,16 @@
 A process term is written in continuation-passing style: every communication
 action names the session variable it acts on and a binder for the successor
 endpoint, mirroring how an endpoint handle is consumed and replaced at run
-time.  The checker walks the term with a typing environment that maps
-session variables to (role, local type) and data variables to value types.
+time.  The checker walks the term with an explicit stack and a typing
+environment that maps session variables to a role and a node of their local
+type's `fsm.StateGraph`, and data variables to value types.
 
 Session variables are linear: an action, a delegation, or an alias kills the
 old name.  Sends may implement any single offered branch; receives must
-implement all of them.  Loop entry records the loop type (and a snapshot of
+implement all of them.  Loop entry records the loop node (and a snapshot of
 the other live sessions); recur must present the current descendant of the
-loop endpoint at exactly that type.
+loop endpoint at exactly that type.  Types compare by the cons id of a node's
+closed term: alpha-equality, under which a type differs from its unfolding.
 
 The checker recovers after most errors (poisoning the affected session) so
 one pass reports every independent violation.
@@ -18,9 +20,9 @@ one pass reports every independent violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     End,
@@ -30,15 +32,15 @@ from .core import (
     PAYLOAD_INT,
     PAYLOAD_NONE,
     PAYLOAD_STRING,
+    Recur,
     Recv,
     Role,
     Send,
     Sort,
-    branch_lookup_name,
-    struct_eq,
-    unfold,
+    roles_of,
     well_formed,
 )
+from .fsm import StateGraph
 from .projection import ProjectionError, project
 
 Pos = Optional[tuple]  # (line, col)
@@ -229,7 +231,6 @@ class Diagnostic:
 T_INT = "int"
 T_STRING = "string"
 T_BOOL = "bool"
-T_UNIT = "unit"
 
 
 @dataclass(frozen=True)
@@ -241,25 +242,33 @@ class EndpointType:
 
 
 @dataclass(frozen=True)
-class LoopEntry:
-    recur_var: str
-    loop_type: LocalType
-    others: tuple  # tuple[(var, alpha-normalized type), ...] at loop entry
+class SessionState:
+    """A session variable's role and local type, as a caller supplies it."""
+
+    role: Role
+    type: LocalType
 
 
 @dataclass(frozen=True)
-class SessionState:
+class LoopEntry:
+    recur_var: str
+    node: int  # the loop's node in the session's graph
+    others: tuple  # tuple[(var, closed id), ...] of the other live sessions
+
+
+class _Live(NamedTuple):
+    """A session inside the checker: a node of its type's state graph.  The
+    graph is None once the session is poisoned by a protocol error."""
+
     role: Role
-    type: LocalType
-    loop_entries: tuple = ()
-
-
-POISONED = object()  # state.type sentinel after an unrecoverable protocol error
+    graph: Optional[StateGraph]
+    node: int = 0
+    loops: tuple = ()  # LoopEntry per enclosing loop, innermost last
 
 
 @dataclass
 class TypingEnv:
-    sessions: dict = field(default_factory=dict)  # var -> SessionState
+    sessions: dict = field(default_factory=dict)  # var -> SessionState; _Live in Checker
     dead: dict = field(default_factory=dict)  # var -> reason string
     data: dict = field(default_factory=dict)  # var -> value type
 
@@ -267,16 +276,16 @@ class TypingEnv:
         return TypingEnv(dict(self.sessions), dict(self.dead), dict(self.data))
 
 
-def _show(t) -> str:
-    return "<poisoned>" if t is POISONED else str(t)
-
-
 class Checker:
-    """One checking pass over a process term; collects diagnostics."""
+    """One checking pass over a process term; collects diagnostics.
 
-    def __init__(self, filename: str = "<proc>"):
-        self.filename = filename
+    Each session type, and each delegated endpoint schema met, is compiled
+    into a `StateGraph`; all graphs of a pass share one hash-cons table, so
+    closed-term ids compare across sessions and schemas."""
+
+    def __init__(self):
         self.diags: list = []
+        self.cons: dict = {}
 
     # -- diagnostics -------------------------------------------------------
 
@@ -401,7 +410,7 @@ class Checker:
 
     # -- session variable access -------------------------------------------
 
-    def _session(self, env: TypingEnv, var: str, path: str, pos: Pos):
+    def _session(self, env: TypingEnv, var: str, path: str, pos: Pos) -> _Live:
         """Look up a live session, reporting and recovering from misuse.
 
         Using a name that was aliased away steals the state back from the
@@ -410,33 +419,26 @@ class Checker:
         if var in env.sessions:
             return env.sessions[var]
         if var in env.dead:
-            reason = env.dead[var]
+            reason = env.dead.pop(var)
             self._err(
                 ErrorClass.LINEARITY_REUSE,
                 f"session variable {var} is no longer usable ({reason})",
                 path,
                 pos,
             )
-            if reason.startswith("aliased to "):
-                alias = reason[len("aliased to "):]
-                if alias in env.sessions:
-                    state = env.sessions.pop(alias)
-                    env.dead[alias] = f"superseded by original name {var}"
-                    del env.dead[var]
-                    env.sessions[var] = state
-                    return state
-            state = SessionState(Role("Unknown"), POISONED)
-            del env.dead[var]
-            env.sessions[var] = state
-            return state
-        self._err(
-            ErrorClass.UNBOUND_VARIABLE, f"unknown session variable {var}", path, pos
-        )
-        state = SessionState(Role("Unknown"), POISONED)
-        env.sessions[var] = state
-        return state
+            alias = reason[len("aliased to "):] if reason.startswith("aliased to ") else None
+            if alias in env.sessions:
+                env.dead[alias] = f"superseded by original name {var}"
+                env.sessions[var] = env.sessions.pop(alias)
+                return env.sessions[var]
+        else:
+            self._err(
+                ErrorClass.UNBOUND_VARIABLE, f"unknown session variable {var}", path, pos
+            )
+        env.sessions[var] = _Live(Role("Unknown"), None)
+        return env.sessions[var]
 
-    def _rebind(self, env: TypingEnv, old: str, new: str, state: SessionState) -> None:
+    def _rebind(self, env: TypingEnv, old: str, new: str, state: _Live) -> None:
         del env.sessions[old]
         if old != new:
             env.dead[old] = "consumed by a communication action"
@@ -446,221 +448,199 @@ class Checker:
     # -- payload matching ---------------------------------------------------
 
     def _delegated_session(self, e: Expr) -> Optional[str]:
-        if isinstance(e, SessionRef):
-            return e.name
         if isinstance(e, NewSort) and len(e.args) == 1:
-            arg = e.args[0]
-            if isinstance(arg, (SessionRef, VarRef)):
-                return arg.name
-        if isinstance(e, VarRef):
-            return e.name
-        return None
+            e = e.args[0]
+        return e.name if isinstance(e, (SessionRef, VarRef)) else None
 
-    def _match_payload(self, env: TypingEnv, term: SendT, ty: Send, path: str):
-        """Resolve the send payload against the offered branches.
+    def _fits(self, schema, state: _Live) -> bool:
+        """Whether a live session has the schema's role and an alpha-equal type."""
+        return (
+            isinstance(schema, EndpointPayload)
+            and schema.role == state.role
+            and StateGraph(schema.local, self.cons).closed(0) == state.graph.closed(state.node)
+        )
 
-        Returns (branch_sort, continuation, delegated_var) or None after
-        reporting.  A delegated session is matched by role and by structural
-        equality of its current type with the branch schema."""
+    def _match_payload(self, env: TypingEnv, term: SendT, state: _Live, h: int, path: str):
+        """Resolve the send payload against the branches of Send node h.
+
+        Returns the chosen branch's child node, or None after reporting.  A
+        delegated session must fit the branch's endpoint schema, and dies."""
+        ty = state.graph.nodes[h]
         e = term.payload
-        offered = ", ".join(s.name for s, _ in ty.branches)
+        names = [s.name for s, _ in ty.branches]
+        offered = f"one of [{', '.join(names)}]"
         deleg = self._delegated_session(e)
+        sent = None
         if deleg is not None and (deleg in env.sessions or deleg in env.dead):
-            state = self._session(env, deleg, path, term.pos)
-            if state.type is POISONED:
+            sent = self._session(env, deleg, path, term.pos)
+            if sent.graph is None:
                 return None
-            if isinstance(e, NewSort):
-                cont = branch_lookup_name(ty.branches, e.sort.name)
-                srt = next((s for s, _ in ty.branches if s.name == e.sort.name), None)
-                if cont is None:
-                    self._err(
-                        ErrorClass.WRONG_SORT,
-                        "sort not offered by the protocol here",
-                        path,
-                        term.pos,
-                        expected=f"one of [{offered}]",
-                        found=e.sort.name,
-                    )
-                    return None
-                schema = srt.payload
-                if not isinstance(schema, EndpointPayload):
-                    self._err(
-                        ErrorClass.WRONG_SORT,
-                        f"sort {srt.name} does not carry an endpoint",
-                        path,
-                        term.pos,
-                    )
-                    return None
-                if schema.role != state.role or not struct_eq(schema.local, state.type):
-                    self._err(
-                        ErrorClass.WRONG_SORT,
-                        "delegated endpoint does not match the declared schema",
-                        path,
-                        term.pos,
-                        expected=f"{schema.role} at {schema.local}",
-                        found=f"{state.role} at {_show(state.type)}",
-                    )
-                    return None
-                return srt, cont, deleg
-            # bare session reference: find the unique endpoint branch that fits
-            for srt, cont in ty.branches:
-                schema = srt.payload
-                if (
-                    isinstance(schema, EndpointPayload)
-                    and schema.role == state.role
-                    and struct_eq(schema.local, state.type)
-                ):
-                    return srt, cont, deleg
-            self._err(
-                ErrorClass.WRONG_SORT,
-                "no offered sort accepts this endpoint",
-                path,
-                term.pos,
-                expected=f"one of [{offered}]",
-                found=f"endpoint {state.role} at {_show(state.type)}",
-            )
-            return None
         if isinstance(e, NewSort):
-            self._check_sort_args(env, e, path)
-            cont = branch_lookup_name(ty.branches, e.sort.name)
-            srt = next((s for s, _ in ty.branches if s.name == e.sort.name), None)
-            if cont is None:
+            if sent is None:
+                self._check_sort_args(env, e, path)
+            if e.sort.name not in names:
                 self._err(
                     ErrorClass.WRONG_SORT,
                     "sort not offered by the protocol here",
                     path,
                     term.pos,
-                    expected=f"one of [{offered}]",
+                    expected=offered,
                     found=e.sort.name,
                 )
                 return None
-            return srt, cont, None
-        got = self.expr_type(env, e, path)
-        if isinstance(got, Sort):
-            cont = branch_lookup_name(ty.branches, got.name)
-            srt = next((s for s, _ in ty.branches if s.name == got.name), None)
-            if cont is not None:
-                return srt, cont, None
-        self._err(
-            ErrorClass.WRONG_SORT,
-            "payload does not match any offered sort",
-            path,
-            term.pos,
-            expected=f"one of [{offered}]",
-            found=str(got),
-        )
-        return None
+            k = names.index(e.sort.name)
+            schema = ty.branches[k][0].payload
+            if sent is not None and not isinstance(schema, EndpointPayload):
+                self._err(
+                    ErrorClass.WRONG_SORT,
+                    f"sort {e.sort.name} does not carry an endpoint",
+                    path,
+                    term.pos,
+                )
+                return None
+            if sent is not None and not self._fits(schema, sent):
+                self._err(
+                    ErrorClass.WRONG_SORT,
+                    "delegated endpoint does not match the declared schema",
+                    path,
+                    term.pos,
+                    expected=f"{schema.role} at {schema.local}",
+                    found=f"{sent.role} at {sent.graph.term(sent.node)}",
+                )
+                return None
+        elif sent is not None:
+            # a bare session reference: the first endpoint branch it fits
+            k = next(
+                (k for k, (s, _) in enumerate(ty.branches) if self._fits(s.payload, sent)),
+                None,
+            )
+            if k is None:
+                self._err(
+                    ErrorClass.WRONG_SORT,
+                    "no offered sort accepts this endpoint",
+                    path,
+                    term.pos,
+                    expected=offered,
+                    found=f"endpoint {sent.role} at {sent.graph.term(sent.node)}",
+                )
+                return None
+        else:
+            got = self.expr_type(env, e, path)
+            if not (isinstance(got, Sort) and got.name in names):
+                self._err(
+                    ErrorClass.WRONG_SORT,
+                    "payload does not match any offered sort",
+                    path,
+                    term.pos,
+                    expected=offered,
+                    found=str(got),
+                )
+                return None
+            k = names.index(got.name)
+        if sent is not None:
+            env.sessions.pop(deleg, None)
+            env.dead[deleg] = "delegated away"
+        return state.graph.links[h][k]
 
     # -- terms ---------------------------------------------------------------
 
     def check(self, env: TypingEnv, term: ProcessTerm, path: str = "$") -> None:
-        if isinstance(term, SendT):
-            self._check_send(env, term, path)
-        elif isinstance(term, RecvT):
-            self._check_recv(env, term, path)
-        elif isinstance(term, LoopT):
-            self._check_loop(env, term, path)
-        elif isinstance(term, RecurT):
-            self._check_recur(env, term, path)
-        elif isinstance(term, EndT):
-            self._check_end(env, term, path)
-        elif isinstance(term, IfT):
-            t = self.expr_type(env, term.cond, path)
-            if t is not None and t != T_BOOL:
-                self._err(
-                    ErrorClass.EXPR_TYPE,
-                    "condition is not a boolean",
-                    path,
-                    term.pos,
-                    expected=T_BOOL,
-                    found=str(t),
-                )
-            self.check(env.copy(), term.then, f"{path}.then")
-            self.check(env.copy(), term.els, f"{path}.else")
-        elif isinstance(term, LetT):
-            self._check_let(env, term, path)
-        else:
-            raise TypeError(f"unknown process term: {term!r}")
+        """Check a term depth-first with an explicit stack.  Each step returns
+        its successors in order: (env, term, path) items to check next and
+        diagnostics to report between them."""
+        steps = {
+            SendT: self._check_send,
+            RecvT: self._check_recv,
+            LoopT: self._check_loop,
+            RecurT: self._check_recur,
+            EndT: self._check_end,
+            IfT: self._check_if,
+            LetT: self._check_let,
+        }
+        work: list = [(env, term, path)]
+        while work:
+            item = work.pop()
+            if isinstance(item, Diagnostic):
+                self.diags.append(item)
+                continue
+            env, term, path = item
+            if type(term) not in steps:
+                raise TypeError(f"unknown process term: {term!r}")
+            work.extend(reversed(steps[type(term)](env, term, path)))
 
-    def _head_type(self, env: TypingEnv, term, path: str):
+    def _check_if(self, env: TypingEnv, term: IfT, path: str) -> list:
+        t = self.expr_type(env, term.cond, path)
+        if t is not None and t != T_BOOL:
+            self._err(
+                ErrorClass.EXPR_TYPE,
+                "condition is not a boolean",
+                path,
+                term.pos,
+                expected=T_BOOL,
+                found=str(t),
+            )
+        return [
+            (env.copy(), term.then, f"{path}.then"),
+            (env.copy(), term.els, f"{path}.else"),
+        ]
+
+    def _check_send(self, env: TypingEnv, term: SendT, path: str) -> list:
         state = self._session(env, term.session, path, term.pos)
-        if state.type is POISONED:
-            return state, POISONED
-        return state, unfold(state.type)
+        if state.graph is not None:
+            h = self._head(state, Send, term.to, path, term.pos, f"send to {term.to}")
+            child = None if h is None else self._match_payload(env, term, state, h, path)
+            state = state._replace(graph=None) if child is None else state._replace(node=child)
+        self._rebind(env, term.session, term.bind, state)
+        return [(env, term.cont, f"{path}.cont")]
 
-    def _check_send(self, env: TypingEnv, term: SendT, path: str) -> None:
-        state, ty = self._head_type(env, term, path)
-        if ty is POISONED:
-            self._rebind(env, term.session, term.bind, state)
-            self.check(env, term.cont, f"{path}.cont")
-            return
-        if not isinstance(ty, Send):
-            kind = "receive" if isinstance(ty, Recv) else "termination"
+    def _head(self, state: _Live, want: type, peer: Role, path: str, pos: Pos, doing: str):
+        """Head node of the session's type when it is a `want` (Send or Recv)
+        exchanging with `peer`, else None after reporting.  `doing` names the
+        process's action in diagnostics."""
+        g = state.graph
+        h = g.head(state.node)
+        ty = g.nodes[h]
+        act = "send" if want is Send else "receive"
+        if not isinstance(ty, want):
+            kind = {Send: "send", Recv: "receive"}.get(type(ty), "termination")
             self._err(
                 ErrorClass.WRONG_ACTION_KIND,
-                "protocol does not allow a send here",
+                f"protocol does not allow a {act} here",
                 path,
-                term.pos,
-                expected=f"a {kind} ({_show(ty)})",
-                found=f"send to {term.to}",
+                pos,
+                expected=f"a {kind} ({g.term(h)})",
+                found=doing,
             )
-            self._rebind(env, term.session, term.bind, replace(state, type=POISONED))
-            self.check(env, term.cont, f"{path}.cont")
-            return
-        if ty.receiver != term.to:
+            return None
+        other = ty.receiver if want is Send else ty.sender
+        if other != peer:
+            wrong = "send addressed to" if want is Send else "receive awaits"
             self._err(
                 ErrorClass.WRONG_PEER,
-                "send addressed to the wrong role",
+                f"{wrong} the wrong role",
                 path,
-                term.pos,
-                expected=str(ty.receiver),
-                found=str(term.to),
+                pos,
+                expected=str(other),
+                found=str(peer),
             )
-            self._rebind(env, term.session, term.bind, replace(state, type=POISONED))
-            self.check(env, term.cont, f"{path}.cont")
-            return
-        matched = self._match_payload(env, term, ty, path)
-        if matched is None:
-            self._rebind(env, term.session, term.bind, replace(state, type=POISONED))
-            self.check(env, term.cont, f"{path}.cont")
-            return
-        _, cont_type, delegated = matched
-        if delegated is not None:
-            env.sessions.pop(delegated, None)
-            env.dead[delegated] = "delegated away"
-        self._rebind(env, term.session, term.bind, replace(state, type=cont_type))
-        self.check(env, term.cont, f"{path}.cont")
+            return None
+        return h
 
-    def _check_recv(self, env: TypingEnv, term: RecvT, path: str) -> None:
-        state, ty = self._head_type(env, term, path)
-        if ty is POISONED:
+    def _check_recv(self, env: TypingEnv, term: RecvT, path: str) -> list:
+        state = self._session(env, term.session, path, term.pos)
+        g = state.graph
+        if g is None:
+            out = []
             for arm in term.branches:
                 arm_env = env.copy()
                 self._rebind(arm_env, term.session, arm.bind, state)
-                self.check(arm_env, arm.cont, f"{path}.{arm.sort_name}")
-            return
-        if not isinstance(ty, Recv):
-            kind = "send" if isinstance(ty, Send) else "termination"
-            self._err(
-                ErrorClass.WRONG_ACTION_KIND,
-                "protocol does not allow a receive here",
-                path,
-                term.pos,
-                expected=f"a {kind} ({_show(ty)})",
-                found=f"receive from {term.frm}",
-            )
-            return
-        if ty.sender != term.frm:
-            self._err(
-                ErrorClass.WRONG_PEER,
-                "receive awaits the wrong role",
-                path,
-                term.pos,
-                expected=str(ty.sender),
-                found=str(term.frm),
-            )
-            return
-        offered = {s.name: (s, c) for s, c in ty.branches}
+                out.append((arm_env, arm.cont, f"{path}.{arm.sort_name}"))
+            return out
+        h = self._head(state, Recv, term.frm, path, term.pos, f"receive from {term.frm}")
+        if h is None:
+            return []
+        ty = g.nodes[h]
+        offered = {s.name: (s, k) for (s, _), k in zip(ty.branches, g.links[h])}
         supplied = {arm.sort_name for arm in term.branches}
         missing = [n for n in offered if n not in supplied]
         if missing:
@@ -672,77 +652,74 @@ class Checker:
                 expected=f"branches for [{', '.join(offered)}]",
                 found=f"missing [{', '.join(missing)}]",
             )
+        out = []
         for arm in term.branches:
             arm_path = f"{path}.{arm.sort_name}"
             if arm.sort_name not in offered:
-                self._err(
-                    ErrorClass.WRONG_SORT,
-                    "receive branch for a sort the protocol does not offer",
-                    arm_path,
-                    arm.pos,
-                    expected=f"one of [{', '.join(offered)}]",
-                    found=arm.sort_name,
+                out.append(
+                    Diagnostic(
+                        ErrorClass.WRONG_SORT,
+                        "receive branch for a sort the protocol does not offer",
+                        arm_path,
+                        arm.pos,
+                        expected=f"one of [{', '.join(offered)}]",
+                        found=arm.sort_name,
+                    )
                 )
                 continue
-            srt, cont_type = offered[arm.sort_name]
+            srt, child = offered[arm.sort_name]
             arm_env = env.copy()
             schema = srt.payload
             if arm.payload_var != "_":
                 if isinstance(schema, EndpointPayload):
-                    arm_env.sessions[arm.payload_var] = SessionState(
-                        schema.role, schema.local
+                    arm_env.sessions[arm.payload_var] = _Live(
+                        schema.role, StateGraph(schema.local, self.cons)
                     )
                     arm_env.dead.pop(arm.payload_var, None)
-                elif schema == PAYLOAD_NONE:
-                    arm_env.data[arm.payload_var] = srt
                 else:
                     arm_env.data[arm.payload_var] = srt
             elif isinstance(schema, EndpointPayload):
-                self._err(
-                    ErrorClass.LINEARITY_REUSE,
-                    "a received endpoint must be bound, not discarded",
-                    arm_path,
-                    arm.pos,
+                out.append(
+                    Diagnostic(
+                        ErrorClass.LINEARITY_REUSE,
+                        "a received endpoint must be bound, not discarded",
+                        arm_path,
+                        arm.pos,
+                    )
                 )
-            self._rebind(arm_env, term.session, arm.bind, replace(state, type=cont_type))
-            self.check(arm_env, arm.cont, arm_path)
+            self._rebind(arm_env, term.session, arm.bind, state._replace(node=child))
+            out.append((arm_env, arm.cont, arm_path))
+        return out
 
-    def _check_loop(self, env: TypingEnv, term: LoopT, path: str) -> None:
+    def _check_loop(self, env: TypingEnv, term: LoopT, path: str) -> list:
         state = self._session(env, term.session, path, term.pos)
-        if state.type is POISONED:
-            self._rebind(env, term.session, term.bind, state)
-            self.check(env, term.body, f"{path}.loop({term.recur_var})")
-            return
-        ty = state.type
-        if not isinstance(ty, Loop):
-            self._err(
-                ErrorClass.WRONG_ACTION_KIND,
-                "protocol does not loop here",
-                path,
-                term.pos,
-                expected=_show(ty),
-                found=f"loop {term.recur_var}",
-            )
-            self._rebind(env, term.session, term.bind, replace(state, type=POISONED))
-            self.check(env, term.body, f"{path}.loop({term.recur_var})")
-            return
-        from .core import alpha_normalize, substitute
+        g = state.graph
+        if g is not None:
+            i = state.node
+            if isinstance(g.nodes[i], Recur) and g.links[i] >= 0:
+                i = g.links[i]  # a bound Recur stands for its binder
+            if isinstance(g.nodes[i], Loop):
+                others = tuple(
+                    (v, s.graph.closed(s.node))
+                    for v, s in sorted(env.sessions.items())
+                    if v != term.session and s.graph is not None
+                )
+                entry = LoopEntry(term.recur_var, i, others)
+                state = state._replace(node=g.links[i], loops=state.loops + (entry,))
+            else:
+                self._err(
+                    ErrorClass.WRONG_ACTION_KIND,
+                    "protocol does not loop here",
+                    path,
+                    term.pos,
+                    expected=str(g.term(i)),
+                    found=f"loop {term.recur_var}",
+                )
+                state = state._replace(graph=None)
+        self._rebind(env, term.session, term.bind, state)
+        return [(env, term.body, f"{path}.loop({term.recur_var})")]
 
-        others = tuple(
-            (v, alpha_normalize(s.type))
-            for v, s in sorted(env.sessions.items())
-            if v != term.session and s.type is not POISONED
-        )
-        entry = LoopEntry(term.recur_var, ty, others)
-        body_state = SessionState(
-            state.role,
-            substitute(ty.body, ty.var, ty),
-            state.loop_entries + (entry,),
-        )
-        self._rebind(env, term.session, term.bind, body_state)
-        self.check(env, term.body, f"{path}.loop({term.recur_var})")
-
-    def _check_recur(self, env: TypingEnv, term: RecurT, path: str) -> None:
+    def _check_recur(self, env: TypingEnv, term: RecurT, path: str) -> list:
         if term.session in env.dead:
             self._err(
                 ErrorClass.WRONG_RECURSIVE_TYPE,
@@ -752,7 +729,7 @@ class Checker:
                 path,
                 term.pos,
             )
-            return
+            return []
         if term.session not in env.sessions:
             self._err(
                 ErrorClass.UNBOUND_VARIABLE,
@@ -760,16 +737,13 @@ class Checker:
                 path,
                 term.pos,
             )
-            return
+            return []
         state = env.sessions.pop(term.session)
         env.dead[term.session] = "consumed by recur"
-        if state.type is POISONED:
-            return
-        entry = None
-        for candidate in reversed(state.loop_entries):
-            if candidate.recur_var == term.recur_var:
-                entry = candidate
-                break
+        g = state.graph
+        if g is None:
+            return []
+        entry = next((e for e in reversed(state.loops) if e.recur_var == term.recur_var), None)
         if entry is None:
             self._err(
                 ErrorClass.WRONG_RECURSIVE_TYPE,
@@ -777,21 +751,19 @@ class Checker:
                 path,
                 term.pos,
             )
-            return
-        if not struct_eq(state.type, entry.loop_type):
+            return []
+        if g.closed(state.node) != g.closed(entry.node):
             self._err(
                 ErrorClass.WRONG_RECURSIVE_TYPE,
                 "session is not back at the loop-entry type",
                 path,
                 term.pos,
-                expected=str(entry.loop_type),
-                found=_show(state.type),
+                expected=str(g.term(entry.node)),
+                found=str(g.term(state.node)),
             )
         snapshot = dict(entry.others)
-        from .core import alpha_normalize
-
         for v, s in sorted(env.sessions.items()):
-            if s.type is POISONED:
+            if s.graph is None:
                 continue
             if v not in snapshot:
                 self._err(
@@ -800,15 +772,16 @@ class Checker:
                     path,
                     term.pos,
                 )
-            elif alpha_normalize(s.type) != snapshot[v]:
+            elif s.graph.closed(s.node) != snapshot[v]:
                 self._err(
                     ErrorClass.WRONG_RECURSIVE_TYPE,
                     f"session {v} changed state across the loop iteration",
                     path,
                     term.pos,
                 )
+        return []
 
-    def _check_end(self, env: TypingEnv, term: EndT, path: str) -> None:
+    def _check_end(self, env: TypingEnv, term: EndT, path: str) -> list:
         for v in term.results:
             if v not in env.sessions and v not in env.dead:
                 self._err(
@@ -818,55 +791,47 @@ class Checker:
                     term.pos,
                 )
         for v, state in sorted(env.sessions.items()):
-            if state.type is POISONED:
-                continue
-            if not isinstance(unfold(state.type), End):
+            g = state.graph
+            if g is not None and not isinstance(g.nodes[g.head(state.node)], End):
                 self._err(
                     ErrorClass.NON_TERMINATED_SESSION,
                     f"session {v} still has protocol left at termination",
                     path,
                     term.pos,
                     expected="end",
-                    found=str(state.type),
+                    found=str(g.term(state.node)),
                 )
+        return []
 
-    def _check_let(self, env: TypingEnv, term: LetT, path: str) -> None:
+    def _check_let(self, env: TypingEnv, term: LetT, path: str) -> list:
         value = term.value
-        name = (
-            value.name if isinstance(value, (SessionRef, VarRef)) else None
-        )
-        if name is not None and name in env.sessions:
+        if isinstance(value, (SessionRef, VarRef)) and value.name in env.sessions:
             # aliasing a session transfers ownership; the old name is dead
-            state = env.sessions.pop(name)
-            env.dead[name] = f"aliased to {term.name}"
+            state = env.sessions.pop(value.name)
+            env.dead[value.name] = f"aliased to {term.name}"
             env.dead.pop(term.name, None)
             env.sessions[term.name] = state
-            self.check(env, term.cont, f"{path}.let({term.name})")
-            return
-        t = self.expr_type(env, value, path)
-        if term.name in env.sessions:
-            self._err(
-                ErrorClass.LINEARITY_REUSE,
-                f"binding {term.name} would shadow a live session",
-                path,
-                term.pos,
-            )
-        elif t is not None:
-            env.data[term.name] = t
-        self.check(env, term.cont, f"{path}.let({term.name})")
+        else:
+            t = self.expr_type(env, value, path)
+            if term.name in env.sessions:
+                self._err(
+                    ErrorClass.LINEARITY_REUSE,
+                    f"binding {term.name} would shadow a live session",
+                    path,
+                    term.pos,
+                )
+            elif t is not None:
+                env.data[term.name] = t
+        return [(env, term.cont, f"{path}.let({term.name})")]
 
 
 def check_expr(env: TypingEnv, e: Expr):
     """Type an expression; returns (type or None, diagnostics)."""
+    if isinstance(e, (SessionRef, VarRef)) and e.name in env.sessions:
+        state = env.sessions[e.name]
+        return EndpointType(state.role, state.type), []
     ch = Checker()
-    if isinstance(e, SessionRef) or (
-        isinstance(e, VarRef) and e.name in env.sessions
-    ):
-        state = env.sessions.get(e.name)
-        if state is not None:
-            return EndpointType(state.role, state.type), []
-    t = ch.expr_type(env, e, "$")
-    return t, ch.diags
+    return ch.expr_type(env, e, "$"), ch.diags
 
 
 def check_process(env: TypingEnv, term: ProcessTerm, filename: str = "<proc>") -> list:
@@ -875,8 +840,9 @@ def check_process(env: TypingEnv, term: ProcessTerm, filename: str = "<proc>") -
         bad = well_formed(state.type)
         if bad:
             raise ValueError(f"ill-formed local type in environment: {bad[0]}")
-    ch = Checker(filename)
-    ch.check(env.copy(), term)
+    ch = Checker()
+    live = {v: _Live(s.role, StateGraph(s.type, ch.cons)) for v, s in env.sessions.items()}
+    ch.check(TypingEnv(live, dict(env.dead), dict(env.data)), term)
     return ch.diags
 
 
@@ -944,8 +910,6 @@ def check_session(protocol_file, filename: str = "<file>") -> SessionCheckResult
         if not diags:
             diags = check_process(env, proc.term, filename)
         reports.append(ProcReport(proc.name, diags))
-    from .core import roles_of
-
     for proto_name, roles in implemented.items():
         g = protocol_file.concrete.get(proto_name)
         if g is None:

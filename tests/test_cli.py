@@ -146,6 +146,17 @@ class TestProject:
         assert "not projectable" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["project", "fsm"])
+@pytest.mark.parametrize("role", ["1x", "Z"])
+def test_unknown_role_is_one_line(command, role):
+    # an invalid role name and a name the protocol does not use both fail
+    # like an unknown --protocol: one stderr line, exit 1, no traceback
+    result = mpstkit(command, fx("negotiation.mpst"), "--role", role)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"unknown role {role} in protocol Negotiation (roles: A, B)\n"
+
+
 class TestFsm:
     def test_dot_file_written(self, tmp_path):
         out = tmp_path / "bob.dot"
@@ -245,6 +256,63 @@ class TestRun:
         assert [e["sort"] for e in data["sessions"]["Negotiation"]] == [
             "Propose", "Propose", "Propose", "Propose", "Reject",
         ]
+
+
+def stress_protocol(sends: int) -> str:
+    """A loop whose Go branch carries `sends` messages, with processes for
+    both roles; A goes round three times, then stops."""
+    steps = " . ".join(["A -> B : M"] * sends)
+    body = "; ".join(["send B M"] * sends)
+    recvs = "recur X"
+    for _ in range(sends):
+        recvs = f"recv A {{ M(_) -> {recvs} }}"
+    return (
+        "sort M; sort Go; sort Stop;\n"
+        f"global G = rec X . A -> B : {{ Go . {steps} . X, Stop . end }};\n"
+        "proc a plays A in G {\n"
+        "  let i = 3;\n"
+        f"  loop X {{ if 0 < i then {{ send B Go; {body}; let i = i - 1; recur X }}"
+        " else { send B Stop; end } }\n"
+        "}\n"
+        "proc b plays B in G {\n"
+        f"  loop X {{ recv A {{ Go(_) -> {recvs}, Stop(_) -> end }} }}\n"
+        "}\n"
+    )
+
+
+class TestStress:
+    """A 250-message loop goes through every command without a traceback."""
+
+    @pytest.fixture(scope="class")
+    def long_loop(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stress") / "long.mpst"
+        path.write_text(stress_protocol(250))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "--consistency"),
+            ("project", "--role", "A"),
+            ("project", "--role", "A", "--json"),
+            ("fsm", "--role", "B"),
+        ],
+    )
+    def test_static_commands(self, long_loop, args):
+        result = mpstkit(args[0], long_loop, *args[1:])
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_project_text_renders_every_step(self, long_loop):
+        result = mpstkit("project", long_loop, "--role", "A")
+        assert result.stdout.count("A -> B ! M .") == 250
+
+    def test_run(self, long_loop):
+        result = mpstkit("run", long_loop, "--json")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        events = json.loads(result.stdout)["sessions"]["G"]
+        assert len(events) == 3 * 251 + 1
 
 
 class TestBench:

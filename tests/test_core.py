@@ -27,6 +27,7 @@ from mpstkit.core import (
 
 import helpers
 from helpers import (
+    long_chain,
     negotiation_global,
     negotiation_local_b,
     random_global,
@@ -267,3 +268,18 @@ class TestJson:
         s = Sort("Delegatee", EndpointPayload(B, Send(B, A, ((Ok, END),))))
         back = sort_from_json(sort_to_json(s))
         assert back == s
+
+
+class TestRender:
+    def test_long_type_renders_without_recursion(self):
+        sends, recvs = long_chain(3000)
+        steps = " . ".join(f"A -> B ! M{i}" for i in range(3000))
+        assert str(sends) == f"rec X . {steps} . X"
+        assert str(recvs) == f"rec X . {steps.replace(' ! ', ' ? ')} . X"
+
+    def test_branch_lists(self):
+        one = Com(A, B, ((Ok, END),))
+        assert str(one) == "A -> B : Ok . end"
+        two = Send(A, B, ((Ok, END), (Propose, Recur(X))))
+        assert str(Loop(X, two)) == "rec X . A -> B ! { Ok . end, Propose . X }"
+        assert str(Recv(A, B, ())) == "A -> B ? {  }"

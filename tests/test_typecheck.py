@@ -4,10 +4,13 @@ linear session discipline."""
 import pytest
 
 from mpstkit.core import (
+    END,
+    EndpointPayload,
     Loop,
     Recur,
     RecVar,
     Role,
+    Send,
     Sort,
     struct_eq,
     unfold,
@@ -21,7 +24,9 @@ from mpstkit.typecheck import (
     EndT,
     Field,
     IntLit,
+    LoopT,
     Lt,
+    RecurT,
     RecvT,
     SendT,
     SessionRef,
@@ -38,6 +43,7 @@ import conftest
 from helpers import (
     A,
     B,
+    long_chain,
     random_local,
     seeded,
     synthesize_process,
@@ -390,3 +396,103 @@ class TestEnvironmentValidation:
         local = project(negotiation.concrete["Negotiation"], A)
         env = TypingEnv(sessions={"s": SessionState(A, local)})
         assert check_process(env, alice.term) == []
+
+
+def _loop_of_sends(loop, drop: int = 0):
+    """`loop X { send B M0; ...; recur X }` for a loop of single sends, with
+    the last `drop` sends left out."""
+    sorts = []
+    node = loop.body
+    while isinstance(node, Send):
+        sort, node = node.branches[0]
+        sorts.append(sort)
+    term = RecurT("X", "s")
+    for sort in reversed(sorts[: len(sorts) - drop]):
+        term = SendT("s", B, NewSort(sort), "s", term)
+    return LoopT("s", "X", "s", term)
+
+
+class TestLoopsOnTheStateGraph:
+    def test_long_loop_checks(self):
+        # one loop of 150 sends: checking and recur must not recurse per step
+        sends, _ = long_chain(150)
+        env = TypingEnv(sessions={"s": SessionState(A, sends)})
+        assert check_process(env, _loop_of_sends(sends)) == []
+
+    def test_long_loop_reports_an_early_recur(self):
+        sends, _ = long_chain(150)
+        env = TypingEnv(sessions={"s": SessionState(A, sends)})
+        diags = check_process(env, _loop_of_sends(sends, drop=1))
+        assert classes(diags) == [ErrorClass.WRONG_RECURSIVE_TYPE]
+        assert diags[0].expected == str(sends)
+        assert diags[0].found == f"A -> B ! M149 . {sends}"
+
+    def test_recur_compares_closed_terms_not_unfoldings(self):
+        # Right after `loop X` the session is at `rec Y . ...`, whose
+        # unfolding equals the loop type's; the type itself does not.
+        x, y, m = RecVar("X"), RecVar("Y"), Sort("M")
+        loop = Loop(x, Loop(y, Send(A, B, ((m, Recur(x)),))))
+        env = TypingEnv(sessions={"s": SessionState(A, loop)})
+        diags = check_process(env, LoopT("s", "X", "s", RecurT("X", "s")))
+        assert [(d.cls, d.expected, d.found) for d in diags] == [
+            (
+                ErrorClass.WRONG_RECURSIVE_TYPE,
+                "rec X . rec Y . A -> B ! M . X",
+                "rec Y . A -> B ! M . rec X . rec Y . A -> B ! M . X",
+            )
+        ]
+
+    def _nested(self, peer):
+        # a type whose body `rec Y . ...` unfolds like the type itself
+        x, y = RecVar("X"), RecVar("Y")
+        return Loop(x, Loop(y, Send(A, peer, ((Sort("M"), Recur(x)),))))
+
+    def test_other_sessions_compare_closed_terms_at_recur(self):
+        # u moves from `rec X . ...` to its body, which has the same
+        # unfolding, between loop entry on s and recur
+        m = Sort("M")
+        x = RecVar("X")
+        env = TypingEnv(
+            sessions={
+                "s": SessionState(A, Loop(x, Send(A, B, ((m, Recur(x)),)))),
+                "u": SessionState(A, self._nested(Role("C"))),
+            }
+        )
+        term = LoopT(
+            "s", "X", "s",
+            SendT("s", B, NewSort(m), "s", LoopT("u", "W", "u", RecurT("X", "s"))),
+        )
+        diags = check_process(env, term)
+        assert [(d.cls, d.message) for d in diags] == [
+            (
+                ErrorClass.WRONG_RECURSIVE_TYPE,
+                "session u changed state across the loop iteration",
+            )
+        ]
+
+    def test_delegated_endpoint_compares_closed_terms(self):
+        # d is inside its loop: same unfolding as the schema, other type
+        schema = self._nested(Role("C"))
+        deleg = Sort("D", EndpointPayload(A, schema))
+        env = TypingEnv(
+            sessions={
+                "s": SessionState(A, Send(A, B, ((deleg, END),))),
+                "d": SessionState(A, schema),
+            }
+        )
+        term = LoopT(
+            "d", "W", "d", SendT("s", B, NewSort(deleg, (SessionRef("d"),)), "s", EndT())
+        )
+        diags = check_process(env, term)
+        assert [(d.cls, d.message) for d in diags] == [
+            (
+                ErrorClass.WRONG_SORT,
+                "delegated endpoint does not match the declared schema",
+            ),
+            (
+                ErrorClass.NON_TERMINATED_SESSION,
+                "session d still has protocol left at termination",
+            ),
+        ]
+        direct = SendT("s", B, NewSort(deleg, (SessionRef("d"),)), "s", EndT())
+        assert check_process(env, direct) == []

@@ -114,21 +114,39 @@ class CheckOutcome:
         }
 
 
+class _Projections(dict):
+    """(protocol name, role) -> the projection, or the ProjectionError it
+    raised.  An entry is projected on its first lookup, so the checks of one
+    file share one projection per (protocol, role)."""
+
+    def __init__(self, concrete: dict):
+        super().__init__()
+        self.concrete = concrete
+
+    def __missing__(self, key):
+        name, role = key
+        try:
+            local = project(self.concrete[name], role)
+        except ProjectionError as e:
+            local = e
+        self[key] = local
+        return local
+
+
 def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> CheckOutcome:
     outcome = CheckOutcome(path)
+    projections = _Projections(pf.concrete)
     for name, g in pf.concrete.items():
         outcome.well_formedness[name] = well_formed(g)
     for la in pf.local_asserts:
-        g = pf.concrete.get(la.global_name)
-        if g is None:
+        if la.global_name not in pf.concrete:
             outcome.assert_failures.append(
                 f"local type declared for generic/unknown protocol {la.global_name}"
             )
             continue
-        try:
-            projected = project(g, la.role)
-        except ProjectionError as e:
-            outcome.assert_failures.append(str(e))
+        projected = projections[la.global_name, la.role]
+        if isinstance(projected, ProjectionError):
+            outcome.assert_failures.append(str(projected))
             continue
         if not struct_eq(projected, la.declared):
             outcome.assert_failures.append(
@@ -136,11 +154,13 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
                 f" match the projection:\n  declared:  {la.declared}\n"
                 f"  projected: {projected}"
             )
-    outcome.session_result = check_session(pf, path)
+    outcome.session_result = check_session(pf, path, projections=projections)
     if with_consistency:
         for name, g in pf.concrete.items():
             if not outcome.well_formedness.get(name):
-                outcome.consistency[name] = consistent(g)
+                outcome.consistency[name] = consistent(
+                    g, projections={r: projections[name, r] for r in roles_of(g)}
+                )
     return outcome
 
 

@@ -7,6 +7,15 @@ r2 never hears about must collapse into one behaviour r2 can rely on).  The
 two restricted views must then be dual: every send to the partner matched by
 a receive from this role with the same sorts, coinductively through loops.
 
+The check does work in proportion to the role pairs that talk.  Each role is
+projected once, and each (role, partner) view is restricted at most once,
+with a MergeError kept as the result.  A role's view for a partner it never
+acts with erases every action, so it cannot depend on the partner: one such
+*silent view* per role (always `end` or a MergeError) serves all of them.
+Duality does not depend on argument order, so it is decided once per
+unordered pair, and a pair whose two views are both `end` is dual without
+building state graphs.
+
 Consistency is a separate, explicitly invoked verdict.  Projection and
 process checking never depend on it: inconsistent-but-projectable protocols
 are still compiled and run.
@@ -27,6 +36,7 @@ from .core import (
     Role,
     Send,
     roles_of,
+    subterms,
 )
 from .fsm import StateGraph
 from .projection import MergeError, ProjectionError, close_loop, merge_all, project
@@ -137,34 +147,83 @@ class ConsistencyReport:
         }
 
 
-def consistent(g: GlobalType) -> ConsistencyReport:
-    """Check all ordered role pairs of g; the report lists every failure."""
+def _peers(l: LocalType) -> set:
+    """The roles l sends to or receives from."""
+    return {
+        n.receiver if isinstance(n, Send) else n.sender
+        for n in subterms(l)
+        if isinstance(n, (Send, Recv))
+    }
+
+
+def _restricted(l: LocalType, partner: Role):
+    """restrict_to_partner(l, partner), or the MergeError it raised."""
+    try:
+        return restrict_to_partner(l, partner)
+    except MergeError as e:
+        return e
+
+
+def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
+    """Check all ordered role pairs of g; the report lists every failure.
+
+    `projections`, when given, maps each role of g to its projection or to
+    the ProjectionError projecting it raised, so a caller that has already
+    projected g need not project it again.
+    """
     roles = sorted(roles_of(g), key=lambda r: r.name)
-    projections: dict = {}
-    proj_errors: dict = {}
-    for r in roles:
-        try:
-            projections[r] = project(g, r)
-        except ProjectionError as e:
-            proj_errors[r] = e
+    if projections is None:
+        projections = {}
+        for r in roles:
+            try:
+                projections[r] = project(g, r)
+            except ProjectionError as e:
+                projections[r] = e
+    # Roles are numbered in name order; the caches below are keyed on those
+    # numbers, which hash faster than roles.
+    index = {r: i for i, r in enumerate(roles)}
+    local = [projections[r] for r in roles]
+    errors = [l if isinstance(l, ProjectionError) else None for l in local]
+    peers = [
+        set() if e is not None else {index.get(p) for p in _peers(l)}
+        for l, e in zip(local, errors)
+    ]
+    # (role, partner) -> restricted view or MergeError.  A partner the role
+    # never acts with gets the key (role, -1): every action is erased, so
+    # that view is the same for all such partners.
+    views: dict = {}
+
+    def view(i: int, j: int):
+        key = (i, j if j in peers[i] else -1)
+        v = views.get(key)
+        if v is None:
+            v = views[key] = _restricted(local[i], roles[j])
+        return v
+
+    duals: dict = {}  # (i, j) with i < j -> dual(view(i, j), view(j, i))
     pairs = []
-    for r1 in roles:
-        for r2 in roles:
-            if r1 == r2:
+    for i, r1 in enumerate(roles):
+        for j, r2 in enumerate(roles):
+            if i == j:
                 continue
-            bad = proj_errors.get(r1) or proj_errors.get(r2)
+            bad = errors[i] or errors[j]
             if bad is not None:
                 pairs.append(PairVerdict(r1, r2, False, f"unprojectable: {bad}"))
                 continue
-            try:
-                v1 = restrict_to_partner(projections[r1], r2)
-                v2 = restrict_to_partner(projections[r2], r1)
-            except MergeError as e:
+            v1, v2 = view(i, j), view(j, i)
+            failed = v1 if isinstance(v1, MergeError) else v2
+            if isinstance(failed, MergeError):
                 pairs.append(
-                    PairVerdict(r1, r2, False, f"restriction failed: {e.reason}")
+                    PairVerdict(r1, r2, False, f"restriction failed: {failed.reason}")
                 )
                 continue
-            if dual(v1, v2):
+            key = (i, j) if i < j else (j, i)
+            ok = duals.get(key)
+            if ok is None:
+                ok = duals[key] = (
+                    isinstance(v1, End) and isinstance(v2, End)
+                ) or dual(v1, v2)
+            if ok:
                 pairs.append(PairVerdict(r1, r2, True))
             else:
                 pairs.append(PairVerdict(r1, r2, False, "restricted views not dual"))

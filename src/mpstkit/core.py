@@ -273,27 +273,27 @@ def struct_eq(a: TypeNode, b: TypeNode) -> bool:
 
 def free_rec_vars(t: TypeNode) -> set:
     out: set = set()
-
-    def walk(node: TypeNode, bound: frozenset) -> None:
+    stack = [(t, frozenset())]
+    while stack:
+        node, bound = stack.pop()
         if isinstance(node, Recur):
             if node.var not in bound:
                 out.add(node.var)
         elif isinstance(node, Loop):
-            walk(node.body, bound | {node.var})
+            stack.append((node.body, bound | {node.var}))
         elif isinstance(node, (Com, Send, Recv)):
-            for _, c in node.branches:
-                walk(c, bound)
-
-    walk(t, frozenset())
+            stack += [(c, bound) for _, c in node.branches]
     return out
 
 
 def is_guarded(var: RecVar, t: TypeNode) -> bool:
     """True when every free Recur(var) in t sits under a communication."""
+    while isinstance(t, Loop):
+        if t.var == var:
+            return True
+        t = t.body
     if isinstance(t, Recur):
         return t.var != var
-    if isinstance(t, Loop):
-        return True if t.var == var else is_guarded(var, t.body)
     return True  # Com/Send/Recv guard everything below; End has no Recur
 
 
@@ -311,41 +311,62 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
+def path_text(path) -> str:
+    """Render a path kept as nested (parent, step) pairs from the root
+    (None): step None is `.body`, an int i is `.branches[i]`."""
+    steps = []
+    while path is not None:
+        path, step = path
+        steps.append(".body" if step is None else f".branches[{step}]")
+    return "$" + "".join(reversed(steps))
+
+
 def well_formed(t: TypeNode) -> list:
     """Collect well-formedness violations: self-communication, empty or
     duplicated branches, unbound recursion variables, non-contractive loops.
 
     An empty list means the type is well formed.  Works on global and local
-    types alike."""
+    types alike.  Violations come in preorder, a duplicated sort just before
+    its branch; paths are rendered only for violations."""
     violations: list = []
-
-    def walk(node: TypeNode, bound: frozenset, path: str) -> None:
+    # items are (node, bound, path) to check, or a Violation to report
+    stack: list = [(t, frozenset(), None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Violation):
+            violations.append(item)
+            continue
+        node, bound, path = item
         if isinstance(node, (Com, Send, Recv)):
             if node.sender == node.receiver:
                 violations.append(
-                    Violation(path, f"sender equals receiver: {node.sender}")
+                    Violation(path_text(path), f"sender equals receiver: {node.sender}")
                 )
             if not node.branches:
-                violations.append(Violation(path, "communication with no branches"))
+                violations.append(
+                    Violation(path_text(path), "communication with no branches")
+                )
             seen: set = set()
+            todo = []
             for i, (s, c) in enumerate(node.branches):
                 if s.name in seen:
-                    violations.append(Violation(path, f"duplicate branch sort: {s.name}"))
+                    todo.append(
+                        Violation(path_text(path), f"duplicate branch sort: {s.name}")
+                    )
                 seen.add(s.name)
-                walk(c, bound, f"{path}.branches[{i}]")
+                todo.append((c, bound, (path, i)))
+            stack += reversed(todo)
         elif isinstance(node, Loop):
             if not is_guarded(node.var, node.body):
-                violations.append(
-                    Violation(path, f"non-contractive recursion: rec {node.var}")
-                )
-            walk(node.body, bound | {node.var}, f"{path}.body")
+                violations.append(Violation(
+                    path_text(path), f"non-contractive recursion: rec {node.var}"
+                ))
+            stack.append((node.body, bound | {node.var}, (path, None)))
         elif isinstance(node, Recur):
             if node.var not in bound:
-                violations.append(
-                    Violation(path, f"unbound recursion variable: {node.var}")
-                )
-
-    walk(t, frozenset(), "$")
+                violations.append(Violation(
+                    path_text(path), f"unbound recursion variable: {node.var}"
+                ))
     return violations
 
 

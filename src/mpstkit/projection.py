@@ -26,6 +26,7 @@ from .core import (
     Role,
     free_rec_vars,
     is_guarded,
+    path_text,
     Recv,
     Send,
     substitute,
@@ -150,18 +151,17 @@ def close_loop(var: RecVar, body: LocalType) -> LocalType:
 def project(g: GlobalType, role: Role) -> LocalType:
     """Project a global type onto one role (raises ProjectionError)."""
 
-    def walk(node: GlobalType, path: str) -> LocalType:
+    # `path` is kept as nested (parent, step) pairs and rendered by
+    # path_text only when projection fails.
+    def walk(node: GlobalType, path) -> LocalType:
         if isinstance(node, End):
             return END
         if isinstance(node, Recur):
             return node
         if isinstance(node, Loop):
-            return close_loop(node.var, walk(node.body, f"{path}.body"))
+            return close_loop(node.var, walk(node.body, (path, None)))
         assert isinstance(node, Com)
-        conts = [
-            (s, walk(c, f"{path}.branches[{i}]"))
-            for i, (s, c) in enumerate(node.branches)
-        ]
+        conts = [(s, walk(c, (path, i))) for i, (s, c) in enumerate(node.branches)]
         if node.sender == role:
             return Send(node.sender, node.receiver, tuple(conts))
         if node.receiver == role:
@@ -169,6 +169,6 @@ def project(g: GlobalType, role: Role) -> LocalType:
         try:
             return merge_all([c for _, c in conts])
         except MergeError as e:
-            raise ProjectionError(role, path, e) from e
+            raise ProjectionError(role, path_text(path), e) from e
 
-    return walk(g, "$")
+    return walk(g, None)

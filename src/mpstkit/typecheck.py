@@ -869,11 +869,16 @@ class SessionCheckResult:
         return [d for r in self.reports for d in r.diagnostics]
 
 
-def check_session(protocol_file, filename: str = "<file>") -> SessionCheckResult:
+def check_session(
+    protocol_file, filename: str = "<file>", *, projections=None
+) -> SessionCheckResult:
     """Check every process script in a protocol file against its projections.
 
     Roles of a referenced protocol with no process are warnings, not errors:
-    each process is checked independently of who else is implemented."""
+    each process is checked independently of who else is implemented.
+    `projections`, when given, maps (protocol name, role) to the projection
+    or to the ProjectionError projecting it raised; by default each binding
+    is projected here."""
     reports = []
     warnings = []
     implemented: dict = {}
@@ -894,13 +899,18 @@ def check_session(protocol_file, filename: str = "<file>") -> SessionCheckResult
                     )
                 )
                 continue
-            try:
-                local = project(g, role)
-            except ProjectionError as e:
+            if projections is not None:
+                local = projections[proto_name, role]
+            else:
+                try:
+                    local = project(g, role)
+                except ProjectionError as e:
+                    local = e
+            if isinstance(local, ProjectionError):
                 diags.append(
                     Diagnostic(
                         ErrorClass.PROJECTION_FAILED,
-                        f"cannot project {proto_name} onto {role}: {e}",
+                        f"cannot project {proto_name} onto {role}: {local}",
                         "$",
                         proc.pos,
                     )

@@ -29,11 +29,21 @@ from mpstkit.core import (
     Role,
     Send,
     Sort,
+    Violation,
     alpha_normalize,
     branch_lookup_name,
+    is_guarded,
+    roles_of,
     struct_eq,
     unfold,
 )
+from mpstkit.consistency import (
+    ConsistencyReport,
+    PairVerdict,
+    dual,
+    restrict_to_partner,
+)
+from mpstkit.projection import MergeError, ProjectionError, project
 from mpstkit import typecheck as tc
 from mpstkit.fsm import RECV, SEND, Action, Fsm
 from mpstkit.surface import KEYWORDS, ParseError, Token
@@ -145,6 +155,79 @@ def oracle_interpret(l) -> Fsm:
             if fresh is not None:
                 queue.append((dst, fresh))
     return Fsm(states, first, finals, transitions)
+
+
+# ---------------------------------------------------------------------------
+# The pair loop `consistency.consistent` replaced: every ordered role pair
+# projects, restricts both views and runs `dual` afresh.
+
+def oracle_consistent(g) -> ConsistencyReport:
+    roles = sorted(roles_of(g), key=lambda r: r.name)
+    projections: dict = {}
+    proj_errors: dict = {}
+    for r in roles:
+        try:
+            projections[r] = project(g, r)
+        except ProjectionError as e:
+            proj_errors[r] = e
+    pairs = []
+    for r1 in roles:
+        for r2 in roles:
+            if r1 == r2:
+                continue
+            bad = proj_errors.get(r1) or proj_errors.get(r2)
+            if bad is not None:
+                pairs.append(PairVerdict(r1, r2, False, f"unprojectable: {bad}"))
+                continue
+            try:
+                v1 = restrict_to_partner(projections[r1], r2)
+                v2 = restrict_to_partner(projections[r2], r1)
+            except MergeError as e:
+                pairs.append(
+                    PairVerdict(r1, r2, False, f"restriction failed: {e.reason}")
+                )
+                continue
+            if dual(v1, v2):
+                pairs.append(PairVerdict(r1, r2, True))
+            else:
+                pairs.append(PairVerdict(r1, r2, False, "restricted views not dual"))
+    return ConsistencyReport(all(p.ok for p in pairs), pairs)
+
+
+# ---------------------------------------------------------------------------
+# Recursive well-formedness, the reference for the explicit-stack walk.
+
+def oracle_well_formed(t) -> list:
+    violations: list = []
+
+    def walk(node, bound: frozenset, path: str) -> None:
+        if isinstance(node, (Com, Send, Recv)):
+            if node.sender == node.receiver:
+                violations.append(
+                    Violation(path, f"sender equals receiver: {node.sender}")
+                )
+            if not node.branches:
+                violations.append(Violation(path, "communication with no branches"))
+            seen: set = set()
+            for i, (s, c) in enumerate(node.branches):
+                if s.name in seen:
+                    violations.append(Violation(path, f"duplicate branch sort: {s.name}"))
+                seen.add(s.name)
+                walk(c, bound, f"{path}.branches[{i}]")
+        elif isinstance(node, Loop):
+            if not is_guarded(node.var, node.body):
+                violations.append(
+                    Violation(path, f"non-contractive recursion: rec {node.var}")
+                )
+            walk(node.body, bound | {node.var}, f"{path}.body")
+        elif isinstance(node, Recur):
+            if node.var not in bound:
+                violations.append(
+                    Violation(path, f"unbound recursion variable: {node.var}")
+                )
+
+    walk(t, frozenset(), "$")
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +377,12 @@ def random_local(rng: random.Random, self_role: Role, peer: Role, depth: int = 4
 
 
 def random_global(rng: random.Random, roles: list, depth: int = 4, bound=(),
-                  must_act: bool = False):
-    """Random closed, contractive global type over the given roles."""
+                  must_act: bool = False, relay: bool = False):
+    """Random closed, contractive global type over the given roles.
+
+    With `relay`, the receiver of each choice forwards the chosen sort to a
+    random subset of the other roles before the branch goes on, so that more
+    bystanders can follow the choice and more types project."""
     choices = ["com", "com"]
     if not must_act:
         choices += ["end", "end"]
@@ -313,15 +400,23 @@ def random_global(rng: random.Random, roles: list, depth: int = 4, bound=(),
     if kind == "loop":
         var = RecVar(f"R{len(bound)}")
         return Loop(
-            var, random_global(rng, roles, depth - 1, bound + (var,), must_act=True)
+            var,
+            random_global(
+                rng, roles, depth - 1, bound + (var,), must_act=True, relay=relay
+            ),
         )
     sender, receiver = rng.sample(roles, 2)
+    told = []
+    if relay:
+        told = [r for r in roles if r not in (sender, receiver) and rng.random() < 0.7]
     n = rng.randint(1, min(3, len(SORT_POOL)))
-    branches = tuple(
-        (s, random_global(rng, roles, depth - 1, bound))
-        for s in _pick_sorts(rng, n)
-    )
-    return Com(Role(sender), Role(receiver), branches)
+    branches = []
+    for s in _pick_sorts(rng, n):
+        cont = random_global(rng, roles, depth - 1, bound, relay=relay)
+        for r in reversed(told):
+            cont = Com(Role(receiver), Role(r), ((s, cont),))
+        branches.append((s, cont))
+    return Com(Role(sender), Role(receiver), tuple(branches))
 
 
 def long_chain(steps: int) -> tuple:
@@ -334,6 +429,37 @@ def long_chain(steps: int) -> tuple:
         sends = Send(A, B, ((sort, sends),))
         recvs = Recv(A, B, ((sort, recvs),))
     return Loop(x, sends), Loop(x, recvs)
+
+
+def token_ring_text(n_roles: int, with_exit: bool = False) -> str:
+    """`.mpst` text of roles R0 … R{n-1} passing a Go token around a loop,
+    with one process per role.  With an exit, R0 may send Stop instead,
+    relayed up to R{n-1}: the protocol stays projectable, but pairs that
+    never talk cannot agree on whether the loop goes on."""
+    roles = [f"R{i}" for i in range(n_roles)]
+
+    def hop(i: int, sort: str) -> str:
+        return f"{roles[i]} -> {roles[(i + 1) % n_roles]} : {sort}"
+
+    go = " . ".join(hop(i, "Go") for i in range(1, n_roles))
+    if with_exit:
+        halt = " . ".join(hop(i, "Stop") for i in range(1, n_roles - 1))
+        body = f"{roles[0]} -> {roles[1]} : {{ Go . {go} . X, Stop . {halt} . end }}"
+    else:
+        body = f"{hop(0, 'Go')} . {go} . X"
+    text = f"sort Go;\nsort Stop;\nglobal Ring =\n  rec X . {body};\n"
+    for i, role in enumerate(roles):
+        prev, nxt = roles[i - 1], roles[(i + 1) % n_roles]
+        if i == 0:
+            body = f"send {nxt} Go; recv {prev} {{ Go(_) -> recur X }}"
+        else:
+            arms = [f"Go(_) -> send {nxt} Go; recur X"]
+            if with_exit:
+                relay = f"send {nxt} Stop; end" if i < n_roles - 1 else "end"
+                arms.append(f"Stop(_) -> {relay}")
+            body = f"recv {prev} {{ {', '.join(arms)} }}"
+        text += f"proc p{i} plays {role} in Ring {{\n  loop X {{ {body} }}\n}}\n"
+    return text
 
 
 def mergeable_pair(rng: random.Random, merged):

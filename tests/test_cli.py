@@ -10,7 +10,13 @@ import pytest
 
 import conftest
 
-ENV = dict(os.environ, MPSTKIT_COLOR="0")
+SRC = str(conftest.FIXTURES.parent / "src")
+# the CLI runs in a child interpreter, which must find mpstkit without an install
+ENV = dict(
+    os.environ,
+    MPSTKIT_COLOR="0",
+    PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+)
 
 
 def mpstkit(*args, cwd=None):

@@ -1,7 +1,11 @@
 """Partner restriction, duality, and the consistency verdicts of the corpus."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+from mpstkit import cli, consistency, typecheck
 from mpstkit.consistency import consistent, dual, restrict_to_partner
 from mpstkit.core import (
     Com,
@@ -17,6 +21,7 @@ from mpstkit.core import (
     struct_eq,
     well_formed,
 )
+from mpstkit.elaborate import load_text
 from mpstkit.projection import MergeError, project
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
 
@@ -28,14 +33,29 @@ from helpers import (
     long_chain,
     manual_dual,
     negotiation_global,
+    oracle_consistent,
     random_local,
     seeded,
     synthesize_process,
+    token_ring_text,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_inputs():
+    """The benchmark's seeded input generators (`benchmark/inputs.py`)."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(ROOT / "benchmark"))
+    return inputs
 
 S, C, AS = Role("S"), Role("C"), Role("A")
 Login, Cancel = Sort("Login"), Sort("Cancel")
 Password, Quit, Auth = Sort("Password", "string"), Sort("Quit"), Sort("Auth", "int")
+Ok = Sort("Ok")
 
 
 def authorisation_global():
@@ -188,3 +208,127 @@ class TestDecoupling:
         for r in roles_of(g):
             assert well_formed(project(g, r)) == []
         assert not consistent(g).consistent
+
+
+class TestSharedWork:
+    """`consistent` restricts each view once and decides `dual` once per
+    pair, with the verdicts of the loop that redid both for every ordered
+    pair (`helpers.oracle_consistent`)."""
+
+    @pytest.mark.parametrize("workload", ["corpus", "deep", "wide"])
+    @pytest.mark.parametrize("seed", [1, 4242, 9101])
+    def test_benchmark_inputs_agree_with_oracle(self, workload, seed):
+        # the corpus workload's inputs are the fixtures
+        inputs = _benchmark_inputs()
+        for f in inputs.family(workload, seed, ROOT):
+            for g in load_text(f.text).concrete.values():
+                assert consistent(g).to_json() == oracle_consistent(g).to_json(), f.name
+
+    def test_ring_work_is_linear_in_roles(self, monkeypatch):
+        n = 40
+        pf = load_text(token_ring_text(n))
+        counts = {"restrict": 0, "dual": 0}
+        projected: list = []
+        depth = [0]
+
+        def count_restrict(fn):
+            def wrapper(l, partner):
+                counts["restrict"] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(l, partner)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        def count_dual(a, b, fn=dual):
+            counts["dual"] += 1
+            return fn(a, b)
+
+        def count_project(g, role, fn=project):
+            projected.append(role)
+            return fn(g, role)
+
+        monkeypatch.setattr(
+            consistency, "restrict_to_partner", count_restrict(restrict_to_partner)
+        )
+        monkeypatch.setattr(consistency, "dual", count_dual)
+        for mod in (cli, typecheck, consistency):
+            monkeypatch.setattr(mod, "project", count_project)
+        outcome = cli.check_protocol_file(pf, "ring.mpst", True)
+        assert outcome.ok
+        assert len(outcome.consistency["Ring"].pairs) == n * (n - 1)
+        assert counts["restrict"] <= 3 * n
+        assert counts["dual"] <= n
+        assert sorted(r.name for r in projected) == sorted(f"R{i}" for i in range(n))
+
+    # Projections passed in are taken as given, which reaches verdicts that
+    # projections of one global type rarely or never give.
+    THREE = Com(A, B, ((Ok, Com(A, C, ((Ok, END),))),))
+
+    def _verdicts(self, projections) -> list:
+        report = consistent(self.THREE, projections=projections)
+        return [(p.r1.name, p.r2.name, p.reason) for p in report.pairs]
+
+    def test_each_pair_gets_its_own_dual_verdict(self):
+        assert self._verdicts({
+            A: Send(A, B, ((Ok, Send(A, C, ((Ok, END),))),)),
+            B: Recv(A, B, ((Quit, END),)),
+            C: Recv(A, C, ((Ok, END),)),
+        }) == [
+            ("A", "B", "restricted views not dual"),
+            ("A", "C", None),
+            ("B", "A", "restricted views not dual"),
+            ("B", "C", None),
+            ("C", "A", None),
+            ("C", "B", None),
+        ]
+
+    def test_a_view_that_talks_is_not_dual_to_silence(self):
+        assert self._verdicts({
+            A: Send(A, B, ((Ok, Send(A, C, ((Ok, END),))),)),
+            B: Recv(A, B, ((Ok, END),)),
+            C: END,
+        }) == [
+            ("A", "B", None),
+            ("A", "C", "restricted views not dual"),
+            ("B", "A", None),
+            ("B", "C", None),
+            ("C", "A", "restricted views not dual"),
+            ("C", "B", None),
+        ]
+
+    def test_first_role_of_the_pair_reports_its_restriction(self):
+        x, y = RecVar("X"), RecVar("Y")
+        left, right = Sort("L"), Sort("R")
+        assert self._verdicts({
+            A: Loop(x, Loop(y, Send(A, C, ((left, Recur(x)), (right, Recur(y)))))),
+            B: Loop(x, Recv(C, B, ((left, Recur(x)), (right, END)))),
+            C: Loop(x, Loop(y, Recv(A, C, (
+                (left, Send(C, B, ((left, Recur(x)),))),
+                (right, Send(C, B, ((right, END),))),
+            )))),
+        }) == [
+            ("A", "B", "restriction failed: different recursion variables"),
+            ("A", "C", "restricted views not dual"),
+            ("B", "A", "restriction failed: incompatible constructors"),
+            ("B", "C", None),
+            ("C", "A", "restricted views not dual"),
+            ("C", "B", None),
+        ]
+
+    def test_silent_views_fail_alike_in_both_orders(self):
+        # five roles pass a token around a loop, and the first may stop it;
+        # roles that never talk cannot agree on whether the loop goes on
+        g = load_text(token_ring_text(5, with_exit=True)).concrete["Ring"]
+        report = consistent(g)
+        assert report.to_json() == oracle_consistent(g).to_json()
+        reasons = {(p.r1.name, p.r2.name): p.reason for p in report.pairs}
+        talking = {(f"R{i}", f"R{(i + 1) % 5}") for i in range(5)}
+        talking |= {(b, a) for a, b in talking}
+        silent = [pair for pair in reasons if pair not in talking]
+        assert len(silent) == 10
+        for r1, r2 in silent:
+            assert reasons[r1, r2] == reasons[r2, r1] == (
+                "restriction failed: incompatible constructors"
+            )

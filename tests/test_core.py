@@ -15,6 +15,7 @@ from mpstkit.core import (
     alpha_normalize,
     branch_lookup,
     branch_lookup_name,
+    free_rec_vars,
     struct_eq,
     substitute,
     type_from_json,
@@ -171,6 +172,28 @@ class TestStructEq:
                         assert struct_eq(a, c)
 
 
+def _break_somewhere(rng, t):
+    """t with one random subterm replaced by an ill-formed variant of it."""
+    if isinstance(t, Loop) and rng.random() < 0.7:
+        return Loop(t.var, _break_somewhere(rng, t.body))
+    if isinstance(t, Com) and t.branches and rng.random() < 0.7:
+        i = rng.randrange(len(t.branches))
+        s, c = t.branches[i]
+        branches = list(t.branches)
+        branches[i] = (s, _break_somewhere(rng, c))
+        return Com(t.sender, t.receiver, tuple(branches))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Com(A, A, ((Ok, t),))
+    if kind == 1:
+        return Com(A, B, ((Ok, t), (Ok, END)))
+    if kind == 2:
+        return Com(B, A, ((Ok, t), (Propose, Recur(RecVar("Zfree")))))
+    if kind == 3:
+        return Loop(Y, Loop(X, Recur(Y)))
+    return Com(A, B, ())
+
+
 class TestWellFormed:
     def test_negotiation_ok(self):
         assert well_formed(negotiation_global()) == []
@@ -198,6 +221,32 @@ class TestWellFormed:
     def test_violations_carry_paths(self):
         violations = well_formed(Com(A, B, ((Ok, Com(B, B, ((Ok, END),))),)))
         assert violations[0].path == "$.branches[0]"
+
+    def test_long_chain_is_stack_safe(self):
+        sends, recvs = long_chain(5000)
+        assert well_formed(sends) == []
+        assert well_formed(recvs) == []
+        assert free_rec_vars(sends.body) == {X}
+
+    def test_deep_violations_keep_their_paths(self):
+        sends, _ = long_chain(2000)
+        bad = Loop(X, Com(A, B, ((Ok, Com(B, B, ((Ok, Recur(Y)), (Ok, sends.body)))),)))
+        assert [str(v) for v in well_formed(bad)] == [
+            "$.body.branches[0]: sender equals receiver: B",
+            "$.body.branches[0].branches[0]: unbound recursion variable: Y",
+            "$.body.branches[0]: duplicate branch sort: Ok",
+        ]
+
+    def test_violation_order_matches_recursive_walk(self):
+        # mutate random global types at random depths, several times each
+        rng = seeded(31)
+        checked = 0
+        while checked < 300:
+            g = random_global(rng, ["A", "B", "C"], depth=5)
+            for _ in range(rng.randint(1, 4)):
+                g = _break_somewhere(rng, g)
+            assert well_formed(g) == helpers.oracle_well_formed(g)
+            checked += bool(well_formed(g))
 
     def test_mutations_always_rejected(self):
         rng = seeded(29)

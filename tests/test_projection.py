@@ -100,6 +100,21 @@ class TestProjectGolden:
         assert exc.value.role == Role("C")
         assert exc.value.path == "$"
 
+    def test_nested_unprojectable_choice_reports_full_path(self):
+        c, x = Role("C"), RecVar("X")
+        choice = Com(A, B, (
+            (Ok, Com(A, c, ((Ok, Recur(x)),))),
+            (Quit, END),
+        ))
+        g = Com(A, B, ((Ok, END), (Quit, Loop(x, Com(B, A, ((Auth, choice),))))))
+        with pytest.raises(ProjectionError) as exc:
+            project(g, c)
+        assert exc.value.path == "$.branches[1].body.branches[0]"
+        assert str(exc.value) == (
+            "global type is not projectable onto C (at $.branches[1].body.branches[0]):"
+            " incompatible constructors"
+        )
+
 
 class TestMerge:
     def test_union_of_distinct_receive_branches(self):

@@ -8,7 +8,7 @@ is a legal input for the operations under test.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from mpstkit.consistency import dual
+from mpstkit.consistency import consistent, dual
 from mpstkit.core import (
     Com,
     END,
@@ -33,10 +33,12 @@ from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
 from helpers import (
     SORT_POOL,
     manual_dual,
+    oracle_consistent,
     oracle_dual,
     oracle_interpret,
     oracle_render_local,
     oracle_tokenize,
+    random_global,
     random_local,
     seeded,
     subst_oracle,
@@ -192,6 +194,28 @@ random_locals = st.builds(
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
 )
+
+
+# Pairwise consistency against the loop that redid every ordered pair, over
+# `random_global` types with 3 to 5 roles (so some roles are bystanders of
+# most choices) and loops.  Relayed choices make more of them projectable,
+# and give pairs that never talk whose silent views fail.
+
+random_globals = st.builds(
+    lambda seed, n_roles, depth, relay: random_global(
+        seeded(seed), ["A", "B", "C", "D", "E"][:n_roles], depth=depth, relay=relay
+    ),
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 5),
+    st.integers(1, 6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_globals)
+def test_consistent_matches_pairwise_oracle(g):
+    assert consistent(g).to_json() == oracle_consistent(g).to_json()
 
 
 def comm_count(t) -> int:

@@ -419,6 +419,12 @@ class TestLoopsOnTheStateGraph:
         env = TypingEnv(sessions={"s": SessionState(A, sends)})
         assert check_process(env, _loop_of_sends(sends)) == []
 
+    def test_longer_loop_checks(self):
+        # well-formedness of the session type, run first, is a worklist too
+        sends, _ = long_chain(1000)
+        env = TypingEnv(sessions={"s": SessionState(A, sends)})
+        assert check_process(env, _loop_of_sends(sends)) == []
+
     def test_long_loop_reports_an_early_recur(self):
         sends, _ = long_chain(150)
         env = TypingEnv(sessions={"s": SessionState(A, sends)})

@@ -22,7 +22,7 @@ from .consistency import consistent
 from .core import Role, roles_of, struct_eq, type_to_json, well_formed
 from .elaborate import ElabError, ProtocolFile, elaborate
 from .fsm import interpret, to_dot
-from .projection import ProjectionError, project
+from .projection import ProjectionError, project, result_or_error
 from .runtime import GlobalSession, RuntimeFault, run
 from .typecheck import check_session
 
@@ -125,11 +125,7 @@ class _Projections(dict):
 
     def __missing__(self, key):
         name, role = key
-        try:
-            local = project(self.concrete[name], role)
-        except ProjectionError as e:
-            local = e
-        self[key] = local
+        local = self[key] = result_or_error(project, self.concrete[name], role)
         return local
 
 

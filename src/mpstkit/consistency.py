@@ -26,20 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (
-    End,
-    GlobalType,
-    LocalType,
-    Loop,
-    Recur,
-    Recv,
-    Role,
-    Send,
-    roles_of,
-    subterms,
-)
+from .core import End, GlobalType, LocalType, Recv, Role, Send, roles_of, subterms
 from .fsm import StateGraph
-from .projection import MergeError, ProjectionError, close_loop, merge_all, project
+from .projection import MergeError, ProjectionError, erase, project, result_or_error
 
 
 def restrict_to_partner(l: LocalType, partner: Role) -> LocalType:
@@ -51,18 +40,12 @@ def restrict_to_partner(l: LocalType, partner: Role) -> LocalType:
     when the branches do not collapse, which is exactly what makes a role
     pair inconsistent.
     """
-    if isinstance(l, (End, Recur)):
-        return l
-    if isinstance(l, Loop):
-        return close_loop(l.var, restrict_to_partner(l.body, partner))
-    assert isinstance(l, (Send, Recv))
-    peer = l.receiver if isinstance(l, Send) else l.sender
-    restricted = tuple(
-        (s, restrict_to_partner(c, partner)) for s, c in l.branches
-    )
-    if peer == partner:
-        return type(l)(l.sender, l.receiver, restricted)
-    return merge_all([c for _, c in restricted], union_sends=True)
+
+    def keep(node):
+        peer = node.receiver if isinstance(node, Send) else node.sender
+        return type(node) if peer == partner else None
+
+    return erase(l, keep, union_sends=True)
 
 
 def dual(a: LocalType, b: LocalType) -> bool:
@@ -156,14 +139,6 @@ def _peers(l: LocalType) -> set:
     }
 
 
-def _restricted(l: LocalType, partner: Role):
-    """restrict_to_partner(l, partner), or the MergeError it raised."""
-    try:
-        return restrict_to_partner(l, partner)
-    except MergeError as e:
-        return e
-
-
 def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     """Check all ordered role pairs of g; the report lists every failure.
 
@@ -173,12 +148,7 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     """
     roles = sorted(roles_of(g), key=lambda r: r.name)
     if projections is None:
-        projections = {}
-        for r in roles:
-            try:
-                projections[r] = project(g, r)
-            except ProjectionError as e:
-                projections[r] = e
+        projections = {r: result_or_error(project, g, r) for r in roles}
     # Roles are numbered in name order; the caches below are keyed on those
     # numbers, which hash faster than roles.
     index = {r: i for i, r in enumerate(roles)}
@@ -197,7 +167,7 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
         key = (i, j if j in peers[i] else -1)
         v = views.get(key)
         if v is None:
-            v = views[key] = _restricted(local[i], roles[j])
+            v = views[key] = result_or_error(restrict_to_partner, local[i], roles[j])
         return v
 
     duals: dict = {}  # (i, j) with i < j -> dual(view(i, j), view(j, i))

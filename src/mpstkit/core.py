@@ -11,7 +11,6 @@ hashable, and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -198,10 +197,6 @@ END = End()
 _UNFOLD_FUEL = 512
 
 
-def branches_of(t: TypeNode) -> Branches:
-    return t.branches if isinstance(t, (Com, Send, Recv)) else ()
-
-
 def substitute(body: TypeNode, var: RecVar, replacement: TypeNode) -> TypeNode:
     """Replace every free Recur(var) in body by replacement.
 
@@ -229,17 +224,6 @@ def unfold(t: TypeNode) -> TypeNode:
         if fuel == 0:
             raise UnfoldError("unfolding did not terminate: non-contractive type")
     return t
-
-
-def unfold_steps(t: TypeNode) -> int:
-    """Number of head unrollings unfold performs (used by termination checks)."""
-    n = 0
-    while isinstance(t, Loop):
-        t = substitute(t.body, t.var, t)
-        n += 1
-        if n > _UNFOLD_FUEL:
-            raise UnfoldError("unfolding did not terminate: non-contractive type")
-    return n
 
 
 def alpha_normalize(t: TypeNode) -> TypeNode:
@@ -451,7 +435,3 @@ def type_from_json(data: dict) -> TypeNode:
         (sort_from_json(s), type_from_json(c)) for s, c in data["branches"]
     )
     return ctor(Role(data["from"]), Role(data["to"]), branches)
-
-
-def type_to_json_text(t: TypeNode) -> str:
-    return json.dumps(type_to_json(t), separators=(",", ":"))

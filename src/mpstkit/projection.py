@@ -3,13 +3,13 @@
 Projecting a communication yields a send for the sender, a receive for the
 receiver, and for everyone else the merge of the projected continuations:
 the step is invisible to a bystander, but its branches must collapse into
-one local type the bystander can follow.
+one local type the bystander can follow.  `erase` takes that step, for
+projection and for the consistency checker's restriction to one partner.
 
 Full merge unions receive branches (distinct sorts are kept side by side,
 shared sorts have their continuations merged) and requires send branches to
-agree exactly.  The consistency checker reuses merge with `union_sends`
-enabled: there, an observed role's internal choice legitimately widens the
-set of sends its partner may see.
+agree exactly.  Restriction merges with `union_sends`: there, an observed
+role's internal choice legitimately widens the sends its partner may see.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (
     path_text,
     Recv,
     Send,
+    TypeNode,
     substitute,
 )
 
@@ -139,8 +140,6 @@ def merge_all(ts: list, *, union_sends: bool = False) -> LocalType:
 def close_loop(var: RecVar, body: LocalType) -> LocalType:
     # A loop the role never acts in projects to End; an unused binder is
     # dropped so projections stay well formed.
-    if isinstance(body, Recur) and body.var == var:
-        return END
     if var not in free_rec_vars(body):
         return body
     if not is_guarded(var, body):
@@ -148,27 +147,85 @@ def close_loop(var: RecVar, body: LocalType) -> LocalType:
     return Loop(var, body)
 
 
+def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
+    """Rebuild t bottom up, keeping each communication as the constructor
+    `keep(node)` names, or erasing it (None) into the merge of its rebuilt
+    continuations; loops are closed with close_loop.
+
+    Subterms are rebuilt in left-to-right post-order (a preorder taking
+    branches right to left, reversed), so a MergeError is the one the
+    recursion would meet first; its `node` is the step that failed."""
+    order: list = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Loop:
+            stack.append(node.body)
+        elif kind is End or kind is Recur:
+            continue
+        elif len(node.branches) == 1:  # the common case, kept cheap
+            stack.append(node.branches[0][1])
+        else:
+            stack += [c for _, c in node.branches]
+    out: list = []  # rebuilt subterms; a node's continuations end it
+    for node in reversed(order):
+        kind = type(node)
+        if kind is End or kind is Recur:
+            out.append(node)
+            continue
+        if kind is Loop:
+            out.append(close_loop(node.var, out.pop()))
+            continue
+        bs = node.branches
+        start = len(out) - len(bs)
+        ctor = keep(node)
+        if ctor is not None and len(bs) == 1:
+            out[-1] = ctor(node.sender, node.receiver, ((bs[0][0], out[-1]),))
+        elif ctor is not None:
+            sorts = [s for s, _ in bs]
+            out[start:] = [ctor(node.sender, node.receiver, tuple(zip(sorts, out[start:])))]
+        elif len(bs) != 1:  # a single continuation stays as it is
+            try:
+                out[start:] = [merge_all(out[start:], union_sends=union_sends)]
+            except MergeError as e:
+                e.node = node
+                raise
+    return out[0]
+
+
+def _path_to(t: TypeNode, target: TypeNode):
+    """Path to the first preorder occurrence of the object `target` in t,
+    also its first in post-order: occurrences of one object are disjoint."""
+    stack = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        if node is target:
+            return path
+        if isinstance(node, Loop):
+            stack.append((node.body, (path, None)))
+        elif isinstance(node, Com):
+            stack += reversed([(c, (path, i)) for i, (_, c) in enumerate(node.branches)])
+
+
 def project(g: GlobalType, role: Role) -> LocalType:
     """Project a global type onto one role (raises ProjectionError)."""
 
-    # `path` is kept as nested (parent, step) pairs and rendered by
-    # path_text only when projection fails.
-    def walk(node: GlobalType, path) -> LocalType:
-        if isinstance(node, End):
-            return END
-        if isinstance(node, Recur):
-            return node
-        if isinstance(node, Loop):
-            return close_loop(node.var, walk(node.body, (path, None)))
-        assert isinstance(node, Com)
-        conts = [(s, walk(c, (path, i))) for i, (s, c) in enumerate(node.branches)]
+    def keep(node: Com):
         if node.sender == role:
-            return Send(node.sender, node.receiver, tuple(conts))
-        if node.receiver == role:
-            return Recv(node.sender, node.receiver, tuple(conts))
-        try:
-            return merge_all([c for _, c in conts])
-        except MergeError as e:
-            raise ProjectionError(role, path_text(path), e) from e
+            return Send
+        return Recv if node.receiver == role else None
 
-    return walk(g, None)
+    try:
+        return erase(g, keep)
+    except MergeError as e:
+        raise ProjectionError(role, path_text(_path_to(g, e.node)), e) from e
+
+
+def result_or_error(fn, *args):
+    """fn(*args), or the MergeError or ProjectionError it raised."""
+    try:
+        return fn(*args)
+    except (MergeError, ProjectionError) as e:
+        return e

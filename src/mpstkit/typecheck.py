@@ -41,7 +41,7 @@ from .core import (
     well_formed,
 )
 from .fsm import StateGraph
-from .projection import ProjectionError, project
+from .projection import ProjectionError, project, result_or_error
 
 Pos = Optional[tuple]  # (line, col)
 
@@ -902,10 +902,7 @@ def check_session(
             if projections is not None:
                 local = projections[proto_name, role]
             else:
-                try:
-                    local = project(g, role)
-                except ProjectionError as e:
-                    local = e
+                local = result_or_error(project, g, role)
             if isinstance(local, ProjectionError):
                 diags.append(
                     Diagnostic(

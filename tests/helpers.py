@@ -4,10 +4,11 @@ Everything here is deliberately written from first principles so the code
 under test never certifies itself: the substitution oracle is a fresh
 structural recursion, the duality oracle flips constructors syntactically,
 the reference `dual` and `interpret` unfold by substitution instead of
-walking a state graph, the reference lexer matches one token at a time, the
-reference local-type printer does not use core's `__str__`, and the trace
-acceptor replays runs against the global type's own step semantics without
-touching projection or the runtime.
+walking a state graph, the reference projection and partner restriction
+recurse instead of running on an explicit stack, the reference lexer
+matches one token at a time, the reference local-type printer does not use
+core's `__str__`, and the trace acceptor replays runs against the global
+type's own step semantics without touching projection or the runtime.
 """
 
 from __future__ import annotations
@@ -37,13 +38,8 @@ from mpstkit.core import (
     struct_eq,
     unfold,
 )
-from mpstkit.consistency import (
-    ConsistencyReport,
-    PairVerdict,
-    dual,
-    restrict_to_partner,
-)
-from mpstkit.projection import MergeError, ProjectionError, project
+from mpstkit.consistency import ConsistencyReport, PairVerdict, dual
+from mpstkit.projection import MergeError, ProjectionError, close_loop, merge_all
 from mpstkit import typecheck as tc
 from mpstkit.fsm import RECV, SEND, Action, Fsm
 from mpstkit.surface import KEYWORDS, ParseError, Token
@@ -158,8 +154,73 @@ def oracle_interpret(l) -> Fsm:
 
 
 # ---------------------------------------------------------------------------
+# Recursive projection and partner restriction, the references for the
+# explicit-stack `projection.erase` that both now run on.  The projection
+# oracle builds its path string at every node instead of using path_text.
+
+def oracle_project(g, role):
+    def walk(node, path: str):
+        if isinstance(node, End):
+            return END
+        if isinstance(node, Recur):
+            return node
+        if isinstance(node, Loop):
+            return close_loop(node.var, walk(node.body, f"{path}.body"))
+        conts = [
+            (s, walk(c, f"{path}.branches[{i}]"))
+            for i, (s, c) in enumerate(node.branches)
+        ]
+        if node.sender == role:
+            return Send(node.sender, node.receiver, tuple(conts))
+        if node.receiver == role:
+            return Recv(node.sender, node.receiver, tuple(conts))
+        try:
+            return merge_all([c for _, c in conts])
+        except MergeError as e:
+            raise ProjectionError(role, path, e) from e
+
+    return walk(g, "$")
+
+
+def oracle_restrict(l, partner):
+    if isinstance(l, (End, Recur)):
+        return l
+    if isinstance(l, Loop):
+        return close_loop(l.var, oracle_restrict(l.body, partner))
+    peer = l.receiver if isinstance(l, Send) else l.sender
+    restricted = tuple((s, oracle_restrict(c, partner)) for s, c in l.branches)
+    if peer == partner:
+        return type(l)(l.sender, l.receiver, restricted)
+    return merge_all([c for _, c in restricted], union_sends=True)
+
+
+def erasure_outcomes(g, project_fn, restrict_fn) -> list:
+    """For every role of g, its projection or the ProjectionError's role,
+    path and text, and then every restriction of a projection to another
+    role, or the MergeError's reason; comparable between implementations."""
+    roles = sorted(roles_of(g), key=lambda r: r.name)
+    out = []
+    for r in roles:
+        try:
+            local = project_fn(g, r)
+        except ProjectionError as e:
+            out.append((r, "unprojectable", e.role, e.path, str(e)))
+            continue
+        out.append((r, "projected", local))
+        for p in roles:
+            if p == r:
+                continue
+            try:
+                out.append((r, p, restrict_fn(local, p)))
+            except MergeError as e:
+                out.append((r, p, "restriction failed", e.reason))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The pair loop `consistency.consistent` replaced: every ordered role pair
-# projects, restricts both views and runs `dual` afresh.
+# projects, restricts both views and runs `dual` afresh, with the oracles
+# above in place of `project` and `restrict_to_partner`.
 
 def oracle_consistent(g) -> ConsistencyReport:
     roles = sorted(roles_of(g), key=lambda r: r.name)
@@ -167,7 +228,7 @@ def oracle_consistent(g) -> ConsistencyReport:
     proj_errors: dict = {}
     for r in roles:
         try:
-            projections[r] = project(g, r)
+            projections[r] = oracle_project(g, r)
         except ProjectionError as e:
             proj_errors[r] = e
     pairs = []
@@ -180,8 +241,8 @@ def oracle_consistent(g) -> ConsistencyReport:
                 pairs.append(PairVerdict(r1, r2, False, f"unprojectable: {bad}"))
                 continue
             try:
-                v1 = restrict_to_partner(projections[r1], r2)
-                v2 = restrict_to_partner(projections[r2], r1)
+                v1 = oracle_restrict(projections[r1], r2)
+                v2 = oracle_restrict(projections[r2], r1)
             except MergeError as e:
                 pairs.append(
                     PairVerdict(r1, r2, False, f"restriction failed: {e.reason}")
@@ -429,6 +490,18 @@ def long_chain(steps: int) -> tuple:
         sends = Send(A, B, ((sort, sends),))
         recvs = Recv(A, B, ((sort, recvs),))
     return Loop(x, sends), Loop(x, recvs)
+
+
+def long_global(steps: int):
+    """A loop of `steps` messages built with constructors: A and B take turns
+    sending, and the last step is A's to C, so C is a bystander of every
+    step but one."""
+    x, c = RecVar("X"), Role("C")
+    g = Recur(x)
+    for i in reversed(range(steps)):
+        pair = (A, c) if i == steps - 1 else (A, B) if i % 2 == 0 else (B, A)
+        g = Com(*pair, ((Sort(f"M{i}"), g),))
+    return Loop(x, g)
 
 
 def token_ring_text(n_roles: int, with_exit: bool = False) -> str:

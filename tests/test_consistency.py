@@ -30,10 +30,14 @@ import helpers
 from helpers import (
     A,
     B,
+    erasure_outcomes,
     long_chain,
+    long_global,
     manual_dual,
     negotiation_global,
     oracle_consistent,
+    oracle_project,
+    oracle_restrict,
     random_local,
     seeded,
     synthesize_process,
@@ -90,6 +94,28 @@ class TestRestrictToPartner:
         restricted = restrict_to_partner(project(g, helpers.B2), S)
         assert isinstance(restricted, Send)
         assert [s.name for s, _ in restricted.branches] == ["Ok", "Quit"]
+
+    def test_leftmost_failure_in_post_order_is_reported(self):
+        # both branches of A's choice told to C erase a step with D whose
+        # continuations do not merge, each for its own reason
+        c, d, x, y = Role("C"), Role("D"), RecVar("X"), RecVar("Y")
+        left = Send(A, d, ((Ok, Send(A, B, ((Ok, END),))), (Quit, END)))
+        right = Loop(x, Loop(y, Send(A, d, (
+            (Ok, Send(A, B, ((Ok, Recur(x)),))),
+            (Quit, Send(A, B, ((Ok, Recur(y)),))),
+        ))))
+        l = Send(A, c, ((Ok, Send(A, B, ((Quit, left),))), (Quit, right)))
+        with pytest.raises(MergeError) as exc:
+            restrict_to_partner(right, B)
+        assert exc.value.reason == "different recursion variables"
+        with pytest.raises(MergeError) as exc:
+            restrict_to_partner(l, B)
+        assert exc.value.reason == "incompatible constructors"
+
+    def test_long_chain_is_stack_safe(self):
+        sends, _ = long_chain(5000)
+        assert str(restrict_to_partner(sends, B)) == str(sends)
+        assert restrict_to_partner(sends, Role("C")) == END
 
 
 class TestDual:
@@ -213,7 +239,8 @@ class TestDecoupling:
 class TestSharedWork:
     """`consistent` restricts each view once and decides `dual` once per
     pair, with the verdicts of the loop that redid both for every ordered
-    pair (`helpers.oracle_consistent`)."""
+    pair (`helpers.oracle_consistent`); projection and restriction agree
+    with their recursive definitions."""
 
     @pytest.mark.parametrize("workload", ["corpus", "deep", "wide"])
     @pytest.mark.parametrize("seed", [1, 4242, 9101])
@@ -223,6 +250,9 @@ class TestSharedWork:
         for f in inputs.family(workload, seed, ROOT):
             for g in load_text(f.text).concrete.values():
                 assert consistent(g).to_json() == oracle_consistent(g).to_json(), f.name
+                assert erasure_outcomes(
+                    g, project, restrict_to_partner
+                ) == erasure_outcomes(g, oracle_project, oracle_restrict), f.name
 
     def test_ring_work_is_linear_in_roles(self, monkeypatch):
         n = 40
@@ -316,6 +346,11 @@ class TestSharedWork:
             ("C", "A", "restricted views not dual"),
             ("C", "B", None),
         ]
+
+    def test_long_loop_is_stack_safe(self):
+        report = consistent(long_global(5000))
+        assert report.consistent
+        assert len(report.pairs) == 6
 
     def test_silent_views_fail_alike_in_both_orders(self):
         # five roles pass a token around a loop, and the first may stop it;

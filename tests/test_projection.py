@@ -14,6 +14,7 @@ from mpstkit.core import (
     Send,
     Sort,
     struct_eq,
+    subterms,
     well_formed,
 )
 from mpstkit.projection import MergeError, ProjectionError, merge, merge_all, project
@@ -26,6 +27,7 @@ from helpers import (
     B2,
     S,
     eq_modulo_branch_order,
+    long_global,
     mergeable_pair,
     negotiation_global,
     negotiation_local_b,
@@ -114,6 +116,37 @@ class TestProjectGolden:
             "global type is not projectable onto C (at $.branches[1].body.branches[0]):"
             " incompatible constructors"
         )
+
+    def test_leftmost_failure_in_post_order_is_reported(self):
+        # both branches hold a choice C cannot follow; the left one is
+        # nested deeper, so only a left-to-right post-order reports it
+        c = Role("C")
+        left = Com(A, B, ((Ok, END), (Quit, Com(A, c, ((Ok, END),)))))
+        right = Com(A, B, (
+            (Ok, Com(c, A, ((Ok, END),))),
+            (Quit, Com(c, A, ((Quit, END),))),
+        ))
+        g = Com(A, B, ((Ok, Com(B, A, ((Auth, left),))), (Quit, right)))
+        with pytest.raises(ProjectionError) as exc:
+            project(g, c)
+        assert exc.value.path == "$.branches[0].branches[0]"
+        assert exc.value.cause.reason == "incompatible constructors"
+
+    def test_shared_subterm_reports_its_first_occurrence(self):
+        c = Role("C")
+        choice = Com(A, B, ((Ok, Com(A, c, ((Ok, END),))), (Quit, END)))
+        g = Com(A, B, ((Ok, Com(B, A, ((Auth, choice),))), (Quit, choice)))
+        with pytest.raises(ProjectionError) as exc:
+            project(g, c)
+        assert exc.value.path == "$.branches[0].branches[0]"
+
+    def test_long_loop_is_stack_safe(self):
+        g = long_global(5000)
+        local = project(g, A)
+        assert sum(isinstance(n, (Send, Recv)) for n in subterms(local)) == 5000
+        x, c = RecVar("X"), Role("C")
+        assert project(g, c) == Loop(x, Recv(A, c, ((Sort("M4999"), Recur(x)),)))
+        assert project(g, Role("D")) == END
 
 
 class TestMerge:

@@ -8,7 +8,7 @@ is a legal input for the operations under test.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from mpstkit.consistency import consistent, dual
+from mpstkit.consistency import consistent, dual, restrict_to_partner
 from mpstkit.core import (
     Com,
     END,
@@ -27,16 +27,19 @@ from mpstkit.core import (
 )
 from mpstkit.elaborate import load_text
 from mpstkit.fsm import interpret
-from mpstkit.projection import merge
+from mpstkit.projection import merge, project
 from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
 
 from helpers import (
     SORT_POOL,
+    erasure_outcomes,
     manual_dual,
     oracle_consistent,
     oracle_dual,
     oracle_interpret,
+    oracle_project,
     oracle_render_local,
+    oracle_restrict,
     oracle_tokenize,
     random_global,
     random_local,
@@ -216,6 +219,16 @@ random_globals = st.builds(
 @given(random_globals)
 def test_consistent_matches_pairwise_oracle(g):
     assert consistent(g).to_json() == oracle_consistent(g).to_json()
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_globals)
+def test_erasure_matches_recursive_oracles(g):
+    # projections or their errors (role, path, text), then every restriction
+    # of each projection to another role or its MergeError reason
+    assert erasure_outcomes(g, project, restrict_to_partner) == erasure_outcomes(
+        g, oracle_project, oracle_restrict
+    )
 
 
 def comm_count(t) -> int:

@@ -12,7 +12,6 @@ import json
 import os
 import statistics
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,18 +22,12 @@ from .core import Role, roles_of, struct_eq, type_to_json, well_formed
 from .elaborate import ElabError, ProtocolFile, elaborate
 from .fsm import interpret, to_dot
 from .projection import ProjectionError, project, result_or_error
-from .runtime import GlobalSession, RuntimeFault, run
+from .runtime import GlobalSession, RuntimeFault, run_all
 from .typecheck import check_session
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("MPSTKIT_COLOR") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _paint(text: str, code: str) -> str:
-    if _color_enabled():
+    if os.environ.get("MPSTKIT_COLOR") != "0" and sys.stdout.isatty():
         return f"\033[{code}m{text}\033[0m"
     return text
 
@@ -53,9 +46,11 @@ def load_file(path: str):
     errors is a non-empty list of strings when the file does not parse or
     elaborate; the ProtocolFile is None in that case."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         return None, [str(e)]
+    except UnicodeDecodeError as e:
+        return None, [f"{path}: {e}"]
     result = surface.parse_protocol_file(text)
     if result.errors:
         return None, [f"{path}:{e}" for e in result.errors]
@@ -251,9 +246,8 @@ def cmd_fsm(args) -> int:
 def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
     """Execute every process script of a file; returns (sessions, results, faults).
 
-    One thread per process; each thread initialises its sessions in binding
-    order, then interprets the term.  A fault in any process cancels every
-    session, so its peers fail at once instead of waiting out `timeout`."""
+    The processes run on this thread (see runtime.run_all), so a deadlock or
+    a fault ends the run at once; `timeout` bounds only a run that never ends."""
     needed: dict = {}
     for proc in pf.procs:
         for role, proto, _ in proc.bindings:
@@ -267,40 +261,11 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
                 f"cannot run {proto}: roles {', '.join(missing)} have no process"
             )
         sessions[proto] = GlobalSession(g, proto)
-    results: dict = {}
-    faults: list = []
-
-    def worker(proc) -> None:
-        try:
-            endpoints = {}
-            for role, proto, var in proc.bindings:
-                endpoints[var] = sessions[proto].init(role)
-            results[proc.name] = run(endpoints, proc.term)
-        except BaseException as e:  # faults surface in the main thread
-            faults.append((proc.name, e))
-            for session in sessions.values():
-                session.cancel()
-
-    threads = [
-        threading.Thread(target=worker, args=(proc,), daemon=True, name=proc.name)
+    processes = [
+        (proc.name, [(sessions[proto], role, var) for role, proto, var in proc.bindings], proc.term)
         for proc in pf.procs
     ]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + timeout
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
-    alive = [t.name for t in threads if t.is_alive()]
-    if alive:
-        faults.append(
-            (
-                "timeout",
-                RuntimeFault(
-                    f"processes did not finish (blocked?): {', '.join(alive)}"
-                ),
-            )
-        )
-    return sessions, results, faults
+    return (sessions, *run_all(processes, timeout))
 
 
 def cmd_run(args) -> int:
@@ -323,12 +288,11 @@ def cmd_run(args) -> int:
         print(_bad(f"run failed: {e}"))
         return 1
     for name, result in sorted(results.items()):
-        if not result.all_terminated:
-            faults.extend(
-                (name, RuntimeFault(f"role {ep.role} ended with its session unfinished"))
-                for ep in result.terminals.values()
-                if not ep.is_terminated()
-            )
+        faults.extend(
+            (name, RuntimeFault(f"role {ep.role} ended with its session unfinished"))
+            for ep in result.terminals.values()
+            if not ep.is_terminated()
+        )
     lines = []
     for name in sorted(sessions):
         lines.append(f"# session {name}")
@@ -405,6 +369,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive(kind):
+    def positive(text: str):  # an argparse type: a number of `kind` above zero
+        value = kind(text)
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        return value
+    return positive
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpstkit",
@@ -437,13 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--trace", help="write the trace to this path")
     p.add_argument("--unchecked", action="store_true", help="run even if checks fail")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_positive(float), default=30.0, metavar="S",
+                   help="give up on a run that has not ended after S seconds (default 30)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="timing table for checking every file in a directory")
     p.add_argument("dir")
-    p.add_argument("--repeat", type=int, default=31)
+    p.add_argument("--repeat", type=_positive(int), default=31)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -1,20 +1,24 @@
 """In-process execution of checked process terms.
 
-A GlobalSession owns one FIFO queue per ordered role pair and a rendezvous
-barrier: init(role) blocks until every role of the protocol has joined, then
-hands out that role's unique endpoint.  Endpoints are use-once handles: each
-action consumes the handle and returns a fresh successor, so a stale handle
-can never perform a second action (the dynamic half of linearity, kept even
-though terms are also checked statically).
+A GlobalSession owns one unbounded FIFO queue per ordered (sender, receiver)
+role pair.  join(role) claims a role and hands out its unique endpoint;
+init(role) then also blocks until every role has joined, for callers that run
+each role on its own thread.  Endpoints are use-once handles: each action
+consumes the handle and returns a fresh successor, so a stale handle can never
+perform a second action (the dynamic half of linearity, kept even though terms
+are also checked statically).
+
+run_all runs processes on one thread and reports those a deadlock or fault leaves waiting.
 
 Delegation sends an endpoint as a message payload.  Queues are addressed by
-role, not by thread, so the receiving process simply continues the delegated
-role; nobody else can tell the difference.
+role, not by process, so the receiving process simply continues the
+delegated role; nobody else can tell the difference.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import Optional
@@ -82,11 +86,9 @@ class TraceEvent:
         return f"seq {self.seq}: {self.sender} -> {self.receiver} : {self.sort}{shown}"
 
     def to_json(self) -> dict:
-        payload: object
-        if isinstance(self.payload, Endpoint):
-            payload = {"endpoint": self.payload.role.name}
-        else:
-            payload = self.payload
+        payload = self.payload
+        if isinstance(payload, Endpoint):
+            payload = {"endpoint": payload.role.name}
         return {
             "seq": self.seq,
             "from": self.sender.name,
@@ -94,32 +96,6 @@ class TraceEvent:
             "sort": self.sort.name,
             "payload": payload,
         }
-
-
-_CANCELLED = object()  # queued by cancel(); stays queued so every reader sees it
-
-
-class Network:
-    """One unbounded FIFO queue per ordered pair of a session's roles."""
-
-    def __init__(self, roles, name: str):
-        self.name = name
-        self._queues = {(a, b): SimpleQueue() for a in roles for b in roles}
-
-    def put(self, sender: Role, receiver: Role, msg: Message) -> None:
-        self._queues[sender, receiver].put(msg)
-
-    def get(self, sender: Role, receiver: Role, timeout: Optional[float] = None) -> Message:
-        q = self._queues[sender, receiver]
-        msg = q.get(timeout=timeout)
-        if msg is _CANCELLED:
-            q.put(msg)
-            raise RuntimeFault(f"session {self.name} cancelled after a fault")
-        return msg
-
-    def cancel(self) -> None:
-        for q in self._queues.values():
-            q.put(_CANCELLED)
 
 
 class GlobalSession:
@@ -135,45 +111,38 @@ class GlobalSession:
         self.protocol = protocol
         self.name = name
         self.roles = frozenset(roles_of(protocol))
-        self.network = Network(self.roles, name)
-        self._barrier = threading.Barrier(max(len(self.roles), 1))
+        self.queues = {(a, b): SimpleQueue() for a in self.roles for b in self.roles}
+        self._released = threading.Event()  # set when the last role joins
         self._lock = threading.Lock()
         self._initialized: set = set()
         self._trace: list = []
         self.barrier_release_seq: Optional[int] = None
 
-    def init(self, role) -> "Endpoint":
-        """Join the session as `role`; blocks until every role has joined.
-
-        Call this from the thread that will run the role: initialising two
-        roles from one thread deadlocks on the barrier."""
+    def join(self, role) -> "Endpoint":
+        """Claim `role` and return its endpoint without waiting for the
+        other roles; the last role to join releases the session."""
         if isinstance(role, str):
             role = Role(role)
         if role not in self.roles:
             raise SessionSetupFault(f"unknown role {role} for {self.name}")
+        try:
+            local = project(self.protocol, role)
+        except Exception as e:
+            raise SessionSetupFault(f"cannot project {self.name} onto {role}: {e}")
         with self._lock:
             if role in self._initialized:
                 raise SessionSetupFault(f"role {role} already initialised")
             self._initialized.add(role)
-        try:
-            local = project(self.protocol, role)
-        except Exception as e:
-            with self._lock:
-                self._initialized.discard(role)
-            raise SessionSetupFault(f"cannot project {self.name} onto {role}: {e}")
-        try:
-            self._barrier.wait()
-        except threading.BrokenBarrierError:
-            raise RuntimeFault(f"session {self.name} cancelled after a fault") from None
-        with self._lock:
-            if self.barrier_release_seq is None:
+            if len(self._initialized) == len(self.roles):
                 self.barrier_release_seq = len(self._trace) + 1
+                self._released.set()
         return Endpoint(role, self, local)
 
-    def cancel(self) -> None:
-        """Fail every pending and future receive and init of this session."""
-        self.network.cancel()
-        self._barrier.abort()
+    def init(self, role) -> "Endpoint":
+        """join(role), then block until every role has joined (call it from the role's thread)."""
+        endpoint = self.join(role)
+        self._released.wait()
+        return endpoint
 
     def record(self, sender: Role, receiver: Role, sort: Sort, payload) -> TraceEvent:
         with self._lock:
@@ -249,7 +218,7 @@ class Endpoint:
         if isinstance(payload, Endpoint):
             payload = payload.transfer()
         self.session.record(self.role, to, sort, payload)
-        self.session.network.put(self.role, to, Message(sort, payload))
+        self.session.queues[self.role, to].put(Message(sort, payload))
         return self._successor(cont)
 
     def recv(self, frm, timeout: Optional[float] = None) -> tuple:
@@ -265,7 +234,7 @@ class Endpoint:
             raise ProtocolFault(
                 f"{self.role}: receive from {frm}, protocol expects {t.sender}"
             )
-        msg = self.session.network.get(frm, self.role, timeout=timeout)
+        msg = self.session.queues[frm, self.role].get(timeout=timeout)
         cont = branch_lookup_name(t.branches, msg.sort.name)
         if cont is None:
             offered = ", ".join(s.name for s, _ in t.branches)
@@ -274,6 +243,15 @@ class Endpoint:
                 f" (offered: {offered})"
             )
         return msg, self._successor(cont)
+
+    def would_wait(self, frm) -> bool:
+        """Whether recv(frm) would block: the handle is live, the protocol
+        expects a message from `frm` here, and none has arrived yet."""
+        if isinstance(frm, str):
+            frm = Role(frm)
+        t = unfold(self.current_type)
+        return (not self._consumed and isinstance(t, Recv) and t.sender == frm
+                and self.session.queues[frm, self.role].empty())
 
     def enter_loop(self) -> "Endpoint":
         self._consume("enter a loop")
@@ -360,7 +338,9 @@ class _Interp:
             return (e.sort, value)
         raise RuntimeFault(f"cannot evaluate {e!r}")
 
-    def exec(self, term: tc.ProcessTerm) -> None:
+    def exec(self, term: tc.ProcessTerm):
+        """A generator that interprets `term` and returns its RunResult; it
+        yields (endpoint, peer) before a receive that would wait, None before a recur."""
         loops: list = []  # the enclosing LoopT nodes, innermost last
         while True:
             if isinstance(term, tc.SendT):
@@ -376,6 +356,8 @@ class _Interp:
                 term = term.cont
             elif isinstance(term, tc.RecvT):
                 ep = self._endpoint(term.session)
+                if ep.would_wait(term.frm):
+                    yield ep, term.frm
                 msg, succ = ep.recv(term.frm)
                 self.actions.append(Action("recv", ep.role, term.frm, msg.sort))
                 arm = next(
@@ -395,6 +377,7 @@ class _Interp:
                 loops.append(term)
                 term = term.body
             elif isinstance(term, tc.RecurT):
+                yield None
                 ep = self._endpoint(term.session)
                 while loops and loops[-1].recur_var != term.recur_var:
                     loops.pop()
@@ -408,7 +391,7 @@ class _Interp:
                     # delegated or superseded handles belong elsewhere now
                     if isinstance(value, Endpoint) and not value.consumed:
                         self.terminals[name] = value
-                return
+                return RunResult(self.actions, self.terminals)
             elif isinstance(term, tc.IfT):
                 cond = self.eval(term.cond)
                 term = term.then if cond else term.els
@@ -426,10 +409,53 @@ class _Interp:
 
 
 def run(endpoints: dict, term: tc.ProcessTerm, bindings: Optional[dict] = None) -> RunResult:
-    """Interpret a process term over the given endpoints.
+    """Interpret a process term over the given endpoints, blocking in each receive.
 
     The static checker is expected to have passed already; the endpoint
     guards re-verify every action dynamically regardless."""
     interp = _Interp(endpoints, bindings or {})
-    interp.exec(term)
+    for _ in interp.exec(term):
+        pass
     return RunResult(interp.actions, interp.terminals)
+
+
+def run_all(processes: list, timeout: float) -> tuple:
+    """Run processes, each (name, [(session, role, var)], term), on this thread:
+    claim every role, then give each process one turn in order until none can
+    go on or `timeout` seconds have passed.  Returns (results by name, [(name, fault)])."""
+    results, faults, running, claimed = {}, [], {}, {}  # running: name -> (steps, wait)
+    for name, bindings, term in processes:
+        try:
+            claimed[name] = ({var: s.join(role) for s, role, var in bindings}, term)
+        except RuntimeFault as e:
+            faults.append((name, e))
+    for name, (eps, term) in claimed.items():
+        held = [ep.session.name for ep in eps.values() if ep.session.barrier_release_seq is None]
+        if held:  # as at init's barrier, a session with an unclaimed role never starts
+            faults.append((name, RuntimeFault(f"session {held[0]} cancelled after a fault")))
+        else:
+            running[name] = (_Interp(eps, {}).exec(term), None)
+    deadline = time.monotonic() + timeout
+    stepped = True
+    while running and stepped:
+        if time.monotonic() > deadline:
+            late = RuntimeFault(f"processes did not finish in {timeout} s: {', '.join(running)}")
+            return results, faults + [("timeout", late)]
+        stepped = False
+        for name, (steps, wait) in list(running.items()):
+            if wait is None or not wait[0].would_wait(wait[1]):
+                stepped = True
+                try:
+                    running[name] = (steps, next(steps))
+                except StopIteration as done:
+                    del running[name]
+                    results[name] = done.value
+                except Exception as e:
+                    faults.append((name, e))
+                    del running[name]
+    why = "cancelled after a fault" if faults else None
+    for name, (_, (ep, peer)) in running.items():
+        sorts = " or ".join(s.name for s, _ in unfold(ep.current_type).branches)
+        reason = why or f"deadlocked: {ep.role} waits for {peer} to send {sorts}"
+        faults.append((name, RuntimeFault(f"session {ep.session.name} {reason}")))
+    return results, faults

@@ -263,6 +263,53 @@ class TestRun:
             "Propose", "Propose", "Propose", "Propose", "Reject",
         ]
 
+    def test_cross_session_deadlock_is_reported_at_once(self, tmp_path):
+        # each session alone is deadlock free, so check accepts the file
+        path = tmp_path / "deadlock.mpst"
+        path.write_text(
+            "sort Ping;\n"
+            "global G1 = B -> A : Ping . end;\n"
+            "global G2 = A -> B : Ping . end;\n"
+            "proc p plays A in G1 as s, A in G2 as u"
+            " { recv[s] B { Ping(_) -> send[u] B Ping; end } }\n"
+            "proc q plays B in G1 as s, B in G2 as u"
+            " { recv[u] A { Ping(_) -> send[s] A Ping; end } }\n"
+        )
+        assert mpstkit("check", str(path)).returncode == 0
+        start = time.monotonic()
+        result = mpstkit("run", str(path))
+        assert time.monotonic() - start < 2.0
+        assert result.returncode == 1
+        assert result.stdout == "# session G1\n# session G2\n"
+        assert result.stderr.splitlines() == [
+            "fault in p: session G1 deadlocked: A waits for B to send Ping",
+            "fault in q: session G2 deadlocked: B waits for A to send Ping",
+        ]
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_timeout_must_be_positive(self, timeout):
+        result = mpstkit("run", fx("negotiation.mpst"), "--timeout", timeout)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"argument --timeout: must be above 0, got {timeout}" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+NOT_UTF8 = b"sort M;\n// caf\xff\nglobal G = A -> B : M . end;\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("check",), ("check", "--consistency"), ("project", "--role", "A"), ("run",)]
+)
+def test_non_utf8_file_is_an_input_error(tmp_path, command):
+    path = tmp_path / "latin.mpst"
+    path.write_bytes(NOT_UTF8)
+    result = mpstkit(command[0], str(path), *command[1:])
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
+    )
+
 
 def stress_protocol(sends: int) -> str:
     """A loop whose Go branch carries `sends` messages, with processes for
@@ -334,6 +381,22 @@ class TestBench:
         assert len(data) == 1
         assert data[0]["stdev_ms"] == 0.0
         assert data[0]["ok"] is True
+
+    def test_non_utf8_file_fails_its_row(self, tmp_path):
+        (tmp_path / "latin.mpst").write_bytes(NOT_UTF8)
+        (tmp_path / "ok.mpst").write_text("global E = end;\n")
+        result = mpstkit("bench", str(tmp_path), "--repeat", "1", "--json")
+        assert result.returncode == 0, result.stderr
+        rows = {row["file"]: row["ok"] for row in json.loads(result.stdout)}
+        assert rows == {"latin.mpst": False, "ok.mpst": True}
+
+    def test_repeat_must_be_positive(self, tmp_path):
+        (tmp_path / "p.mpst").write_text("global E = end;\n")
+        result = mpstkit("bench", str(tmp_path), "--repeat", "0")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "argument --repeat: must be above 0, got 0" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_table_rows_per_file(self, tmp_path):
         for name in ("negotiation.mpst", "authorisation.mpst"):

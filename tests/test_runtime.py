@@ -1,5 +1,6 @@
 """Runtime behaviour: init barrier, use-once endpoints, FIFO delivery,
-delegation, dynamic guards, and trace safety against the global types."""
+delegation, dynamic guards, trace safety against the global types, and the
+single-threaded scheduler behind `run_protocol_file`."""
 
 import threading
 import time
@@ -16,6 +17,7 @@ from mpstkit.runtime import (
     ProtocolFault,
     SessionSetupFault,
     new_global_session,
+    run,
 )
 
 import conftest
@@ -368,3 +370,174 @@ class TestTraceSafety:
         assert not accepts_trace(g, [(Role("B"), Role("A"), "Propose")])
         assert not accepts_trace(g, [(Role("A"), Role("B"), "Confirm")])
         assert accepts_trace(g, [(Role("A"), Role("B"), "Propose")])
+
+
+# p waits on G1 for q, q waits on G2 for p: each session alone is fine
+CROSS_SESSION_DEADLOCK = """\
+sort Ping;
+global G1 = B -> A : Ping . end;
+global G2 = A -> B : Ping . end;
+proc p plays A in G1 as s, A in G2 as u { recv[s] B { Ping(_) -> send[u] B Ping; end } }
+proc q plays B in G1 as s, B in G2 as u { recv[u] A { Ping(_) -> send[s] A Ping; end } }
+"""
+
+
+class TestScheduler:
+    def test_cross_session_deadlock_is_reported_at_once(self):
+        pf = load_text(CROSS_SESSION_DEADLOCK)
+        start = time.monotonic()
+        sessions, results, faults = run_protocol_file(pf, timeout=30.0)
+        assert time.monotonic() - start < 1.0
+        assert results == {}
+        assert [(name, str(e)) for name, e in faults] == [
+            ("p", "session G1 deadlocked: A waits for B to send Ping"),
+            ("q", "session G2 deadlocked: B waits for A to send Ping"),
+        ]
+        assert all(s.trace == [] for s in sessions.values())
+
+    def test_deadlock_names_every_offered_sort(self):
+        pf = load_text(
+            "sort Ok; sort No; sort Ping;\n"
+            "global G1 = B -> A : { Ok . end, No . end };\n"
+            "global G2 = A -> B : Ping . end;\n"
+            "proc p plays A in G1 as s, A in G2 as u {\n"
+            "  recv[s] B { Ok(_) -> send[u] B Ping; end, No(_) -> send[u] B Ping; end } }\n"
+            "proc q plays B in G1 as s, B in G2 as u {\n"
+            "  recv[u] A { Ping(_) -> send[s] A Ok; end } }\n"
+        )
+        _, _, faults = run_protocol_file(pf, timeout=30.0)
+        assert [(name, str(e)) for name, e in faults] == [
+            ("p", "session G1 deadlocked: A waits for B to send Ok or No"),
+            ("q", "session G2 deadlocked: B waits for A to send Ping"),
+        ]
+
+    def test_forbidden_receive_keeps_its_protocol_fault(self):
+        # a receives first although the protocol has it send first; under
+        # --unchecked the endpoint guard must report it, not a deadlock
+        pf = load_text(
+            "sort Ping;\n"
+            "global G = A -> B : Ping . B -> A : Ping . end;\n"
+            "proc a plays A in G { recv B { Ping(_) -> send B Ping; end } }\n"
+            "proc b plays B in G { recv A { Ping(_) -> send A Ping; end } }\n"
+        )
+        _, _, faults = run_protocol_file(pf, timeout=30.0)
+        assert [(name, str(e)) for name, e in faults] == [
+            ("a", "A: protocol does not allow a receive (at A -> B ! Ping . B -> A ? Ping . end)"),
+            ("b", "session G cancelled after a fault"),
+        ]
+        assert isinstance(faults[0][1], ProtocolFault)
+
+    def test_fixtures_run_on_one_thread_with_stable_traces(self, monkeypatch):
+        def no_threads(self):
+            raise AssertionError(f"run_protocol_file started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        for fixture in conftest.RUNNABLE_FIXTURES:
+            pf = conftest.load_fixture(fixture)
+            seen = set()
+            for _ in range(20):
+                sessions, results, faults = run_protocol_file(pf, timeout=10.0)
+                assert faults == [], (fixture, faults)
+                assert all(r.all_terminated for r in results.values())
+                seen.add(tuple(
+                    (name, tuple(s.trace_lines())) for name, s in sorted(sessions.items())
+                ))
+            assert len(seen) == 1, fixture
+            for name, session in sessions.items():
+                events = [(e.sender, e.receiver, e.sort.name) for e in session.trace]
+                assert accepts_trace(pf.concrete[name], events), f"{fixture}:{name}"
+
+    def test_a_run_that_never_ends_stops_at_the_timeout(self):
+        pf = load_text(
+            "sort Ping;\n"
+            "global G = rec X . A -> B : Ping . X;\n"
+            "proc a plays A in G { loop X { send B Ping; recur X } }\n"
+            "proc b plays B in G { loop X { recv A { Ping(_) -> recur X } } }\n"
+        )
+        start = time.monotonic()
+        sessions, results, faults = run_protocol_file(pf, timeout=0.5)
+        assert time.monotonic() - start < 2.0
+        assert results == {}
+        assert [(name, str(e)) for name, e in faults] == [
+            ("timeout", "processes did not finish in 0.5 s: a, b"),
+        ]
+        # one turn each: the receiver keeps up, so the queue stays short
+        trace = sessions["G"].trace
+        assert len(trace) > 10
+        assert all(e.sort.name == "Ping" for e in trace)
+        assert sessions["G"].queues[Role("A"), Role("B")].qsize() <= 1
+
+    def test_a_role_that_cannot_be_claimed_holds_its_session(self):
+        # C's projection fails, so, as at init's barrier, A and B never start
+        pf = load_text(
+            "sort L; sort R; sort M; sort N;\n"
+            "global G = A -> B : { L . C -> A : M . end, R . C -> A : N . end };\n"
+            "proc a plays A in G { send B L; recv C { M(_) -> end, N(_) -> end } }\n"
+            "proc b plays B in G { recv A { L(_) -> end, R(_) -> end } }\n"
+            "proc c plays C in G { send A M; end }\n"
+        )
+        sessions, results, faults = run_protocol_file(pf, timeout=30.0)
+        assert [name for name, _ in faults] == ["c", "a", "b"]
+        assert str(faults[0][1]).startswith("cannot project G onto C:")
+        assert {str(e) for _, e in faults[1:]} == {"session G cancelled after a fault"}
+        assert results == {} and sessions["G"].trace == []
+
+    def test_a_second_process_for_a_role_faults_alone(self):
+        pf = load_text(
+            "sort Ping;\n"
+            "global G = A -> B : Ping . end;\n"
+            "proc a1 plays A in G { send B Ping; end }\n"
+            "proc a2 plays A in G { send B Ping; end }\n"
+            "proc b plays B in G { recv A { Ping(_) -> end } }\n"
+        )
+        sessions, results, faults = run_protocol_file(pf, timeout=30.0)
+        assert [(name, str(e)) for name, e in faults] == [("a2", "role A already initialised")]
+        assert sorted(results) == ["a1", "b"]
+        assert sessions["G"].trace_lines() == ["seq 1: A -> B : Ping"]
+
+    def test_join_claims_a_role_without_waiting(self):
+        session = new_global_session(negotiation_global())
+        a = session.join("A")
+        assert session.barrier_release_seq is None
+        with pytest.raises(SessionSetupFault, match="already initialised"):
+            session.join("A")
+        with pytest.raises(SessionSetupFault, match="unknown role"):
+            session.join("Z")
+        b = session.join("B")
+        assert session.barrier_release_seq == 1
+        a = a.send("B", Sort("Propose", "int"), 5)
+        msg, b = b.recv("A")
+        assert msg.payload == 5
+
+    def test_init_after_join_of_the_other_role_does_not_block(self):
+        session = new_global_session(negotiation_global())
+        session_b = session.join("B")
+        a = session.init("A")  # B has joined, so the barrier only waits for A
+        assert session.barrier_release_seq == 1
+        assert not a.would_wait("B") and session_b.would_wait("A")
+
+    def test_library_run_blocks_on_a_receive(self):
+        pf = load_text(
+            "sort Ping;\n"
+            "global G = A -> B : Ping . end;\n"
+            "proc a plays A in G { send B Ping; end }\n"
+            "proc b plays B in G { recv A { Ping(_) -> end } }\n"
+        )
+        procs = {p.name: p for p in pf.procs}
+        session = GlobalSession(pf.concrete["G"], "G")
+        done = {}
+
+        def side_b():
+            (role, _, var), = procs["b"].bindings
+            done["b"] = run({var: session.init(role)}, procs["b"].term)
+
+        t = threading.Thread(target=side_b, daemon=True)
+        t.start()
+        (role, _, var), = procs["a"].bindings
+        ep = session.init(role)
+        time.sleep(0.2)
+        assert t.is_alive() and "b" not in done  # b is blocked in its receive
+        result_a = run({var: ep}, procs["a"].term)
+        t.join(timeout=5)
+        assert result_a.all_terminated and done["b"].all_terminated
+        assert session.trace_lines() == ["seq 1: A -> B : Ping"]

@@ -251,8 +251,13 @@ def struct_eq(a: TypeNode, b: TypeNode) -> bool:
     """Structural equality up to renaming of bound recursion variables.
 
     Branch order is significant; constructors and sort lists must match
-    exactly."""
-    return alpha_normalize(a) == alpha_normalize(b)
+    exactly.  Both types are numbered as `fsm.StateGraph`s sharing one
+    hash-cons table, so equal closed ids mean alpha-equal terms; nothing
+    recurses per step, and a free variable is never captured by a binder."""
+    from .fsm import StateGraph  # fsm is built on this module
+
+    cons: dict = {}
+    return StateGraph(a, cons).closed(0) == StateGraph(b, cons).closed(0)
 
 
 def free_rec_vars(t: TypeNode) -> set:
@@ -394,20 +399,33 @@ def sort_to_json(s: Sort) -> dict:
     return {"name": s.name, "payload": payload_to_json(s.payload)}
 
 
+_KINDS = {Com: "com", Send: "send", Recv: "recv"}
+
+
 def type_to_json(t: TypeNode) -> dict:
-    if isinstance(t, End):
-        return {"kind": "end"}
-    if isinstance(t, Recur):
-        return {"kind": "recur", "var": t.var.name}
-    if isinstance(t, Loop):
-        return {"kind": "loop", "var": t.var.name, "body": type_to_json(t.body)}
-    kind = {Com: "com", Send: "send", Recv: "recv"}[type(t)]
-    return {
-        "kind": kind,
-        "from": t.sender.name,
-        "to": t.receiver.name,
-        "branches": [[sort_to_json(s), type_to_json(c)] for s, c in t.branches],
-    }
+    """The JSON form of a type, filled in with an explicit stack so that long
+    types encode without deep recursion."""
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, End):
+            out["kind"] = "end"
+        elif isinstance(node, Recur):
+            out.update(kind="recur", var=node.var.name)
+        elif isinstance(node, Loop):
+            out.update(kind="loop", var=node.var.name, body={})
+            stack.append((node.body, out["body"]))
+        else:
+            kids = [{} for _ in node.branches]
+            out.update({
+                "kind": _KINDS[type(node)],
+                "from": node.sender.name,
+                "to": node.receiver.name,
+                "branches": [[sort_to_json(s), k] for (s, _), k in zip(node.branches, kids)],
+            })
+            stack += zip([c for _, c in node.branches], kids)
+    return root
 
 
 def payload_from_json(data: object) -> PayloadSchema:
@@ -423,15 +441,25 @@ def sort_from_json(data: dict) -> Sort:
 
 
 def type_from_json(data: dict) -> TypeNode:
-    kind = data["kind"]
-    if kind == "end":
-        return END
-    if kind == "recur":
-        return Recur(RecVar(data["var"]))
-    if kind == "loop":
-        return Loop(RecVar(data["var"]), type_from_json(data["body"]))
-    ctor = {"com": Com, "send": Send, "recv": Recv}[kind]
-    branches = tuple(
-        (sort_from_json(s), type_from_json(c)) for s, c in data["branches"]
-    )
-    return ctor(Role(data["from"]), Role(data["to"]), branches)
+    """The type of a JSON form.  Nodes are built in reverse preorder, each
+    after its children, so nothing recurses per step."""
+    order, stack = [], [data]
+    while stack:
+        d = stack.pop()
+        order.append(d)
+        stack += [d["body"]] if d["kind"] == "loop" else [c for _, c in d.get("branches", ())]
+    built: dict = {}  # id of a JSON node -> its type
+    for d in reversed(order):
+        kind = d["kind"]
+        if kind == "end":
+            t = END
+        elif kind == "recur":
+            t = Recur(RecVar(d["var"]))
+        elif kind == "loop":
+            t = Loop(RecVar(d["var"]), built[id(d["body"])])
+        else:
+            ctor = {"com": Com, "send": Send, "recv": Recv}[kind]
+            branches = tuple((sort_from_json(s), built[id(c)]) for s, c in d["branches"])
+            t = ctor(Role(d["from"]), Role(d["to"]), branches)
+        built[id(d)] = t
+    return t

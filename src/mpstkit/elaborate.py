@@ -72,6 +72,7 @@ class _Ctx:
     roles: dict
     protos: dict
     recvars: dict
+    local: bool = False  # a declared local type: names only recursion variables
 
 
 class _Elaborator:
@@ -115,21 +116,17 @@ class _Elaborator:
         self.sorts[name] = resolved
         return resolved
 
-    # -- globals -------------------------------------------------------------
+    # -- protocols and types -------------------------------------------------
 
     def concrete(self, name: str, pos=None) -> GlobalType:
-        if name in self._concrete_memo:
-            return self._concrete_memo[name]
-        d = self.defs.get(name)
-        if d is None:
-            raise ElabError(f"unknown protocol: {name}", pos)
-        if d.params:
-            raise ElabError(
-                f"protocol {name} is generic; it must be instantiated", pos
-            )
-        g = self.instantiate(name, [], pos)
-        self._concrete_memo[name] = g
-        return g
+        if name not in self._concrete_memo:
+            d = self.defs.get(name)
+            if d is not None and d.params:
+                raise ElabError(
+                    f"protocol {name} is generic; it must be instantiated", pos
+                )
+            self._concrete_memo[name] = self.instantiate(name, [], pos)
+        return self._concrete_memo[name]
 
     def instantiate(self, name: str, args: list, pos=None) -> GlobalType:
         d = self.defs.get(name)
@@ -160,7 +157,7 @@ class _Elaborator:
                 protos[pname] = arg
         self._in_progress.add(name)
         try:
-            return self.global_type(d.body, _Ctx(roles, protos, {}))
+            return self.type_expr(d.body, _Ctx(roles, protos, {}))
         finally:
             self._in_progress.discard(name)
 
@@ -184,37 +181,42 @@ class _Elaborator:
             i += 1
         return RecVar(f"{name}_{i}")
 
-    def global_type(self, t, ctx: _Ctx) -> GlobalType:
+    def type_expr(self, t, ctx: _Ctx):
+        """A global type, or a declared local type when `ctx.local`."""
         if isinstance(t, surface.STEnd):
             return END
         if isinstance(t, surface.STRec):
             var = self._fresh_recvar(t.var, ctx)
-            inner = _Ctx(ctx.roles, ctx.protos, dict(ctx.recvars))
-            inner.recvars[t.var] = var
-            return Loop(var, self.global_type(t.body, inner))
-        if isinstance(t, surface.STCom):
-            sender = self._role(t.sender, ctx, t.pos)
-            receiver = self._role(t.receiver, ctx, t.pos)
+            inner = _Ctx(ctx.roles, ctx.protos, {**ctx.recvars, t.var: var}, ctx.local)
+            return Loop(var, self.type_expr(t.body, inner))
+        if isinstance(t, (surface.STCom, surface.SLAct)):
+            if isinstance(t, surface.STCom):
+                ctor = Com
+                sender = self._role(t.sender, ctx, t.pos)
+                receiver = self._role(t.receiver, ctx, t.pos)
+            else:  # a local type names its roles as written, even a recursion variable's
+                ctor = Send if t.direction == "!" else Recv
+                sender, receiver = Role(t.sender), Role(t.receiver)
             branches = tuple(
-                (self.sort(sname, t.pos), self.global_type(cont, ctx))
+                (self.sort(sname, t.pos), self.type_expr(cont, ctx))
                 for sname, cont in t.branches
             )
-            return Com(sender, receiver, branches)
-        assert isinstance(t, surface.STRef)
-        if not t.args:
-            if t.name in ctx.recvars:
-                return Recur(ctx.recvars[t.name])
-            if t.name in ctx.protos:
-                return ctx.protos[t.name]
-            if t.name in ctx.roles:
-                raise ElabError(f"role {t.name} used as a protocol", t.pos)
-            if t.name in self.defs:
-                return self.instantiate(t.name, [], t.pos)
-            raise ElabError(f"unknown protocol reference: {t.name}", t.pos)
+            return ctor(sender, receiver, branches)
+        if not t.args and t.name in ctx.recvars:
+            return Recur(ctx.recvars[t.name])
+        if ctx.local:
+            raise ElabError(
+                f"unknown recursion variable in local type: {t.name}", t.pos
+            )
+        if not t.args and t.name in ctx.protos:
+            return ctx.protos[t.name]
+        if not t.args and t.name in ctx.roles:
+            raise ElabError(f"role {t.name} used as a protocol", t.pos)
         d = self.defs.get(t.name)
         if d is None:
             raise ElabError(f"unknown protocol reference: {t.name}", t.pos)
-        if len(t.args) != len(d.params):
+        # without arguments, `instantiate` checks the arity after recursion
+        if t.args and len(t.args) != len(d.params):
             raise ElabError(
                 f"protocol {t.name} expects {len(d.params)} argument(s),"
                 f" got {len(t.args)}",
@@ -230,31 +232,8 @@ class _Elaborator:
                     )
                 args.append(self._role(sarg.name, ctx, t.pos))
             else:
-                args.append(self.global_type(sarg, ctx))
+                args.append(self.type_expr(sarg, ctx))
         return self.instantiate(t.name, args, t.pos)
-
-    # -- declared local types --------------------------------------------------
-
-    def local_type(self, t, ctx: _Ctx) -> LocalType:
-        if isinstance(t, surface.STEnd):
-            return END
-        if isinstance(t, surface.STRec):
-            inner = _Ctx(ctx.roles, ctx.protos, dict(ctx.recvars))
-            inner.recvars[t.var] = RecVar(t.var)
-            return Loop(RecVar(t.var), self.local_type(t.body, inner))
-        if isinstance(t, surface.STRef):
-            if t.args or t.name not in ctx.recvars:
-                raise ElabError(
-                    f"unknown recursion variable in local type: {t.name}", t.pos
-                )
-            return Recur(ctx.recvars[t.name])
-        assert isinstance(t, surface.SLAct)
-        branches = tuple(
-            (self.sort(sname, t.pos), self.local_type(cont, ctx))
-            for sname, cont in t.branches
-        )
-        ctor = Send if t.direction == "!" else Recv
-        return ctor(Role(t.sender), Role(t.receiver), branches)
 
     # -- processes -------------------------------------------------------------
 
@@ -344,7 +323,7 @@ class _Elaborator:
                 raise ElabError(
                     f"local type declared for unknown protocol {d.global_name}", d.pos
                 )
-            declared = self.local_type(d.declared, _Ctx({}, {}, {}))
+            declared = self.type_expr(d.declared, _Ctx({}, {}, {}, local=True))
             pf.local_asserts.append(
                 LocalAssert(d.global_name, Role(d.role), declared, d.pos)
             )

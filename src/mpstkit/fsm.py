@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from collections import deque
 
 from .core import (
+    Com,
     End,
     EndpointPayload,
     LocalType,
@@ -75,14 +76,17 @@ class Fsm:
 
 
 # Hash-cons keys of de Bruijn terms: a tag, then ints, names and sort keys.
-_END, _SEND, _RECV, _LOOP, _VAR, _FREE = range(6)
+_END, _SEND, _RECV, _LOOP, _VAR, _FREE, _COM = range(7)
+_TAGS = {Send: _SEND, Recv: _RECV, Com: _COM}
 
 
 class StateGraph:
-    """One closed local type, numbered once.
+    """One closed local type, numbered once.  A global type numbers the
+    same way, with Com in place of Send/Recv, so that `core.struct_eq` can
+    compare it.
 
     `nodes[i]` is subterm i (the root is 0) and `links[i]` its pointers: the
-    child ids of a Send/Recv, the body id of a Loop, the binder id of a Recur
+    child ids of a Com/Send/Recv, the body id of a Loop, the binder id of a Recur
     (-1 when unbound).  `state(i)` unfolds node i by following pointers and
     names the result by hash-consing, in the table `cons`, the de Bruijn form
     of its closed unfolding.  Two graphs that share a table give equal state
@@ -100,7 +104,7 @@ class StateGraph:
         while stack:
             i, scope = stack.pop()
             t = nodes[i]
-            if isinstance(t, (Send, Recv)):
+            if isinstance(t, (Com, Send, Recv)):
                 first = len(nodes)
                 kids = tuple(range(first, first + len(t.branches)))
                 links[i] = kids
@@ -167,13 +171,13 @@ class StateGraph:
                 stack.pop()
                 continue
             t, link = nodes[n], links[n]
-            if isinstance(t, (Send, Recv)):
+            if isinstance(t, (Com, Send, Recv)):
                 missing = [(k, theta) for k in link if k * stride + theta not in memo]
                 if missing:
                     stack.extend(missing)
                     continue
                 key = (
-                    _SEND if isinstance(t, Send) else _RECV,
+                    _TAGS[type(t)],
                     t.sender.name,
                     t.receiver.name,
                     tuple(_sort_key(s) for s, _ in t.branches),
@@ -215,7 +219,7 @@ class StateGraph:
             t, link = nodes[n], links[n]
             if isinstance(t, Recur) and link >= 0 and depth[link] < theta:
                 kids = [(link, depth[link])]
-            elif isinstance(t, (Send, Recv)):
+            elif isinstance(t, (Com, Send, Recv)):
                 kids = [(k, theta) for k in link]
             else:
                 kids = [(link, theta)] if isinstance(t, Loop) else []
@@ -227,7 +231,7 @@ class StateGraph:
             parts = [done[k] for k in kids]
             if isinstance(t, Loop):
                 t = Loop(t.var, parts[0])
-            elif isinstance(t, (Send, Recv)):
+            elif isinstance(t, (Com, Send, Recv)):
                 branches = tuple((s, c) for (s, _), c in zip(t.branches, parts))
                 t = type(t)(t.sender, t.receiver, branches)
             elif parts:

@@ -34,6 +34,8 @@ KEYWORDS = {
     "loop", "recur", "send", "recv", "if", "then", "else", "let",
     "role", "protocol", "endpoint", "int", "string",
 }
+# the keywords that start a declaration; the parser resynchronises at them
+_DECL_KEYWORDS = ("sort", "global", "local", "proc")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -345,16 +347,19 @@ class _Parser:
             return self.next()
         return None
 
-    def expect(self, text: str) -> Token:
+    def unexpected(self, *expected: str):
         tok = self.peek()
+        raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r}", expected)
+
+    def expect(self, text: str) -> Token:
         if not self.at(text):
-            raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r}", (text,))
+            self.unexpected(text)
         return self.next()
 
     def ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
         if tok.kind != "ident" or tok.text == "_":
-            raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r}", (what,))
+            self.unexpected(what)
         return self.next()
 
     # -- declarations --------------------------------------------------------
@@ -381,14 +386,11 @@ class _Parser:
 
     def _sync(self) -> None:
         while self.peek().kind != "eof":
-            if self.peek().kind == "kw" and self.peek().text in (
-                "sort", "global", "local", "proc",
-            ):
+            if self.peek().kind == "kw" and self.peek().text in _DECL_KEYWORDS:
                 return
             self.next()
 
     def decl(self):
-        tok = self.peek()
         if self.at("sort"):
             return self.sort_decl()
         if self.at("global"):
@@ -397,10 +399,7 @@ class _Parser:
             return self.local_def()
         if self.at("proc"):
             return self.proc_def()
-        raise ParseError(
-            tok.line, tok.col, f"unexpected {tok.text!r}",
-            ("sort", "global", "local", "proc"),
-        )
+        self.unexpected(*_DECL_KEYWORDS)
 
     def sort_decl(self) -> SortDecl:
         kw = self.expect("sort")
@@ -421,11 +420,7 @@ class _Parser:
                 self.expect("]")
                 schema = SEndpointSchema(role.text, gname.text, onto.text)
             else:
-                tok = self.peek()
-                raise ParseError(
-                    tok.line, tok.col, f"unexpected {tok.text!r}",
-                    ("int", "string", "endpoint"),
-                )
+                self.unexpected("int", "string", "endpoint")
             self.expect(")")
         self.expect(";")
         return SortDecl(name.text, schema, (kw.line, kw.col))
@@ -443,17 +438,13 @@ class _Parser:
                 elif self.accept("protocol"):
                     kind = "protocol"
                 else:
-                    tok = self.peek()
-                    raise ParseError(
-                        tok.line, tok.col, f"unexpected {tok.text!r}",
-                        ("role", "protocol"),
-                    )
+                    self.unexpected("role", "protocol")
                 params.append((pname.text, kind))
                 if not self.accept(","):
                     break
             self.expect("]")
         self.expect("=")
-        body = self.type_expr()
+        body = self.type_expr(local=False)
         self.expect(";")
         return GlobalDef(name.text, tuple(params), body, (kw.line, kw.col))
 
@@ -463,72 +454,53 @@ class _Parser:
         self.expect("@")
         role = self.ident("role")
         self.expect("=")
-        declared = self.local_type_expr()
+        declared = self.type_expr(local=True)
         self.expect(";")
         return LocalDef(gname.text, role.text, declared, (kw.line, kw.col))
 
     # -- type expressions ----------------------------------------------------
 
-    def type_expr(self) -> STy:
+    def type_expr(self, local: bool):
+        """A global type (`A -> B : …`, with protocol references `N[…]`) or,
+        when `local`, a declared local type (`A -> B ! …` / `A -> B ? …`)."""
         tok = self.peek()
         if self.accept("end"):
             return STEnd((tok.line, tok.col))
         if self.accept("rec"):
             var = self.ident("recursion variable")
             self.expect(".")
-            return STRec(var.text, self.type_expr(), (tok.line, tok.col))
-        name = self.ident("role or protocol name")
+            return STRec(var.text, self.type_expr(local), (tok.line, tok.col))
+        name = self.ident("role or recursion variable" if local else "role or protocol name")
+        pos = (name.line, name.col)
         if self.accept("->"):
-            receiver = self.ident("role")
-            self.expect(":")
-            branches = self.branches(self.type_expr)
-            return STCom(name.text, receiver.text, branches, (name.line, name.col))
+            receiver = self.ident("role").text
+            if not local:
+                self.expect(":")
+                return STCom(name.text, receiver, self.branches(local), pos)
+            direction = self.accept("!") or self.accept("?") or self.unexpected("!", "?")
+            return SLAct(name.text, receiver, direction.text, self.branches(local), pos)
         args: list = []
-        if self.accept("["):
+        if not local and self.accept("["):
             while True:
-                args.append(self.type_expr())
+                args.append(self.type_expr(local))
                 if not self.accept(","):
                     break
             self.expect("]")
-        return STRef(name.text, tuple(args), (name.line, name.col))
+        return STRef(name.text, tuple(args), pos)
 
-    def local_type_expr(self) -> SLTy:
-        tok = self.peek()
-        if self.accept("end"):
-            return STEnd((tok.line, tok.col))
-        if self.accept("rec"):
-            var = self.ident("recursion variable")
-            self.expect(".")
-            return STRec(var.text, self.local_type_expr(), (tok.line, tok.col))
-        name = self.ident("role or recursion variable")
-        if self.accept("->"):
-            receiver = self.ident("role")
-            if self.accept("!"):
-                direction = "!"
-            elif self.accept("?"):
-                direction = "?"
-            else:
-                t = self.peek()
-                raise ParseError(t.line, t.col, f"unexpected {t.text!r}", ("!", "?"))
-            branches = self.branches(self.local_type_expr)
-            return SLAct(
-                name.text, receiver.text, direction, branches, (name.line, name.col)
-            )
-        return STRef(name.text, (), (name.line, name.col))
-
-    def branches(self, sub) -> tuple:
+    def branches(self, local: bool) -> tuple:
         if self.accept("{"):
-            out = [self.branch(sub)]
+            out = [self.branch(local)]
             while self.accept(","):
-                out.append(self.branch(sub))
+                out.append(self.branch(local))
             self.expect("}")
             return tuple(out)
-        return (self.branch(sub),)
+        return (self.branch(local),)
 
-    def branch(self, sub) -> tuple:
+    def branch(self, local: bool) -> tuple:
         sort = self.ident("sort name")
         self.expect(".")
-        return (sort.text, sub())
+        return (sort.text, self.type_expr(local))
 
     # -- processes -----------------------------------------------------------
 
@@ -618,19 +590,14 @@ class _Parser:
             self.expect(";")
             cont = self.stmt()
             return SLet(name.text, value, cont, (tok.line, tok.col))
-        raise ParseError(
-            tok.line, tok.col, f"unexpected {tok.text!r}",
-            ("send", "recv", "loop", "recur", "end", "if", "let"),
-        )
+        self.unexpected("send", "recv", "loop", "recur", "end", "if", "let")
 
     def arm(self) -> SArm:
         sort = self.ident("sort name")
         self.expect("(")
-        tok = self.peek()
-        if tok.kind == "ident":
-            var = self.next().text
-        else:
-            raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r}", ("variable", "_"))
+        if self.peek().kind != "ident":
+            self.unexpected("variable", "_")
+        var = self.next().text
         self.expect(")")
         self.expect("->")
         return SArm(sort.text, var, self.stmt(), (sort.line, sort.col))
@@ -683,10 +650,7 @@ class _Parser:
                     )
                 e = SField(e, (dot.line, dot.col))
             return e
-        raise ParseError(
-            tok.line, tok.col, f"unexpected {tok.text!r}",
-            ("integer", "string", "variable", "("),
-        )
+        self.unexpected("integer", "string", "variable", "(")
 
 
 def parse_protocol_file(text: str) -> ParseResult:

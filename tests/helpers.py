@@ -7,7 +7,9 @@ the reference `dual` and `interpret` unfold by substitution instead of
 walking a state graph, the reference projection and partner restriction
 recurse instead of running on an explicit stack, the reference lexer
 matches one token at a time, the reference local-type printer does not use
-core's `__str__`, and the trace acceptor replays runs against the global
+core's `__str__`, the reference type rules parse and elaborate global and
+declared local types with a rule each, the reference `struct_eq` compares
+alpha-normal forms, and the trace acceptor replays runs against the global
 type's own step semantics without touching projection or the runtime.
 """
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from collections import deque
+from pathlib import Path
 
 from mpstkit.core import (
     Com,
@@ -39,10 +43,35 @@ from mpstkit.core import (
     unfold,
 )
 from mpstkit.consistency import ConsistencyReport, PairVerdict, dual
-from mpstkit.projection import MergeError, ProjectionError, close_loop, merge_all
+from mpstkit.projection import MergeError, ProjectionError, close_loop, merge_all, project
 from mpstkit import typecheck as tc
+from mpstkit.elaborate import ElabError, _Ctx, _Elaborator, load_text
 from mpstkit.fsm import RECV, SEND, Action, Fsm
-from mpstkit.surface import KEYWORDS, ParseError, Token
+from mpstkit.surface import (
+    KEYWORDS,
+    LocalDef,
+    ParseError,
+    SLAct,
+    STCom,
+    STEnd,
+    STRec,
+    STRef,
+    Token,
+    _Parser,
+    tokenize,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_inputs():
+    """The benchmark's seeded input generators (`benchmark/inputs.py`)."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(ROOT / "benchmark"))
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +392,234 @@ def _oracle_render_branches(branches, sub) -> str:
         return f"{s.name} . {sub(cont)}"
     inner = ", ".join(f"{s.name} . {sub(cont)}" for s, cont in branches)
     return "{ " + inner + " }"
+
+
+# ---------------------------------------------------------------------------
+# References for the front end's type rules: a parser and an elaborator with
+# one rule for global types and another for declared local types.  Only the
+# type rules differ from `_Parser` and `_Elaborator`; each reference rule
+# recurses into itself, so it costs the same stack frames per step as the
+# one it stands for.
+
+class OracleParser(_Parser):
+    def type_expr(self, local: bool = False):  # the global rule only
+        tok = self.peek()
+        if self.accept("end"):
+            return STEnd((tok.line, tok.col))
+        if self.accept("rec"):
+            var = self.ident("recursion variable")
+            self.expect(".")
+            return STRec(var.text, self.type_expr(), (tok.line, tok.col))
+        name = self.ident("role or protocol name")
+        if self.accept("->"):
+            receiver = self.ident("role")
+            self.expect(":")
+            branches = self.branches(self.type_expr)
+            return STCom(name.text, receiver.text, branches, (name.line, name.col))
+        args: list = []
+        if self.accept("["):
+            while True:
+                args.append(self.type_expr())
+                if not self.accept(","):
+                    break
+            self.expect("]")
+        return STRef(name.text, tuple(args), (name.line, name.col))
+
+    def local_def(self) -> LocalDef:
+        kw = self.expect("local")
+        gname = self.ident("protocol name")
+        self.expect("@")
+        role = self.ident("role")
+        self.expect("=")
+        declared = self.local_type_expr()
+        self.expect(";")
+        return LocalDef(gname.text, role.text, declared, (kw.line, kw.col))
+
+    def local_type_expr(self):
+        tok = self.peek()
+        if self.accept("end"):
+            return STEnd((tok.line, tok.col))
+        if self.accept("rec"):
+            var = self.ident("recursion variable")
+            self.expect(".")
+            return STRec(var.text, self.local_type_expr(), (tok.line, tok.col))
+        name = self.ident("role or recursion variable")
+        if self.accept("->"):
+            receiver = self.ident("role")
+            if self.accept("!"):
+                direction = "!"
+            elif self.accept("?"):
+                direction = "?"
+            else:
+                t = self.peek()
+                raise ParseError(t.line, t.col, f"unexpected {t.text!r}", ("!", "?"))
+            branches = self.branches(self.local_type_expr)
+            return SLAct(
+                name.text, receiver.text, direction, branches, (name.line, name.col)
+            )
+        return STRef(name.text, (), (name.line, name.col))
+
+    def branches(self, sub) -> tuple:
+        if self.accept("{"):
+            out = [self.branch(sub)]
+            while self.accept(","):
+                out.append(self.branch(sub))
+            self.expect("}")
+            return tuple(out)
+        return (self.branch(sub),)
+
+    def branch(self, sub) -> tuple:
+        sort = self.ident("sort name")
+        self.expect(".")
+        return (sort.text, sub())
+
+
+class OracleElaborator(_Elaborator):
+    def concrete(self, name: str, pos=None):
+        if name in self._concrete_memo:
+            return self._concrete_memo[name]
+        d = self.defs.get(name)
+        if d is None:
+            raise ElabError(f"unknown protocol: {name}", pos)
+        if d.params:
+            raise ElabError(
+                f"protocol {name} is generic; it must be instantiated", pos
+            )
+        g = self.instantiate(name, [], pos)
+        self._concrete_memo[name] = g
+        return g
+
+    def type_expr(self, t, ctx: _Ctx):
+        return self.local_type(t, ctx) if ctx.local else self.global_type(t, ctx)
+
+    def global_type(self, t, ctx: _Ctx):
+        if isinstance(t, STEnd):
+            return END
+        if isinstance(t, STRec):
+            var = self._fresh_recvar(t.var, ctx)
+            inner = _Ctx(ctx.roles, ctx.protos, dict(ctx.recvars))
+            inner.recvars[t.var] = var
+            return Loop(var, self.global_type(t.body, inner))
+        if isinstance(t, STCom):
+            sender = self._role(t.sender, ctx, t.pos)
+            receiver = self._role(t.receiver, ctx, t.pos)
+            branches = tuple(
+                (self.sort(sname, t.pos), self.global_type(cont, ctx))
+                for sname, cont in t.branches
+            )
+            return Com(sender, receiver, branches)
+        assert isinstance(t, STRef)
+        if not t.args:
+            if t.name in ctx.recvars:
+                return Recur(ctx.recvars[t.name])
+            if t.name in ctx.protos:
+                return ctx.protos[t.name]
+            if t.name in ctx.roles:
+                raise ElabError(f"role {t.name} used as a protocol", t.pos)
+            if t.name in self.defs:
+                return self.instantiate(t.name, [], t.pos)
+            raise ElabError(f"unknown protocol reference: {t.name}", t.pos)
+        d = self.defs.get(t.name)
+        if d is None:
+            raise ElabError(f"unknown protocol reference: {t.name}", t.pos)
+        if len(t.args) != len(d.params):
+            raise ElabError(
+                f"protocol {t.name} expects {len(d.params)} argument(s),"
+                f" got {len(t.args)}",
+                t.pos,
+            )
+        args: list = []
+        for (pname, kind), sarg in zip(d.params, t.args):
+            if kind == "role":
+                if not isinstance(sarg, STRef) or sarg.args:
+                    raise ElabError(
+                        f"argument for role parameter {pname} must be a role name",
+                        t.pos,
+                    )
+                args.append(self._role(sarg.name, ctx, t.pos))
+            else:
+                args.append(self.global_type(sarg, ctx))
+        return self.instantiate(t.name, args, t.pos)
+
+    def local_type(self, t, ctx: _Ctx):
+        if isinstance(t, STEnd):
+            return END
+        if isinstance(t, STRec):
+            inner = _Ctx(ctx.roles, ctx.protos, dict(ctx.recvars))
+            inner.recvars[t.var] = RecVar(t.var)
+            return Loop(RecVar(t.var), self.local_type(t.body, inner))
+        if isinstance(t, STRef):
+            if t.args or t.name not in ctx.recvars:
+                raise ElabError(
+                    f"unknown recursion variable in local type: {t.name}", t.pos
+                )
+            return Recur(ctx.recvars[t.name])
+        assert isinstance(t, SLAct)
+        branches = tuple(
+            (self.sort(sname, t.pos), self.local_type(cont, ctx))
+            for sname, cont in t.branches
+        )
+        ctor = Send if t.direction == "!" else Recv
+        return ctor(Role(t.sender), Role(t.receiver), branches)
+
+
+def front_end_outcome(tokens: list, parser=_Parser, elaborator=_Elaborator) -> tuple:
+    """What parsing and elaborating a token list gives, positions included:
+    the parsed declarations, every syntax error, then the elaborated file or
+    the first error.  `repr` shows the `pos` fields that `==` ignores."""
+    result = parser(tokens).file()
+    decls, errors = repr(result.file.decls), [str(e) for e in result.errors]
+    if errors:
+        return decls, errors, None
+    try:
+        pf = elaborator(result.file).run()
+    except ElabError as e:
+        return decls, errors, f"ElabError: {e}"
+    return decls, errors, repr((pf.concrete, pf.sorts, pf.local_asserts, pf.procs))
+
+
+def declare_projections(text: str) -> str:
+    """`text` followed by a declared local type for each projection of each
+    of its protocols onto up to three of its roles."""
+    lines = [text]
+    for name, g in load_text(text).concrete.items():
+        for role in sorted(roles_of(g), key=str)[:3]:
+            try:
+                lines.append(f"local {name} @ {role} = {project(g, role)};")
+            except ProjectionError:
+                pass
+    return "\n".join(lines) + "\n"
+
+
+def cut_and_splice(texts: list, count: int, seed: int) -> list:
+    """`count` seeded copies of `texts`, each damaged once at a word
+    boundary: cut short there, or up to three words deleted, or up to three
+    words of another text spliced in, so that syntax and elaboration errors
+    turn up at many places."""
+    rng = seeded(seed)
+    split = [re.split(r"(\s+)", t) for t in texts]  # words at even indices
+    out = []
+    for _ in range(count):
+        words = rng.choice(split)
+        i = rng.randrange(0, len(words) + 1, 2)
+        j = min(len(words), i + 2 * rng.randrange(4))
+        how = rng.randrange(3)
+        if how == 0:
+            out.append("".join(words[:i]))
+        elif how == 1:
+            out.append("".join(words[:i] + words[j:]))
+        else:
+            other = rng.choice(split)
+            k = rng.randrange(0, len(other), 2)
+            out.append("".join(words[:i] + other[k:k + 2 * rng.randint(1, 3)] + words[j:]))
+    return out
+
+
+def oracle_struct_eq(a, b) -> bool:
+    """Equality of alpha-normal forms.  A free variable named like a fresh
+    binder (`X0`, `X1`, ...) is captured by it: `rec Y . X0` equals
+    `rec Y . Y` here."""
+    return alpha_normalize(a) == alpha_normalize(b)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,19 @@ class TestCheck:
         assert result.returncode == 1
         assert "does not match the projection" in result.stdout
 
+    @pytest.mark.parametrize("steps", [200, 250])
+    def test_long_declared_local_type(self, tmp_path, steps):
+        # comparing it with its projection once recursed once per step
+        f = tmp_path / "long.mpst"
+        f.write_text(
+            "sort M;\n"
+            f"global G = rec X . {'A -> B : M . ' * steps}X;\n"
+            f"local G @ B = rec X . {'A -> B ? M . ' * steps}X;\n"
+        )
+        result = mpstkit("check", str(f), "--consistency")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout == "G: well formed\nG: consistent\n"
+
 
 class TestProject:
     def test_text_output_reparses(self, tmp_path):

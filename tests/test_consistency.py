@@ -1,6 +1,5 @@
 """Partner restriction, duality, and the consistency verdicts of the corpus."""
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +29,7 @@ import helpers
 from helpers import (
     A,
     B,
+    benchmark_inputs,
     erasure_outcomes,
     long_chain,
     long_global,
@@ -45,16 +45,6 @@ from helpers import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _benchmark_inputs():
-    """The benchmark's seeded input generators (`benchmark/inputs.py`)."""
-    sys.path.insert(0, str(ROOT / "benchmark"))
-    try:
-        import inputs
-    finally:
-        sys.path.remove(str(ROOT / "benchmark"))
-    return inputs
 
 S, C, AS = Role("S"), Role("C"), Role("A")
 Login, Cancel = Sort("Login"), Sort("Cancel")
@@ -246,7 +236,7 @@ class TestSharedWork:
     @pytest.mark.parametrize("seed", [1, 4242, 9101])
     def test_benchmark_inputs_agree_with_oracle(self, workload, seed):
         # the corpus workload's inputs are the fixtures
-        inputs = _benchmark_inputs()
+        inputs = benchmark_inputs()
         for f in inputs.family(workload, seed, ROOT):
             for g in load_text(f.text).concrete.values():
                 assert consistent(g).to_json() == oracle_consistent(g).to_json(), f.name

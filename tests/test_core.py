@@ -161,6 +161,21 @@ class TestStructEq:
                     if struct_eq(a, b) and struct_eq(b, c):
                         assert struct_eq(a, c)
 
+    def test_long_types_compare_without_recursion(self):
+        sends, recvs = long_chain(5000)
+        assert struct_eq(sends, long_chain(5000)[0])
+        assert not struct_eq(sends, recvs)
+        assert struct_eq(helpers.long_global(5000), helpers.long_global(5000))
+        assert not struct_eq(sends, long_chain(4999)[0])
+
+    def test_free_variable_is_not_captured_by_a_fresh_binder(self):
+        # alpha-normal forms name binders X0, X1, ...: there `rec Y . X0`
+        # and `rec Y . Y` both read `rec X0 . X0`
+        free, bound = Loop(Y, Recur(RecVar("X0"))), Loop(Y, Recur(Y))
+        assert helpers.oracle_struct_eq(free, bound)
+        assert not struct_eq(free, bound)
+        assert struct_eq(free, Loop(X, Recur(RecVar("X0"))))
+
 
 def _break_somewhere(rng, t):
     """t with one random subterm replaced by an ill-formed variant of it."""
@@ -301,6 +316,23 @@ class TestJson:
         assert data["from"] == "A" and data["to"] == "B"
         assert data["branches"][0][0]["name"] == "Ok"
         assert data["branches"][0][1] == {"kind": "end"}
+
+    def test_long_type_roundtrip(self):
+        for t in (long_chain(5000)[0], helpers.long_global(5000)):
+            data = type_to_json(t)
+            node, steps = data, 0
+            while node["kind"] != "recur":
+                if node["kind"] == "loop":
+                    assert list(node) == ["kind", "var", "body"]
+                    node = node["body"]
+                else:
+                    assert list(node) == ["kind", "from", "to", "branches"]
+                    node = node["branches"][0][1]
+                    steps += 1
+            assert steps == 5000
+            back = type_from_json(data)
+            assert str(back) == str(t)
+            assert struct_eq(back, t)
 
     def test_endpoint_sort_roundtrip(self):
         from mpstkit.core import EndpointPayload, sort_from_json, sort_to_json

@@ -40,6 +40,7 @@ from helpers import (
     oracle_project,
     oracle_render_local,
     oracle_restrict,
+    oracle_struct_eq,
     oracle_tokenize,
     random_global,
     random_local,
@@ -136,6 +137,25 @@ def test_alpha_normalize_idempotent(t):
 def test_struct_eq_symmetric(a, b):
     assert struct_eq(a, a)
     assert struct_eq(a, b) == struct_eq(b, a)
+
+
+def _random_type(seed: int, depth: int, glob: bool):
+    if glob:
+        return random_global(seeded(seed), ["A", "B", "C"], depth=depth)
+    return random_local(seeded(seed), B, A, depth=depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 4), st.booleans())
+def test_struct_eq_matches_alpha_normal_forms(seed_a, seed_b, depth, glob):
+    # small seeds and depths make equal pairs common
+    a, b = _random_type(seed_a, depth, glob), _random_type(seed_b, depth, glob)
+    pairs = [(a, b), (a, alpha_normalize(a))]
+    if isinstance(a, Loop):  # and open terms: a loop body with its variable free
+        pairs += [(a, unfold(a)), (a.body, alpha_normalize(a.body))]
+        pairs.append((a.body, b.body if isinstance(b, Loop) else b))
+    for x, y in pairs:
+        assert struct_eq(x, y) == oracle_struct_eq(x, y)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,12 +2,32 @@
 
 import pytest
 
-from mpstkit.core import END, Loop, Recur, Role, struct_eq
+from mpstkit import cli
+from mpstkit.core import END, Loop, Recur, RecVar, Recv, Role, Sort, struct_eq
 from mpstkit.elaborate import ElabError, elaborate, instantiate, load_text
-from mpstkit.surface import ParseError, parse_protocol_file, render_file, tokenize
+from mpstkit.surface import (
+    LocalDef,
+    ParseError,
+    STRef,
+    _Parser,
+    parse_protocol_file,
+    render_file,
+    tokenize,
+)
 
 import conftest
-from helpers import negotiation_global, negotiation_local_b, oracle_tokenize
+from helpers import (
+    ROOT,
+    OracleElaborator,
+    OracleParser,
+    benchmark_inputs,
+    cut_and_splice,
+    declare_projections,
+    front_end_outcome,
+    negotiation_global,
+    negotiation_local_b,
+    oracle_tokenize,
+)
 
 
 def lexemes(text):
@@ -241,3 +261,88 @@ class TestEndpointSortSchemas:
     def test_endpoint_schema_against_unknown_protocol(self):
         with pytest.raises(ElabError):
             load_text("sort D(endpoint[B, NoSuch @ B]);\nglobal T = A -> B : D . end;")
+
+
+class TestOneTypeRule:
+    """Global and declared local types share one parser rule and one
+    elaboration rule, with the results of a rule for each
+    (`helpers.OracleParser` and `helpers.OracleElaborator`)."""
+
+    def test_agrees_with_a_rule_for_each(self):
+        inputs = benchmark_inputs()
+        texts = [p.read_text() for p in sorted(conftest.FIXTURES.rglob("*.mpst"))]
+        texts += [
+            f.text
+            for workload in inputs.WORKLOADS
+            for seed in (1, 4242, 9101)
+            for f in inputs.family(workload, seed, ROOT)
+        ]
+        texts = list(dict.fromkeys(texts))
+        # few inputs declare local types, so the small ones get their projections
+        declared = [declare_projections(t) for t in texts if len(t) <= 3000]
+        texts += declared + cut_and_splice(declared, 600, seed=9)
+        for text in texts:
+            try:
+                tokens = tokenize(text)
+            except ParseError:
+                continue  # both rules read the same tokens
+            assert front_end_outcome(tokens) == front_end_outcome(
+                tokens, OracleParser, OracleElaborator
+            ), text
+
+    def test_local_type_names_roles_as_written(self):
+        # X is a recursion variable and, in the action, a role; a global type
+        # rejects that, a declared local type does not (its check then fails)
+        text = (
+            "sort M;\nglobal G = rec X . B -> A : M . X;\n"
+            "local G @ A = rec X . X -> A ? M . X;\n"
+        )
+        pf = load_text(text)
+        x = RecVar("X")
+        assert pf.local_asserts[0].declared == Loop(
+            x, Recv(Role("X"), Role("A"), ((Sort("M"), Recur(x)),))
+        )
+        outcome = cli.check_protocol_file(pf, "g.mpst", with_consistency=False)
+        assert len(outcome.assert_failures) == 1
+        assert "does not match the projection" in outcome.assert_failures[0]
+
+    @pytest.mark.parametrize("declared, error", [
+        ("G", "3:15: unknown recursion variable in local type: G"),
+        ("Y", "3:15: unknown recursion variable in local type: Y"),
+        ("rec X . A -> B ! M . G", "3:36: unknown recursion variable in local type: G"),
+    ])
+    def test_local_type_names_only_recursion_variables(self, declared, error):
+        # G is a protocol, but a local type never looks protocols up
+        text = f"sort M;\nglobal G = A -> B : M . end;\nlocal G @ A = {declared};\n"
+        with pytest.raises(ElabError) as exc:
+            load_text(text)
+        assert str(exc.value) == error
+
+    def test_local_reference_with_arguments(self):
+        # the parser takes no arguments in a local type; an AST built by hand can
+        sf = parse_protocol_file(
+            "sort M;\nglobal G[r: role] = A -> r : M . end;\n"
+        ).file
+        sf.decls.append(LocalDef("G", "A", STRef("G", (STRef("B"),), (3, 15)), (3, 1)))
+        with pytest.raises(ElabError) as exc:
+            elaborate(sf)
+        assert str(exc.value) == "3:15: unknown recursion variable in local type: G"
+
+    @pytest.mark.parametrize("step", ["A -> B : M . ", "A -> B ! M . "])
+    def test_longest_declaration_is_unchanged(self, step):
+        # one type rule costs the stack frames per step of a rule for each
+        decl = "global H" if ":" in step else "local G @ B"
+
+        def parses(parser, n):
+            text = f"sort M;\nglobal G = end;\n{decl} = {step * n}end;\n"
+            return not parser(tokenize(text)).file().errors
+
+        def longest(parser):
+            lo, hi = 1, 2000  # parses lo steps, not hi
+            assert parses(parser, lo) and not parses(parser, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if parses(parser, mid) else (lo, mid)
+            return lo
+
+        assert longest(_Parser) == longest(OracleParser)

@@ -184,6 +184,103 @@ proc bob plays B in Negotiation {
         assert "loop-entry" in bad.message
 
 
+_SORTS = "sort Ping; sort Num(int);\n"
+_PING = _SORTS + "global P = A -> B : Ping . end;\n"
+_LOOP = _SORTS + "global P = rec X . A -> B : Ping . X;\n"
+_TWO = _SORTS + """global P = A -> B : Num . end;
+global Q = A -> C : Ping . end;
+"""
+
+# (id, file, class, message, a text on the reported line); each file yields
+# exactly that one diagnostic
+DIAGNOSTIC_CATALOGUE = [
+    ("session-as-data", _PING + """proc a plays A in P {
+  let x = s - 1;
+  send B Ping; end }""",
+     ErrorClass.EXPR_TYPE, "session variable s used as data", "let x"),
+    ("dead-session-as-data", _PING + """proc a plays A in P {
+  let t = s;
+  let x = s - 1;
+  send[t] B Ping; end }""",
+     ErrorClass.LINEARITY_REUSE, "use of dead session variable s (aliased to t)", "let x"),
+    ("field-of-non-message", _PING + """proc a plays A in P {
+  let x = 1;
+  let y = x.value;
+  send B Ping; end }""",
+     ErrorClass.EXPR_TYPE, "field access on a non-message value", "let y"),
+    ("payload-for-payloadless-sort", _PING + """proc a plays A in P {
+  send B Ping(1); end }""",
+     ErrorClass.EXPR_TYPE, "sort Ping takes no payload", "send B"),
+    ("missing-payload", _TWO + """proc a plays A in P as s, A in Q as u {
+  send[s] B Num;
+  send[u] C Ping; end }""",
+     ErrorClass.EXPR_TYPE, "sort Num takes exactly one payload argument", "send[s]"),
+    ("payload-of-wrong-type", _TWO + """proc a plays A in P as s, A in Q as u {
+  send[s] B Num("x");
+  send[u] C Ping; end }""",
+     ErrorClass.EXPR_TYPE, "payload of sort Num has the wrong type", "send[s]"),
+    ("session-to-data-sort", _TWO + """proc a plays A in P as s, A in Q as u {
+  send[s] B Num(u);
+  send[u] C Ping; end }""",
+     ErrorClass.WRONG_SORT, "sort Num does not carry an endpoint", "send[s]"),
+    ("non-boolean-condition", _PING + """proc a plays A in P {
+  if 1 then { send B Ping; end } else { send B Ping; end } }""",
+     ErrorClass.EXPR_TYPE, "condition is not a boolean", "if 1"),
+    ("send-where-protocol-receives", _SORTS + """global P = B -> A : Ping . end;
+proc a plays A in P {
+  send B Ping; end }""",
+     ErrorClass.WRONG_ACTION_KIND, "protocol does not allow a send here", "send B"),
+    ("receive-from-wrong-role", _SORTS + """global P = B -> A : Ping . C -> A : Ping . end;
+proc a plays A in P {
+  recv C { Ping(_) -> recv B { Ping(_) -> end } } }""",
+     ErrorClass.WRONG_PEER, "receive awaits the wrong role", "recv C"),
+    ("loop-where-protocol-does-not", _PING + """proc a plays A in P {
+  loop X { send B Ping; end } }""",
+     ErrorClass.WRONG_ACTION_KIND, "protocol does not loop here", "loop X"),
+    ("recur-without-its-loop", _LOOP + """proc a plays A in P {
+  loop X { send B Ping;
+    recur Y } }""",
+     ErrorClass.WRONG_RECURSIVE_TYPE, "no enclosing loop Y for session s", "recur Y"),
+    ("session-opened-in-loop", _LOOP + """global Q = A -> C : Ping . end;
+proc a plays A in P as s, A in Q as u {
+  loop X {
+    let t = u;
+    send[s] B Ping;
+    recur X } }""",
+     ErrorClass.NON_TERMINATED_SESSION,
+     "session t was opened inside the loop body and is still live at recur", "recur X"),
+    ("unknown-result-variable", _PING + """proc a plays A in P {
+  send B Ping;
+  end(r) }""",
+     ErrorClass.UNBOUND_VARIABLE, "unknown result variable r", "end(r)"),
+    ("let-shadows-session", _PING + """proc a plays A in P {
+  let s = 1;
+  send B Ping; end }""",
+     ErrorClass.LINEARITY_REUSE, "binding s would shadow a live session", "let s"),
+    ("plays-a-generic-protocol", _SORTS + """global G[X: role, Y: role] = X -> Y : Ping . end;
+proc a plays A in G { end }""",
+     ErrorClass.UNBOUND_VARIABLE, "unknown protocol G", "proc a"),
+    ("unprojectable-role", _SORTS + """sort L; sort R;
+global P = A -> B : { L . C -> A : Ping . end, R . C -> A : Num . end };
+proc c plays C in P { end }""",
+     ErrorClass.PROJECTION_FAILED,
+     "cannot project P onto C: global type is not projectable onto C (at $):"
+     " sends offer different sorts", "proc c"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, cls, message, needle",
+    [case[1:] for case in DIAGNOSTIC_CATALOGUE],
+    ids=[case[0] for case in DIAGNOSTIC_CATALOGUE],
+)
+def test_diagnostic_catalogue(text, cls, message, needle):
+    diags = check_session(load_text(text)).all_diagnostics()
+    assert [(d.cls, d.message, d.pos[0]) for d in diags] == [
+        (cls, message, line_of(text, needle))
+    ]
+
+
 class TestSendRecvAsymmetry:
     """A send may implement any one offered branch; a receive must
     implement them all."""

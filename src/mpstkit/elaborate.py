@@ -238,22 +238,27 @@ class _Elaborator:
     # -- processes -------------------------------------------------------------
 
     def expr(self, e) -> typecheck.Expr:
+        spine = []  # the left spine of `-` and `<`: a long chain must not recurse per term
+        while isinstance(e, (surface.SSub, surface.SLt)):
+            spine.append(e)
+            e = e.a
         if isinstance(e, surface.SInt):
-            return typecheck.IntLit(e.value, e.pos)
-        if isinstance(e, surface.SStr):
-            return typecheck.StrLit(e.value, e.pos)
-        if isinstance(e, surface.SVar):
-            return typecheck.VarRef(e.name, e.pos)
-        if isinstance(e, surface.SField):
-            return typecheck.Field(self.expr(e.target), e.pos)
-        if isinstance(e, surface.SSub):
-            return typecheck.Sub(self.expr(e.a), self.expr(e.b), e.pos)
-        if isinstance(e, surface.SLt):
-            return typecheck.Lt(self.expr(e.a), self.expr(e.b), e.pos)
-        if isinstance(e, surface.SCall):
+            out = typecheck.IntLit(e.value, e.pos)
+        elif isinstance(e, surface.SStr):
+            out = typecheck.StrLit(e.value, e.pos)
+        elif isinstance(e, surface.SVar):
+            out = typecheck.VarRef(e.name, e.pos)
+        elif isinstance(e, surface.SField):
+            out = typecheck.Field(self.expr(e.target), e.pos)
+        elif isinstance(e, surface.SCall):
             sort = self.sort(e.name, e.pos)
-            return typecheck.NewSort(sort, (self.expr(e.arg),), e.pos)
-        raise TypeError(f"unknown surface expression: {e!r}")
+            out = typecheck.NewSort(sort, (self.expr(e.arg),), e.pos)
+        else:
+            raise TypeError(f"unknown surface expression: {e!r}")
+        for node in reversed(spine):
+            op = typecheck.Sub if isinstance(node, surface.SSub) else typecheck.Lt
+            out = op(out, self.expr(node.b), node.pos)
+        return out
 
     def proc_term(self, p, default_session: str) -> typecheck.ProcessTerm:
         if isinstance(p, surface.SSend):
@@ -262,12 +267,7 @@ class _Elaborator:
             args = (self.expr(p.arg),) if p.arg is not None else ()
             payload = typecheck.NewSort(sort, args, p.pos)
             return typecheck.SendT(
-                session,
-                Role(p.to),
-                payload,
-                session,
-                self.proc_term(p.cont, default_session),
-                p.pos,
+                session, Role(p.to), payload, self.proc_term(p.cont, default_session), p.pos
             )
         if isinstance(p, surface.SRecv):
             session = p.session or default_session
@@ -275,7 +275,6 @@ class _Elaborator:
                 typecheck.RecvArm(
                     arm.sort_name,
                     arm.payload_var,
-                    session,
                     self.proc_term(arm.cont, default_session),
                     arm.pos,
                 )
@@ -285,7 +284,7 @@ class _Elaborator:
         if isinstance(p, surface.SLoop):
             session = p.session or default_session
             return typecheck.LoopT(
-                session, p.var, session, self.proc_term(p.body, default_session), p.pos
+                session, p.var, self.proc_term(p.body, default_session), p.pos
             )
         if isinstance(p, surface.SRecur):
             session = p.session or default_session

@@ -42,6 +42,7 @@ from .core import (
     unfold,
     well_formed,
 )
+from .fsm import RECV, SEND, Action
 from .projection import project
 from . import typecheck as tc
 
@@ -64,6 +65,10 @@ class SessionSetupFault(RuntimeFault):
 
 @dataclass(frozen=True)
 class Message:
+    """The one value of a message: what a sort constructor evaluates to, what
+    a send puts in a queue, and what a receive binds (unless the payload is
+    an endpoint, which is bound itself)."""
+
     sort: Sort
     payload: object  # int | str | None | Endpoint
 
@@ -157,14 +162,6 @@ class GlobalSession:
 
     def trace_lines(self) -> list:
         return [e.render() for e in self.trace]
-
-
-@dataclass(frozen=True)
-class Action:
-    kind: str  # "send" | "recv"
-    self_role: Role
-    peer: Role
-    sort: Sort
 
 
 class Endpoint:
@@ -303,7 +300,7 @@ def new_global_session(protocol: GlobalType, name: str = "session") -> GlobalSes
 
 @dataclass
 class RunResult:
-    actions: list  # per-process Action list, in order
+    actions: list  # per-process fsm.Action list, in order
     terminals: dict  # session var -> final Endpoint
 
     @property
@@ -319,23 +316,30 @@ class _Interp:
         self.terminals: dict = {}
 
     def eval(self, e: tc.Expr):
-        if isinstance(e, tc.IntLit):
+        spine = []  # the left spine of `-` and `<`: a long chain must not recurse per term
+        while isinstance(e, (tc.Sub, tc.Lt)):
+            spine.append(e)
+            e = e.a
+        value = self._atom(e)
+        for node in reversed(spine):
+            b = self.eval(node.b)
+            value = value - b if isinstance(node, tc.Sub) else value < b
+        return value
+
+    def _atom(self, e: tc.Expr):
+        if isinstance(e, (tc.IntLit, tc.StrLit)):
             return e.value
-        if isinstance(e, tc.StrLit):
-            return e.value
-        if isinstance(e, (tc.VarRef, tc.SessionRef)):
+        if isinstance(e, tc.VarRef):
             if e.name not in self.env:
                 raise RuntimeFault(f"unbound variable {e.name}")
             return self.env[e.name]
         if isinstance(e, tc.Field):
-            return self.eval(e.target)
-        if isinstance(e, tc.Sub):
-            return self.eval(e.a) - self.eval(e.b)
-        if isinstance(e, tc.Lt):
-            return self.eval(e.a) < self.eval(e.b)
+            msg = self.eval(e.target)
+            if not isinstance(msg, Message):
+                raise RuntimeFault(f"field access on {msg!r}, which is not a message")
+            return msg.payload
         if isinstance(e, tc.NewSort):
-            value = self.eval(e.args[0]) if e.args else None
-            return (e.sort, value)
+            return Message(e.sort, self.eval(e.args[0]) if e.args else None)
         raise RuntimeFault(f"cannot evaluate {e!r}")
 
     def exec(self, term: tc.ProcessTerm):
@@ -345,21 +349,16 @@ class _Interp:
         while True:
             if isinstance(term, tc.SendT):
                 ep = self._endpoint(term.session)
-                payload = self.eval(term.payload)
-                if isinstance(payload, tuple):
-                    sort, value = payload
-                else:
-                    raise RuntimeFault("send payload must be a sort constructor")
-                succ = ep.send(term.to, sort, value)
-                self.actions.append(Action("send", ep.role, term.to, sort))
-                self.env[term.bind] = succ
+                msg = self.eval(term.payload)
+                self.env[term.session] = ep.send(term.to, msg.sort, msg.payload)
+                self.actions.append(Action(SEND, term.to, ep.role, msg.sort))
                 term = term.cont
             elif isinstance(term, tc.RecvT):
                 ep = self._endpoint(term.session)
                 if ep.would_wait(term.frm):
                     yield ep, term.frm
                 msg, succ = ep.recv(term.frm)
-                self.actions.append(Action("recv", ep.role, term.frm, msg.sort))
+                self.actions.append(Action(RECV, term.frm, ep.role, msg.sort))
                 arm = next(
                     (a for a in term.branches if a.sort_name == msg.sort.name), None
                 )
@@ -368,12 +367,13 @@ class _Interp:
                         f"no branch for received sort {msg.sort.name}"
                     )
                 if arm.payload_var != "_":
-                    self.env[arm.payload_var] = msg.payload
-                self.env[arm.bind] = succ
+                    endpoint = isinstance(msg.payload, Endpoint)
+                    self.env[arm.payload_var] = msg.payload if endpoint else msg
+                self.env[term.session] = succ
                 term = arm.cont
             elif isinstance(term, tc.LoopT):
                 ep = self._endpoint(term.session)
-                self.env[term.bind] = ep.enter_loop()
+                self.env[term.session] = ep.enter_loop()
                 loops.append(term)
                 term = term.body
             elif isinstance(term, tc.RecurT):
@@ -384,7 +384,7 @@ class _Interp:
                 if not loops:
                     raise RuntimeFault(f"recur {term.recur_var} outside a loop of that name")
                 loop = loops[-1]
-                self.env[loop.bind] = ep.recur()
+                self.env[loop.session] = ep.recur()
                 term = loop.body
             elif isinstance(term, tc.EndT):
                 for name, value in self.env.items():

@@ -698,6 +698,14 @@ def _render_sbranches(branches) -> str:
 
 
 def _render_expr(e) -> str:
+    # subtraction is left-associative: walk its left spine with a loop, and
+    # parenthesise only the right operands and a comparison at the far left
+    rights = []
+    while isinstance(e, SSub):
+        rights.append(_render_atom(e.b))
+        e = e.a
+    if rights:
+        return " - ".join([_render_atom(e), *reversed(rights)])
     if isinstance(e, SInt):
         return str(e.value)
     if isinstance(e, SStr):
@@ -709,11 +717,10 @@ def _render_expr(e) -> str:
         return f"{e.name}({_render_expr(e.arg)})"
     if isinstance(e, SField):
         return f"{_render_atom(e.target)}.value"
-    if isinstance(e, SSub):
-        # subtraction is left-associative; parenthesise a nested right operand
-        return f"{_render_expr(e.a) if isinstance(e.a, SSub) else _render_atom(e.a)} - {_render_atom(e.b)}"
     if isinstance(e, SLt):
-        return f"{_render_expr(e.a)} < {_render_expr(e.b)}"
+        # a comparison takes one `<`: parenthesise a nested one
+        a, b = (_render_atom(x) if isinstance(x, SLt) else _render_expr(x) for x in (e.a, e.b))
+        return f"{a} < {b}"
     raise TypeError(f"unknown expression: {e!r}")
 
 

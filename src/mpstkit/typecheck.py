@@ -1,15 +1,15 @@
 """Static checking of process terms against projected local types.
 
-A process term is written in continuation-passing style: every communication
-action names the session variable it acts on and a binder for the successor
-endpoint, mirroring how an endpoint handle is consumed and replaced at run
-time.  The checker walks the term with an explicit stack and a typing
-environment that maps session variables to a role and a node of their local
-type's `fsm.StateGraph`, and data variables to value types.
+A process term is the elaborated form of a `.mpst` process: every
+communication action names the session variable it acts on, and that name
+then stands for the successor endpoint, as an endpoint handle is consumed and
+replaced at run time.  The checker walks the term with an explicit stack and
+a typing environment that maps session variables to a role and a node of
+their local type's `fsm.StateGraph`, and data variables to value types.
 
-Session variables are linear: an action, a delegation, or an alias kills the
-old name.  Sends may implement any single offered branch; receives must
-implement all of them.  Loop entry records the loop node (and a snapshot of
+Session variables are linear: a delegation or an alias kills the name.  Sends
+may implement any single offered branch; receives must implement all of
+them.  Loop entry records the loop node (and a snapshot of
 the other live sessions); recur must present the current descendant of the
 loop endpoint at exactly that type.  Types compare by the cons id of a node's
 closed term: alpha-equality, under which a type differs from its unfolding.
@@ -69,12 +69,6 @@ class VarRef:
 
 
 @dataclass(frozen=True)
-class SessionRef:
-    name: str
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
 class NewSort:
     sort: Sort
     args: tuple = ()
@@ -101,7 +95,7 @@ class Lt:
     pos: Pos = field(default=None, compare=False)
 
 
-Expr = Union[IntLit, StrLit, VarRef, SessionRef, NewSort, Field, Sub, Lt]
+Expr = Union[IntLit, StrLit, VarRef, NewSort, Field, Sub, Lt]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +106,7 @@ Expr = Union[IntLit, StrLit, VarRef, SessionRef, NewSort, Field, Sub, Lt]
 class SendT:
     session: str
     to: Role
-    payload: Expr
-    bind: str
+    payload: NewSort
     cont: "ProcessTerm"
     pos: Pos = field(default=None, compare=False)
 
@@ -122,7 +115,6 @@ class SendT:
 class RecvArm:
     sort_name: str
     payload_var: str  # "_" discards
-    bind: str
     cont: "ProcessTerm"
     pos: Pos = field(default=None, compare=False)
 
@@ -139,7 +131,6 @@ class RecvT:
 class LoopT:
     session: str
     recur_var: str
-    bind: str
     body: "ProcessTerm"
     pos: Pos = field(default=None, compare=False)
 
@@ -303,13 +294,34 @@ class Checker:
     # -- expressions -------------------------------------------------------
 
     def expr_type(self, env: TypingEnv, e: Expr, path: str):
-        """Type of a data expression; session references are rejected here
+        """Type of a data expression; session variables are rejected here
         (they are only meaningful as delegation payloads)."""
+        spine = []  # the left spine of `-` and `<`: a long chain must not recurse per term
+        while isinstance(e, (Sub, Lt)):
+            spine.append(e)
+            e = e.a
+        t = self._atom_type(env, e, path)
+        for node in reversed(spine):
+            tb = self.expr_type(env, node.b, path)
+            for ty, side in ((t, node.a), (tb, node.b)):
+                if ty is not None and ty != T_INT:
+                    self._err(
+                        ErrorClass.EXPR_TYPE,
+                        "arithmetic on a non-integer",
+                        path,
+                        side.pos,
+                        expected=T_INT,
+                        found=str(ty),
+                    )
+            t = T_INT if isinstance(node, Sub) else T_BOOL
+        return t
+
+    def _atom_type(self, env: TypingEnv, e: Expr, path: str):
         if isinstance(e, IntLit):
             return T_INT
         if isinstance(e, StrLit):
             return T_STRING
-        if isinstance(e, (VarRef, SessionRef)):
+        if isinstance(e, VarRef):
             name = e.name
             if name in env.sessions:
                 self._err(
@@ -356,20 +368,6 @@ class Checker:
                 e.pos,
             )
             return None
-        if isinstance(e, (Sub, Lt)):
-            ta = self.expr_type(env, e.a, path)
-            tb = self.expr_type(env, e.b, path)
-            for t, side in ((ta, e.a), (tb, e.b)):
-                if t is not None and t != T_INT:
-                    self._err(
-                        ErrorClass.EXPR_TYPE,
-                        "arithmetic on a non-integer",
-                        path,
-                        getattr(side, "pos", e.pos),
-                        expected=T_INT,
-                        found=str(t),
-                    )
-            return T_INT if isinstance(e, Sub) else T_BOOL
         if isinstance(e, NewSort):
             self._check_sort_args(env, e, path)
             return e.sort
@@ -395,7 +393,15 @@ class Checker:
             )
             return
         if isinstance(schema, EndpointPayload):
-            return  # validated against the session in payload position
+            if not self._names_session(env, e.args[0]):
+                self._err(
+                    ErrorClass.EXPR_TYPE,
+                    f"sort {e.sort.name} carries an endpoint: its payload must be"
+                    " a session variable",
+                    path,
+                    e.pos,
+                )
+            return
         want = T_INT if schema == PAYLOAD_INT else T_STRING
         got = self.expr_type(env, e.args[0], path)
         if got is not None and got != want:
@@ -438,59 +444,43 @@ class Checker:
         env.sessions[var] = _Live(Role("Unknown"), None)
         return env.sessions[var]
 
-    def _rebind(self, env: TypingEnv, old: str, new: str, state: _Live) -> None:
-        del env.sessions[old]
-        if old != new:
-            env.dead[old] = "consumed by a communication action"
-        env.dead.pop(new, None)
-        env.sessions[new] = state
-
     # -- payload matching ---------------------------------------------------
 
-    def _delegated_session(self, e: Expr) -> Optional[str]:
-        if isinstance(e, NewSort) and len(e.args) == 1:
-            e = e.args[0]
-        return e.name if isinstance(e, (SessionRef, VarRef)) else None
-
-    def _fits(self, schema, state: _Live) -> bool:
-        """Whether a live session has the schema's role and an alpha-equal type."""
-        return (
-            isinstance(schema, EndpointPayload)
-            and schema.role == state.role
-            and StateGraph(schema.local, self.cons).closed(0) == state.graph.closed(state.node)
-        )
+    @staticmethod
+    def _names_session(env: TypingEnv, e: Expr) -> bool:
+        return isinstance(e, VarRef) and (e.name in env.sessions or e.name in env.dead)
 
     def _match_payload(self, env: TypingEnv, term: SendT, state: _Live, h: int, path: str):
-        """Resolve the send payload against the branches of Send node h.
+        """Resolve the send's payload against the branches of Send node h.
 
         Returns the chosen branch's child node, or None after reporting.  A
-        delegated session must fit the branch's endpoint schema, and dies."""
+        session variable as the payload's argument is delegated: the sort
+        must carry an endpoint, the session must fit its schema, and it dies."""
         ty = state.graph.nodes[h]
         e = term.payload
-        names = [s.name for s, _ in ty.branches]
-        offered = f"one of [{', '.join(names)}]"
-        deleg = self._delegated_session(e)
-        sent = None
-        if deleg is not None and (deleg in env.sessions or deleg in env.dead):
+        arg = e.args[0] if len(e.args) == 1 else None
+        deleg = arg.name if self._names_session(env, arg) else None
+        if deleg is None:
+            self._check_sort_args(env, e, path)
+        else:
             sent = self._session(env, deleg, path, term.pos)
             if sent.graph is None:
                 return None
-        if isinstance(e, NewSort):
-            if sent is None:
-                self._check_sort_args(env, e, path)
-            if e.sort.name not in names:
-                self._err(
-                    ErrorClass.WRONG_SORT,
-                    "sort not offered by the protocol here",
-                    path,
-                    term.pos,
-                    expected=offered,
-                    found=e.sort.name,
-                )
-                return None
-            k = names.index(e.sort.name)
+        names = [s.name for s, _ in ty.branches]
+        if e.sort.name not in names:
+            self._err(
+                ErrorClass.WRONG_SORT,
+                "sort not offered by the protocol here",
+                path,
+                term.pos,
+                expected=f"one of [{', '.join(names)}]",
+                found=e.sort.name,
+            )
+            return None
+        k = names.index(e.sort.name)
+        if deleg is not None:
             schema = ty.branches[k][0].payload
-            if sent is not None and not isinstance(schema, EndpointPayload):
+            if not isinstance(schema, EndpointPayload):
                 self._err(
                     ErrorClass.WRONG_SORT,
                     f"sort {e.sort.name} does not carry an endpoint",
@@ -498,7 +488,8 @@ class Checker:
                     term.pos,
                 )
                 return None
-            if sent is not None and not self._fits(schema, sent):
+            want = StateGraph(schema.local, self.cons).closed(0)  # alpha-equality
+            if schema.role != sent.role or want != sent.graph.closed(sent.node):
                 self._err(
                     ErrorClass.WRONG_SORT,
                     "delegated endpoint does not match the declared schema",
@@ -508,37 +499,7 @@ class Checker:
                     found=f"{sent.role} at {sent.graph.term(sent.node)}",
                 )
                 return None
-        elif sent is not None:
-            # a bare session reference: the first endpoint branch it fits
-            k = next(
-                (k for k, (s, _) in enumerate(ty.branches) if self._fits(s.payload, sent)),
-                None,
-            )
-            if k is None:
-                self._err(
-                    ErrorClass.WRONG_SORT,
-                    "no offered sort accepts this endpoint",
-                    path,
-                    term.pos,
-                    expected=offered,
-                    found=f"endpoint {sent.role} at {sent.graph.term(sent.node)}",
-                )
-                return None
-        else:
-            got = self.expr_type(env, e, path)
-            if not (isinstance(got, Sort) and got.name in names):
-                self._err(
-                    ErrorClass.WRONG_SORT,
-                    "payload does not match any offered sort",
-                    path,
-                    term.pos,
-                    expected=offered,
-                    found=str(got),
-                )
-                return None
-            k = names.index(got.name)
-        if sent is not None:
-            env.sessions.pop(deleg, None)
+            del env.sessions[deleg]
             env.dead[deleg] = "delegated away"
         return state.graph.links[h][k]
 
@@ -590,7 +551,7 @@ class Checker:
             h = self._head(state, Send, term.to, path, term.pos, f"send to {term.to}")
             child = None if h is None else self._match_payload(env, term, state, h, path)
             state = state._replace(graph=None) if child is None else state._replace(node=child)
-        self._rebind(env, term.session, term.bind, state)
+        env.sessions[term.session] = state
         return [(env, term.cont, f"{path}.cont")]
 
     def _head(self, state: _Live, want: type, peer: Role, path: str, pos: Pos, doing: str):
@@ -630,12 +591,7 @@ class Checker:
         state = self._session(env, term.session, path, term.pos)
         g = state.graph
         if g is None:
-            out = []
-            for arm in term.branches:
-                arm_env = env.copy()
-                self._rebind(arm_env, term.session, arm.bind, state)
-                out.append((arm_env, arm.cont, f"{path}.{arm.sort_name}"))
-            return out
+            return [(env.copy(), arm.cont, f"{path}.{arm.sort_name}") for arm in term.branches]
         h = self._head(state, Recv, term.frm, path, term.pos, f"receive from {term.frm}")
         if h is None:
             return []
@@ -687,7 +643,7 @@ class Checker:
                         arm.pos,
                     )
                 )
-            self._rebind(arm_env, term.session, arm.bind, state._replace(node=child))
+            arm_env.sessions[term.session] = state._replace(node=child)
             out.append((arm_env, arm.cont, arm_path))
         return out
 
@@ -716,7 +672,7 @@ class Checker:
                     found=f"loop {term.recur_var}",
                 )
                 state = state._replace(graph=None)
-        self._rebind(env, term.session, term.bind, state)
+        env.sessions[term.session] = state
         return [(env, term.body, f"{path}.loop({term.recur_var})")]
 
     def _check_recur(self, env: TypingEnv, term: RecurT, path: str) -> list:
@@ -805,7 +761,7 @@ class Checker:
 
     def _check_let(self, env: TypingEnv, term: LetT, path: str) -> list:
         value = term.value
-        if isinstance(value, (SessionRef, VarRef)) and value.name in env.sessions:
+        if isinstance(value, VarRef) and value.name in env.sessions:
             # aliasing a session transfers ownership; the old name is dead
             state = env.sessions.pop(value.name)
             env.dead[value.name] = f"aliased to {term.name}"
@@ -827,7 +783,7 @@ class Checker:
 
 def check_expr(env: TypingEnv, e: Expr):
     """Type an expression; returns (type or None, diagnostics)."""
-    if isinstance(e, (SessionRef, VarRef)) and e.name in env.sessions:
+    if isinstance(e, VarRef) and e.name in env.sessions:
         state = env.sessions[e.name]
         return EndpointType(state.role, state.type), []
     ch = Checker()

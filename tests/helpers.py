@@ -828,18 +828,17 @@ def synthesize_process(l, session: str = "s") -> tc.ProcessTerm:
     if isinstance(l, End):
         return tc.EndT()
     if isinstance(l, Loop):
-        return tc.LoopT(session, l.var.name, session, synthesize_process(l.body, session))
+        return tc.LoopT(session, l.var.name, synthesize_process(l.body, session))
     if isinstance(l, Recur):
         return tc.RecurT(l.var.name, session)
     if isinstance(l, Send):
         sort, cont = l.branches[0]
         return tc.SendT(
-            session, l.receiver, _payload_for(sort), session,
-            synthesize_process(cont, session),
+            session, l.receiver, _payload_for(sort), synthesize_process(cont, session)
         )
     assert isinstance(l, Recv)
     arms = tuple(
-        tc.RecvArm(s.name, "_", session, synthesize_process(c, session))
+        tc.RecvArm(s.name, "_", synthesize_process(c, session))
         for s, c in l.branches
     )
     return tc.RecvT(session, l.sender, arms)

@@ -276,6 +276,38 @@ class TestRun:
             "Propose", "Propose", "Propose", "Propose", "Reject",
         ]
 
+    def test_delegating_a_non_session_fails_check(self, tmp_path):
+        # a sort that carries an endpoint takes a session variable, not data
+        text = conftest.fixture_path("three_buyer.mpst").read_text()
+        bad = text.replace("send[u] B3 Delegatee(s);", "send[u] B3 Delegatee(5);")
+        assert bad != text
+        path = tmp_path / "deleg.mpst"
+        path.write_text(bad)
+        line = next(
+            i for i, l in enumerate(bad.splitlines(), 1) if "Delegatee(5)" in l
+        )
+        for command in ("check", "run"):
+            result = mpstkit(command, str(path))
+            assert result.returncode == 1
+            assert (
+                f"{path}:{line}:7: expr-type-mismatch: sort Delegatee carries an"
+                " endpoint: its payload must be a session variable" in result.stdout
+            )
+
+    def test_message_value_reads_its_payload(self, tmp_path):
+        path = tmp_path / "value.mpst"
+        path.write_text(
+            "sort Ping(int);\n"
+            "global P = A -> B : Ping . end;\n"
+            "proc a plays A in P { let m = Ping(5); let x = m.value - 1;"
+            " send B Ping(x); end }\n"
+            "proc b plays B in P { recv A { Ping(v) -> let y = v.value - 1; end } }\n"
+        )
+        assert mpstkit("check", str(path)).returncode == 0
+        result = mpstkit("run", str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "# session P\nseq 1: A -> B : Ping(4)\n"
+
     def test_cross_session_deadlock_is_reported_at_once(self, tmp_path):
         # each session alone is deadlock free, so check accepts the file
         path = tmp_path / "deadlock.mpst"
@@ -379,6 +411,22 @@ class TestStress:
         assert "Traceback" not in result.stderr
         events = json.loads(result.stdout)["sessions"]["G"]
         assert len(events) == 3 * 251 + 1
+
+    def test_long_subtraction(self, tmp_path):
+        # a 5,000-term expression checks and runs without recursing per term
+        terms = 5000
+        path = tmp_path / "sub.mpst"
+        path.write_text(
+            "sort Num(int);\n"
+            "global P = A -> B : Num . end;\n"
+            f"proc a plays A in P {{ let x = {' - '.join(['1'] * terms)}; send B Num(x); end }}\n"
+            "proc b plays B in P { recv A { Num(_) -> end } }\n"
+        )
+        result = mpstkit("check", str(path))
+        assert result.returncode == 0, result.stderr
+        result = mpstkit("run", str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"# session P\nseq 1: A -> B : Num({2 - terms})\n"
 
 
 class TestBench:

@@ -20,7 +20,9 @@ from mpstkit.core import (
     Send,
     Sort,
     alpha_normalize,
+    roles_of,
     struct_eq,
+    subterms,
     substitute,
     unfold,
     well_formed,
@@ -28,10 +30,13 @@ from mpstkit.core import (
 from mpstkit.elaborate import load_text
 from mpstkit.fsm import interpret
 from mpstkit.projection import merge, project
+from mpstkit.runtime import GlobalSession, run_all
 from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
+from mpstkit.typecheck import SessionState, TypingEnv, check_process
 
 from helpers import (
     SORT_POOL,
+    accepts_trace,
     erasure_outcomes,
     manual_dual,
     oracle_consistent,
@@ -46,6 +51,7 @@ from helpers import (
     random_local,
     seeded,
     subst_oracle,
+    synthesize_process,
 )
 
 A, B, C = Role("A"), Role("B"), Role("C")
@@ -341,3 +347,43 @@ def test_tokenize_matches_oracle(text):
 @given(random_locals)
 def test_render_local_matches_oracle(l):
     assert render_local_type(l) == oracle_render_local(l)
+
+
+# ---------------------------------------------------------------------------
+# Every checked program runs: the process that mimics each role's projection
+# checks clean, and running them all together faults nowhere.
+
+
+def first_checked_global(seed: int, n_roles: int, relay: bool):
+    """The first loop-free, consistent (so projectable) global type with a
+    communication that `random_global` draws from `seed`."""
+    rng = seeded(seed)
+    while True:
+        g = random_global(rng, ["A", "B", "C", "D"][:n_roles], depth=4, relay=relay)
+        if (
+            isinstance(g, Com)
+            and not any(isinstance(t, Loop) for t in subterms(g))
+            and consistent(g).consistent
+        ):
+            return g
+
+
+checked_globals = st.builds(
+    first_checked_global, st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(checked_globals)
+def test_checked_processes_run_to_completion(g):
+    session = GlobalSession(g, "G")
+    processes = []
+    for role in sorted(roles_of(g), key=lambda r: r.name):
+        local = project(g, role)
+        term = synthesize_process(local)
+        assert check_process(TypingEnv(sessions={"s": SessionState(role, local)}), term) == []
+        processes.append((role.name, [(session, role, "s")], term))
+    results, faults = run_all(processes, timeout=10.0)
+    assert faults == []
+    assert all(result.all_terminated for result in results.values())
+    assert accepts_trace(g, [(e.sender, e.receiver, e.sort.name) for e in session.trace])

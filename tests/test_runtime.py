@@ -211,12 +211,12 @@ class TestFifoAndUseOnce:
         # receive order at the server equals the client's send order
         server_recvs = [
             a.sort.name for a in results["http_server"].actions
-            if a.kind == "recv" and a.peer.name == "C"
+            if a.direction == "recv" and a.peer.name == "C"
         ]
         assert server_recvs == c_to_s
         client_recvs = [
             a.sort.name for a in results["http_client"].actions
-            if a.kind == "recv" and a.peer.name == "S"
+            if a.direction == "recv" and a.peer.name == "S"
         ]
         s_to_c = [e.sort.name for e in trace if e.sender.name == "S"]
         assert client_recvs == s_to_c
@@ -285,6 +285,20 @@ class TestFifoAndUseOnce:
         _, _, faults = run_protocol_file(pf, timeout=10.0)
         assert [(name, str(e)) for name, e in faults] == [
             ("a", "recur Y outside a loop of that name"),
+            ("b", "session G cancelled after a fault"),
+        ]
+
+    def test_field_of_a_non_message_faults(self):
+        # the checker rejects `x.value` on an int; unchecked, the interpreter does
+        pf = load_text(
+            "sort Num(int);\n"
+            "global G = A -> B : Num . end;\n"
+            "proc a plays A in G { let x = 1; send B Num(x.value); end }\n"
+            "proc b plays B in G { recv A { Num(_) -> end } }\n"
+        )
+        _, _, faults = run_protocol_file(pf, timeout=10.0)
+        assert [(name, str(e)) for name, e in faults] == [
+            ("a", "field access on 1, which is not a message"),
             ("b", "session G cancelled after a fault"),
         ]
 

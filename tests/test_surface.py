@@ -164,6 +164,27 @@ class TestRoundTrip:
         assert [p.term for p in pf1.procs] == [p.term for p in pf2.procs]
         assert [p.bindings for p in pf1.procs] == [p.bindings for p in pf2.procs]
 
+    def test_long_subtraction_round_trips(self):
+        # 5,000 terms: rendering walks the left spine of `-` without recursing;
+        # nested comparisons keep their parentheses
+        chain = " - ".join(["1"] * 5000)
+        text = (
+            "proc a plays A in P {\n"
+            f"  let x = {chain};\n"
+            "  let y = (1 < 2) - 3 - (4 - x);\n"
+            "  let z = (1 < 2) < (3 < 4 - 5);\n"
+            "  end }"
+        )
+        first = parse_protocol_file(text)
+        assert first.ok, first.errors
+        rendered = render_file(first.file)
+        assert f"let x = {chain};" in rendered
+        assert "let y = (1 < 2) - 3 - (4 - x);" in rendered
+        assert "let z = (1 < 2) < (3 < 4 - 5);" in rendered
+        second = parse_protocol_file(rendered)
+        assert second.ok, second.errors
+        assert render_file(second.file) == rendered
+
 
 class TestInstantiate:
     def test_generic_negotiation_equals_concrete(self):

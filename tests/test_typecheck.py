@@ -29,7 +29,6 @@ from mpstkit.typecheck import (
     RecurT,
     RecvT,
     SendT,
-    SessionRef,
     NewSort,
     SessionState,
     TypingEnv,
@@ -77,7 +76,7 @@ class TestCheckExpr:
     def test_session_reference_is_an_endpoint(self, two_buyer):
         decision_b2 = project(two_buyer.concrete["Decision"], Role("B2"))
         env = TypingEnv(sessions={"s": SessionState(Role("B2"), decision_b2)})
-        t, diags = check_expr(env, SessionRef("s"))
+        t, diags = check_expr(env, VarRef("s"))
         assert isinstance(t, EndpointType)
         assert t.role == Role("B2")
         assert struct_eq(t.local, decision_b2)
@@ -375,7 +374,7 @@ class TestUnfoldStability:
 def _mutate_head(term):
     zz = Sort("Zmut")
     if isinstance(term, SendT):
-        return SendT(term.session, term.to, NewSort(zz, ()), term.bind, term.cont)
+        return SendT(term.session, term.to, NewSort(zz, ()), term.cont)
     if isinstance(term, RecvT) and len(term.branches) > 1:
         return RecvT(term.session, term.frm, term.branches[1:])
     return None
@@ -505,8 +504,8 @@ def _loop_of_sends(loop, drop: int = 0):
         sorts.append(sort)
     term = RecurT("X", "s")
     for sort in reversed(sorts[: len(sorts) - drop]):
-        term = SendT("s", B, NewSort(sort), "s", term)
-    return LoopT("s", "X", "s", term)
+        term = SendT("s", B, NewSort(sort), term)
+    return LoopT("s", "X", term)
 
 
 class TestLoopsOnTheStateGraph:
@@ -536,7 +535,7 @@ class TestLoopsOnTheStateGraph:
         x, y, m = RecVar("X"), RecVar("Y"), Sort("M")
         loop = Loop(x, Loop(y, Send(A, B, ((m, Recur(x)),))))
         env = TypingEnv(sessions={"s": SessionState(A, loop)})
-        diags = check_process(env, LoopT("s", "X", "s", RecurT("X", "s")))
+        diags = check_process(env, LoopT("s", "X", RecurT("X", "s")))
         assert [(d.cls, d.expected, d.found) for d in diags] == [
             (
                 ErrorClass.WRONG_RECURSIVE_TYPE,
@@ -561,10 +560,7 @@ class TestLoopsOnTheStateGraph:
                 "u": SessionState(A, self._nested(Role("C"))),
             }
         )
-        term = LoopT(
-            "s", "X", "s",
-            SendT("s", B, NewSort(m), "s", LoopT("u", "W", "u", RecurT("X", "s"))),
-        )
+        term = LoopT("s", "X", SendT("s", B, NewSort(m), LoopT("u", "W", RecurT("X", "s"))))
         diags = check_process(env, term)
         assert [(d.cls, d.message) for d in diags] == [
             (
@@ -583,9 +579,7 @@ class TestLoopsOnTheStateGraph:
                 "d": SessionState(A, schema),
             }
         )
-        term = LoopT(
-            "d", "W", "d", SendT("s", B, NewSort(deleg, (SessionRef("d"),)), "s", EndT())
-        )
+        term = LoopT("d", "W", SendT("s", B, NewSort(deleg, (VarRef("d"),)), EndT()))
         diags = check_process(env, term)
         assert [(d.cls, d.message) for d in diags] == [
             (
@@ -597,5 +591,5 @@ class TestLoopsOnTheStateGraph:
                 "session d still has protocol left at termination",
             ),
         ]
-        direct = SendT("s", B, NewSort(deleg, (SessionRef("d"),)), "s", EndT())
+        direct = SendT("s", B, NewSort(deleg, (VarRef("d"),)), EndT())
         assert check_process(env, direct) == []

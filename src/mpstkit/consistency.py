@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import End, GlobalType, LocalType, Recv, Role, Send, roles_of, subterms
+from .core import End, GlobalType, LocalType, Recv, Role, Send, roles_of
 from .fsm import StateGraph
 from .projection import MergeError, ProjectionError, erase, project, result_or_error
 
@@ -130,15 +130,6 @@ class ConsistencyReport:
         }
 
 
-def _peers(l: LocalType) -> set:
-    """The roles l sends to or receives from."""
-    return {
-        n.receiver if isinstance(n, Send) else n.sender
-        for n in subterms(l)
-        if isinstance(n, (Send, Recv))
-    }
-
-
 def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     """Check all ordered role pairs of g; the report lists every failure.
 
@@ -155,8 +146,8 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     local = [projections[r] for r in roles]
     errors = [l if isinstance(l, ProjectionError) else None for l in local]
     peers = [
-        set() if e is not None else {index.get(p) for p in _peers(l)}
-        for l, e in zip(local, errors)
+        set() if e is not None else {index.get(p) for p in roles_of(l) - {r}}
+        for r, l, e in zip(roles, local, errors)
     ]
     # (role, partner) -> restricted view or MergeError.  A partner the role
     # never acts with gets the key (role, -1): every action is erased, so

@@ -4,7 +4,10 @@ Generic global definitions are instantiated by capture-avoiding substitution
 of their role and protocol parameters.  Sort references resolve against the
 file's sort table; an endpoint sort's schema is the projection of a named
 global onto a role, so well-formedness of delegated types falls out of the
-same machinery as everything else.
+same machinery as everything else.  Process bodies arrive as `typecheck`
+terms already; elaboration only replaces each `surface.SCall` sort
+constructor in them with a `typecheck.NewSort`, and checks each process's
+session bindings.
 """
 
 from __future__ import annotations
@@ -239,73 +242,41 @@ class _Elaborator:
 
     def expr(self, e) -> typecheck.Expr:
         spine = []  # the left spine of `-` and `<`: a long chain must not recurse per term
-        while isinstance(e, (surface.SSub, surface.SLt)):
+        while isinstance(e, (typecheck.Sub, typecheck.Lt)):
             spine.append(e)
             e = e.a
-        if isinstance(e, surface.SInt):
-            out = typecheck.IntLit(e.value, e.pos)
-        elif isinstance(e, surface.SStr):
-            out = typecheck.StrLit(e.value, e.pos)
-        elif isinstance(e, surface.SVar):
-            out = typecheck.VarRef(e.name, e.pos)
-        elif isinstance(e, surface.SField):
-            out = typecheck.Field(self.expr(e.target), e.pos)
-        elif isinstance(e, surface.SCall):
+        if isinstance(e, surface.SCall):
             sort = self.sort(e.name, e.pos)
-            out = typecheck.NewSort(sort, (self.expr(e.arg),), e.pos)
-        else:
-            raise TypeError(f"unknown surface expression: {e!r}")
+            e = typecheck.NewSort(sort, tuple(map(self.expr, e.args)), e.pos)
+        elif isinstance(e, typecheck.Field):
+            e = typecheck.Field(self.expr(e.target), e.pos)
         for node in reversed(spine):
-            op = typecheck.Sub if isinstance(node, surface.SSub) else typecheck.Lt
-            out = op(out, self.expr(node.b), node.pos)
-        return out
+            e = type(node)(e, self.expr(node.b), node.pos)
+        return e
 
-    def proc_term(self, p, default_session: str) -> typecheck.ProcessTerm:
-        if isinstance(p, surface.SSend):
-            session = p.session or default_session
-            sort = self.sort(p.sort_name, p.pos)
-            args = (self.expr(p.arg),) if p.arg is not None else ()
-            payload = typecheck.NewSort(sort, args, p.pos)
+    def proc_term(self, p) -> typecheck.ProcessTerm:
+        """The parsed term `p` with each `SCall` resolved to a `NewSort`.
+        Subterms resolve in source order (a send's sort, its argument, then
+        the continuation), so the first error raised is the first in the text."""
+        if isinstance(p, typecheck.SendT):
             return typecheck.SendT(
-                session, Role(p.to), payload, self.proc_term(p.cont, default_session), p.pos
+                p.session, p.to, self.expr(p.payload), self.proc_term(p.cont), p.pos
             )
-        if isinstance(p, surface.SRecv):
-            session = p.session or default_session
+        if isinstance(p, typecheck.RecvT):
             arms = tuple(
-                typecheck.RecvArm(
-                    arm.sort_name,
-                    arm.payload_var,
-                    self.proc_term(arm.cont, default_session),
-                    arm.pos,
-                )
-                for arm in p.arms
+                typecheck.RecvArm(a.sort_name, a.payload_var, self.proc_term(a.cont), a.pos)
+                for a in p.branches
             )
-            return typecheck.RecvT(session, Role(p.frm), arms, p.pos)
-        if isinstance(p, surface.SLoop):
-            session = p.session or default_session
-            return typecheck.LoopT(
-                session, p.var, self.proc_term(p.body, default_session), p.pos
-            )
-        if isinstance(p, surface.SRecur):
-            session = p.session or default_session
-            return typecheck.RecurT(p.var, session, p.pos)
-        if isinstance(p, surface.SEndP):
-            return typecheck.EndT(p.results, p.pos)
-        if isinstance(p, surface.SIf):
+            return typecheck.RecvT(p.session, p.frm, arms, p.pos)
+        if isinstance(p, typecheck.LoopT):
+            return typecheck.LoopT(p.session, p.recur_var, self.proc_term(p.body), p.pos)
+        if isinstance(p, typecheck.IfT):
             return typecheck.IfT(
-                self.expr(p.cond),
-                self.proc_term(p.then, default_session),
-                self.proc_term(p.els, default_session),
-                p.pos,
+                self.expr(p.cond), self.proc_term(p.then), self.proc_term(p.els), p.pos
             )
-        if isinstance(p, surface.SLet):
-            return typecheck.LetT(
-                p.name,
-                self.expr(p.value),
-                self.proc_term(p.cont, default_session),
-                p.pos,
-            )
-        raise TypeError(f"unknown surface process: {p!r}")
+        if isinstance(p, typecheck.LetT):
+            return typecheck.LetT(p.name, self.expr(p.value), self.proc_term(p.cont), p.pos)
+        return p  # RecurT and EndT hold no expression
 
     # -- whole file --------------------------------------------------------------
 
@@ -352,9 +323,7 @@ class _Elaborator:
                         f"process {d.name} plays unknown protocol {proto}", d.pos
                     )
                 bindings.append((Role(role), proto, var))
-            default_session = bindings[0][2]
-            term = self.proc_term(d.body, default_session)
-            pf.procs.append(ProcDecl(d.name, tuple(bindings), term, d.pos))
+            pf.procs.append(ProcDecl(d.name, tuple(bindings), self.proc_term(d.body), d.pos))
         return pf
 
 

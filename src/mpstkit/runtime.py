@@ -309,9 +309,8 @@ class RunResult:
 
 
 class _Interp:
-    def __init__(self, env: dict, bindings: dict):
-        self.env = dict(bindings) if bindings else {}
-        self.env.update(env)
+    def __init__(self, env: dict):
+        self.env = dict(env)
         self.actions: list = []
         self.terminals: dict = {}
 
@@ -408,12 +407,12 @@ class _Interp:
         return value
 
 
-def run(endpoints: dict, term: tc.ProcessTerm, bindings: Optional[dict] = None) -> RunResult:
+def run(endpoints: dict, term: tc.ProcessTerm) -> RunResult:
     """Interpret a process term over the given endpoints, blocking in each receive.
 
     The static checker is expected to have passed already; the endpoint
     guards re-verify every action dynamically regardless."""
-    interp = _Interp(endpoints, bindings or {})
+    interp = _Interp(endpoints)
     for _ in interp.exec(term):
         pass
     return RunResult(interp.actions, interp.terminals)
@@ -434,7 +433,7 @@ def run_all(processes: list, timeout: float) -> tuple:
         if held:  # as at init's barrier, a session with an unclaimed role never starts
             faults.append((name, RuntimeFault(f"session {held[0]} cancelled after a fault")))
         else:
-            running[name] = (_Interp(eps, {}).exec(term), None)
+            running[name] = (_Interp(eps).exec(term), None)
     deadline = time.monotonic() + timeout
     stepped = True
     while running and stepped:

@@ -19,6 +19,12 @@ declared local types that must match a projection, and process scripts:
 Parsing is deterministic recursive descent.  Errors carry line/column and
 the expected-token set; the parser resynchronises at the next top-level
 keyword so several errors can be reported in one pass.
+
+Types parse to the surface AST below, which elaboration resolves.  A process
+body parses straight to the `typecheck` terms the checker and the runtime
+use, with an action's omitted `[var]` filled in with the default session.
+The one node left open is the sort constructor `SCall`: only the whole file
+says what a sort name means.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from . import core
+from . import core, typecheck as tc
 
 KEYWORDS = {
     "sort", "global", "local", "proc", "plays", "in", "as", "rec", "end",
@@ -170,117 +176,14 @@ class LocalDef:
     pos: Pos = field(default=None, compare=False)
 
 
-# surface process nodes
-
-
-@dataclass(frozen=True)
-class SSend:
-    session: Optional[str]
-    to: str
-    sort_name: str
-    arg: object  # SExpr or None
-    cont: "SProc"
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SArm:
-    sort_name: str
-    payload_var: str
-    cont: "SProc"
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SRecv:
-    session: Optional[str]
-    frm: str
-    arms: tuple
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SLoop:
-    session: Optional[str]
-    var: str
-    body: "SProc"
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SRecur:
-    session: Optional[str]
-    var: str
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SEndP:
-    results: tuple = ()
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SIf:
-    cond: object
-    then: "SProc"
-    els: "SProc"
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SLet:
-    name: str
-    value: object
-    cont: "SProc"
-    pos: Pos = field(default=None, compare=False)
-
-
-SProc = Union[SSend, SRecv, SLoop, SRecur, SEndP, SIf, SLet]
-
-
-@dataclass(frozen=True)
-class SInt:
-    value: int
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SStr:
-    value: str
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SVar:
-    name: str
-    pos: Pos = field(default=None, compare=False)
-
-
 @dataclass(frozen=True)
 class SCall:
+    """A sort constructor `Name(arg)`, or a send's sort and argument: what the
+    name means is known only once the whole file is read, so elaboration
+    replaces it with a `typecheck.NewSort`."""
+
     name: str
-    arg: object
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SField:
-    target: object
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SSub:
-    a: object
-    b: object
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SLt:
-    a: object
-    b: object
+    args: tuple
     pos: Pos = field(default=None, compare=False)
 
 
@@ -288,7 +191,7 @@ class SLt:
 class ProcDef:
     name: str
     bindings: tuple  # ((role, protocolName, var|None), ...)
-    body: SProc
+    body: tc.ProcessTerm  # its sort constructors are still `SCall`s
     pos: Pos = field(default=None, compare=False)
 
 
@@ -317,6 +220,12 @@ class ParseResult:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+def default_session(bindings) -> str:
+    """The session a process's action without `[var]` acts on: the first
+    binding's variable, or `s` when that binding has no `as`."""
+    return bindings[0][2] or "s"
 
 
 # ---------------------------------------------------------------------------
@@ -519,31 +428,33 @@ class _Parser:
             bindings.append((role.text, proto.text, var))
             if not self.accept(","):
                 break
+        self.default_session = default_session(bindings)
         self.expect("{")
         body = self.stmt()
         self.expect("}")
         return ProcDef(name.text, tuple(bindings), body, (kw.line, kw.col))
 
-    def _session_sel(self) -> Optional[str]:
+    def _session_sel(self) -> str:
         if self.accept("["):
             var = self.ident("session variable")
             self.expect("]")
             return var.text
-        return None
+        return self.default_session
 
-    def stmt(self) -> SProc:
+    def stmt(self) -> tc.ProcessTerm:
         tok = self.peek()
+        pos = (tok.line, tok.col)
         if self.accept("send"):
             sel = self._session_sel()
             to = self.ident("role")
             sort = self.ident("sort name")
-            arg = None
+            args: tuple = ()
             if self.accept("("):
-                arg = self.expr()
+                args = (self.expr(),)
                 self.expect(")")
             self.expect(";")
             cont = self.stmt()
-            return SSend(sel, to.text, sort.text, arg, cont, (tok.line, tok.col))
+            return tc.SendT(sel, core.Role(to.text), SCall(sort.text, args, pos), cont, pos)
         if self.accept("recv"):
             sel = self._session_sel()
             frm = self.ident("role")
@@ -552,18 +463,18 @@ class _Parser:
             while self.accept(","):
                 arms.append(self.arm())
             self.expect("}")
-            return SRecv(sel, frm.text, tuple(arms), (tok.line, tok.col))
+            return tc.RecvT(sel, core.Role(frm.text), tuple(arms), pos)
         if self.accept("loop"):
             sel = self._session_sel()
             var = self.ident("loop label")
             self.expect("{")
             body = self.stmt()
             self.expect("}")
-            return SLoop(sel, var.text, body, (tok.line, tok.col))
+            return tc.LoopT(sel, var.text, body, pos)
         if self.accept("recur"):
             sel = self._session_sel()
             var = self.ident("loop label")
-            return SRecur(sel, var.text, (tok.line, tok.col))
+            return tc.RecurT(var.text, sel, pos)
         if self.accept("end"):
             results: list = []
             if self.accept("("):
@@ -571,7 +482,7 @@ class _Parser:
                 while self.accept(","):
                     results.append(self.ident("variable").text)
                 self.expect(")")
-            return SEndP(tuple(results), (tok.line, tok.col))
+            return tc.EndT(tuple(results), pos)
         if self.accept("if"):
             cond = self.expr()
             self.expect("then")
@@ -582,17 +493,17 @@ class _Parser:
             self.expect("{")
             els = self.stmt()
             self.expect("}")
-            return SIf(cond, then, els, (tok.line, tok.col))
+            return tc.IfT(cond, then, els, pos)
         if self.accept("let"):
             name = self.ident("variable")
             self.expect("=")
             value = self.expr()
             self.expect(";")
             cont = self.stmt()
-            return SLet(name.text, value, cont, (tok.line, tok.col))
+            return tc.LetT(name.text, value, cont, pos)
         self.unexpected("send", "recv", "loop", "recur", "end", "if", "let")
 
-    def arm(self) -> SArm:
+    def arm(self) -> tc.RecvArm:
         sort = self.ident("sort name")
         self.expect("(")
         if self.peek().kind != "ident":
@@ -600,7 +511,7 @@ class _Parser:
         var = self.next().text
         self.expect(")")
         self.expect("->")
-        return SArm(sort.text, var, self.stmt(), (sort.line, sort.col))
+        return tc.RecvArm(sort.text, var, self.stmt(), (sort.line, sort.col))
 
     # -- expressions ---------------------------------------------------------
 
@@ -608,7 +519,7 @@ class _Parser:
         left = self.add_expr()
         tok = self.peek()
         if self.accept("<"):
-            return SLt(left, self.add_expr(), (tok.line, tok.col))
+            return tc.Lt(left, self.add_expr(), (tok.line, tok.col))
         return left
 
     def add_expr(self):
@@ -616,19 +527,20 @@ class _Parser:
         while True:
             tok = self.peek()
             if self.accept("-"):
-                left = SSub(left, self.atom(), (tok.line, tok.col))
+                left = tc.Sub(left, self.atom(), (tok.line, tok.col))
             else:
                 return left
 
     def atom(self):
         tok = self.peek()
+        pos = (tok.line, tok.col)
         if tok.kind == "int":
             self.next()
-            return SInt(int(tok.text), (tok.line, tok.col))
+            return tc.IntLit(int(tok.text), pos)
         if tok.kind == "string":
             self.next()
             raw = tok.text[1:-1]
-            return SStr(raw.replace('\\"', '"').replace("\\\\", "\\"), (tok.line, tok.col))
+            return tc.StrLit(raw.replace('\\"', '"').replace("\\\\", "\\"), pos)
         if self.accept("("):
             e = self.expr()
             self.expect(")")
@@ -638,8 +550,8 @@ class _Parser:
             if self.accept("("):
                 arg = self.expr()
                 self.expect(")")
-                return SCall(tok.text, arg, (tok.line, tok.col))
-            e: object = SVar(tok.text, (tok.line, tok.col))
+                return SCall(tok.text, (arg,), pos)
+            e: object = tc.VarRef(tok.text, pos)
             while self.at("."):
                 dot = self.next()
                 fieldname = self.ident("value")
@@ -648,7 +560,7 @@ class _Parser:
                         fieldname.line, fieldname.col,
                         f"unknown field {fieldname.text!r}", ("value",),
                     )
-                e = SField(e, (dot.line, dot.col))
+                e = tc.Field(e, (dot.line, dot.col))
             return e
         self.unexpected("integer", "string", "variable", "(")
 
@@ -701,74 +613,81 @@ def _render_expr(e) -> str:
     # subtraction is left-associative: walk its left spine with a loop, and
     # parenthesise only the right operands and a comparison at the far left
     rights = []
-    while isinstance(e, SSub):
+    while isinstance(e, tc.Sub):
         rights.append(_render_atom(e.b))
         e = e.a
     if rights:
         return " - ".join([_render_atom(e), *reversed(rights)])
-    if isinstance(e, SInt):
+    if isinstance(e, tc.IntLit):
         return str(e.value)
-    if isinstance(e, SStr):
+    if isinstance(e, tc.StrLit):
         escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if isinstance(e, SVar):
+    if isinstance(e, tc.VarRef):
         return e.name
-    if isinstance(e, SCall):
-        return f"{e.name}({_render_expr(e.arg)})"
-    if isinstance(e, SField):
+    if isinstance(e, SCall):  # a send's payload may have no argument
+        return e.name + "".join(f"({_render_expr(a)})" for a in e.args)
+    if isinstance(e, tc.Field):
         return f"{_render_atom(e.target)}.value"
-    if isinstance(e, SLt):
+    if isinstance(e, tc.Lt):
         # a comparison takes one `<`: parenthesise a nested one
-        a, b = (_render_atom(x) if isinstance(x, SLt) else _render_expr(x) for x in (e.a, e.b))
+        a, b = (_render_atom(x) if isinstance(x, tc.Lt) else _render_expr(x) for x in (e.a, e.b))
         return f"{a} < {b}"
     raise TypeError(f"unknown expression: {e!r}")
 
 
 def _render_atom(e) -> str:
-    if isinstance(e, (SSub, SLt)):
+    if isinstance(e, (tc.Sub, tc.Lt)):
         return f"({_render_expr(e)})"
     return _render_expr(e)
 
 
-def _render_proc(p, indent: str) -> str:
+def _selector(p, default: str) -> str:
+    return "" if p.session == default else f"[{p.session}]"
+
+
+def _render_proc(p, indent: str, default: str) -> str:
     pad = indent
-    if isinstance(p, SSend):
-        sel = f"[{p.session}]" if p.session else ""
-        arg = f"({_render_expr(p.arg)})" if p.arg is not None else ""
-        return f"{pad}send{sel} {p.to} {p.sort_name}{arg};\n" + _render_proc(p.cont, indent)
-    if isinstance(p, SRecv):
-        sel = f"[{p.session}]" if p.session else ""
+    if isinstance(p, tc.SendT):
+        return (
+            f"{pad}send{_selector(p, default)} {p.to} {_render_expr(p.payload)};\n"
+            + _render_proc(p.cont, indent, default)
+        )
+    if isinstance(p, tc.RecvT):
         arms = []
-        for arm in p.arms:
-            body = _render_proc(arm.cont, indent + "    ")
+        for arm in p.branches:
+            body = _render_proc(arm.cont, indent + "    ", default)
             arms.append(f"{pad}  {arm.sort_name}({arm.payload_var}) ->\n{body}")
         joined = (",\n").join(arms)
-        return f"{pad}recv{sel} {p.frm} {{\n{joined}\n{pad}}}"
-    if isinstance(p, SLoop):
-        sel = f"[{p.session}]" if p.session else ""
-        body = _render_proc(p.body, indent + "  ")
-        return f"{pad}loop{sel} {p.var} {{\n{body}\n{pad}}}"
-    if isinstance(p, SRecur):
-        sel = f"[{p.session}]" if p.session else ""
-        return f"{pad}recur{sel} {p.var}"
-    if isinstance(p, SEndP):
+        return f"{pad}recv{_selector(p, default)} {p.frm} {{\n{joined}\n{pad}}}"
+    if isinstance(p, tc.LoopT):
+        body = _render_proc(p.body, indent + "  ", default)
+        return f"{pad}loop{_selector(p, default)} {p.recur_var} {{\n{body}\n{pad}}}"
+    if isinstance(p, tc.RecurT):
+        return f"{pad}recur{_selector(p, default)} {p.recur_var}"
+    if isinstance(p, tc.EndT):
         if p.results:
             return f"{pad}end({', '.join(p.results)})"
         return f"{pad}end"
-    if isinstance(p, SIf):
-        then = _render_proc(p.then, indent + "  ")
-        els = _render_proc(p.els, indent + "  ")
+    if isinstance(p, tc.IfT):
+        then = _render_proc(p.then, indent + "  ", default)
+        els = _render_proc(p.els, indent + "  ", default)
         return (
             f"{pad}if {_render_expr(p.cond)} then {{\n{then}\n{pad}}} "
             f"else {{\n{els}\n{pad}}}"
         )
-    if isinstance(p, SLet):
-        return f"{pad}let {p.name} = {_render_expr(p.value)};\n" + _render_proc(p.cont, indent)
+    if isinstance(p, tc.LetT):
+        return (
+            f"{pad}let {p.name} = {_render_expr(p.value)};\n"
+            + _render_proc(p.cont, indent, default)
+        )
     raise TypeError(f"unknown process node: {p!r}")
 
 
 def render_file(sf: SurfaceFile) -> str:
-    """Render a parsed file back to source that reparses to the same AST."""
+    """Render a parsed file back to source that reparses to the same AST.
+    A process's actions on its default session (the first binding's) are
+    rendered without the `[var]` selector."""
     chunks = []
     for d in sf.decls:
         if isinstance(d, SortDecl):
@@ -793,6 +712,6 @@ def render_file(sf: SurfaceFile) -> str:
                 f"{r} in {p}" + (f" as {v}" if v else "")
                 for r, p, v in d.bindings
             )
-            body = _render_proc(d.body, "  ")
+            body = _render_proc(d.body, "  ", default_session(d.bindings))
             chunks.append(f"proc {d.name} plays {bindings} {{\n{body}\n}}")
     return "\n\n".join(chunks) + "\n"

@@ -8,9 +8,11 @@ walking a state graph, the reference projection and partner restriction
 recurse instead of running on an explicit stack, the reference lexer
 matches one token at a time, the reference local-type printer does not use
 core's `__str__`, the reference type rules parse and elaborate global and
-declared local types with a rule each, the reference `struct_eq` compares
-alpha-normal forms, and the trace acceptor replays runs against the global
-type's own step semantics without touching projection or the runtime.
+declared local types with a rule each, the reference process rules parse to
+surface nodes of their own and copy those into `typecheck` terms, the
+reference `struct_eq` compares alpha-normal forms, and the trace acceptor
+replays runs against the global type's own step semantics without touching
+projection or the runtime.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import random
 import re
 import sys
 from collections import deque
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 from mpstkit.core import (
     Com,
@@ -51,6 +55,7 @@ from mpstkit.surface import (
     KEYWORDS,
     LocalDef,
     ParseError,
+    ProcDef,
     SLAct,
     STCom,
     STEnd,
@@ -395,11 +400,121 @@ def _oracle_render_branches(branches, sub) -> str:
 
 
 # ---------------------------------------------------------------------------
-# References for the front end's type rules: a parser and an elaborator with
-# one rule for global types and another for declared local types.  Only the
-# type rules differ from `_Parser` and `_Elaborator`; each reference rule
-# recurses into itself, so it costs the same stack frames per step as the
-# one it stands for.
+# References for the front end: a parser and an elaborator with one rule for
+# global types and another for declared local types, and a process path that
+# parses to surface nodes of its own and then copies them into `typecheck`
+# terms, filling in the default session and looking sort names up.  Only the
+# type and process rules differ from `_Parser` and `_Elaborator`; each
+# reference rule recurses into itself, so it costs the same stack frames per
+# step as the one it stands for.
+
+
+@dataclass(frozen=True)
+class SSend:
+    session: Optional[str]
+    to: str
+    sort_name: str
+    arg: object
+    cont: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SArm:
+    sort_name: str
+    payload_var: str
+    cont: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SRecv:
+    session: Optional[str]
+    frm: str
+    arms: tuple
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SLoop:
+    session: Optional[str]
+    var: str
+    body: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SRecur:
+    session: Optional[str]
+    var: str
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SEndP:
+    results: tuple = ()
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SIf:
+    cond: object
+    then: object
+    els: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SLet:
+    name: str
+    value: object
+    cont: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SInt:
+    value: int
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SStr:
+    value: str
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SVar:
+    name: str
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SCall:
+    name: str
+    arg: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SField:
+    target: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SSub:
+    a: object
+    b: object
+    pos: tuple = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class SLt:
+    a: object
+    b: object
+    pos: tuple = field(default=None, compare=False)
 
 class OracleParser(_Parser):
     def type_expr(self, local: bool = False):  # the global rule only
@@ -472,6 +587,132 @@ class OracleParser(_Parser):
         sort = self.ident("sort name")
         self.expect(".")
         return (sort.text, sub())
+
+    def _session_sel(self):
+        if self.accept("["):
+            var = self.ident("session variable")
+            self.expect("]")
+            return var.text
+        return None
+
+    def stmt(self):
+        tok = self.peek()
+        if self.accept("send"):
+            sel = self._session_sel()
+            to = self.ident("role")
+            sort = self.ident("sort name")
+            arg = None
+            if self.accept("("):
+                arg = self.expr()
+                self.expect(")")
+            self.expect(";")
+            cont = self.stmt()
+            return SSend(sel, to.text, sort.text, arg, cont, (tok.line, tok.col))
+        if self.accept("recv"):
+            sel = self._session_sel()
+            frm = self.ident("role")
+            self.expect("{")
+            arms = [self.arm()]
+            while self.accept(","):
+                arms.append(self.arm())
+            self.expect("}")
+            return SRecv(sel, frm.text, tuple(arms), (tok.line, tok.col))
+        if self.accept("loop"):
+            sel = self._session_sel()
+            var = self.ident("loop label")
+            self.expect("{")
+            body = self.stmt()
+            self.expect("}")
+            return SLoop(sel, var.text, body, (tok.line, tok.col))
+        if self.accept("recur"):
+            sel = self._session_sel()
+            var = self.ident("loop label")
+            return SRecur(sel, var.text, (tok.line, tok.col))
+        if self.accept("end"):
+            results: list = []
+            if self.accept("("):
+                results.append(self.ident("variable").text)
+                while self.accept(","):
+                    results.append(self.ident("variable").text)
+                self.expect(")")
+            return SEndP(tuple(results), (tok.line, tok.col))
+        if self.accept("if"):
+            cond = self.expr()
+            self.expect("then")
+            self.expect("{")
+            then = self.stmt()
+            self.expect("}")
+            self.expect("else")
+            self.expect("{")
+            els = self.stmt()
+            self.expect("}")
+            return SIf(cond, then, els, (tok.line, tok.col))
+        if self.accept("let"):
+            name = self.ident("variable")
+            self.expect("=")
+            value = self.expr()
+            self.expect(";")
+            cont = self.stmt()
+            return SLet(name.text, value, cont, (tok.line, tok.col))
+        self.unexpected("send", "recv", "loop", "recur", "end", "if", "let")
+
+    def arm(self):
+        sort = self.ident("sort name")
+        self.expect("(")
+        if self.peek().kind != "ident":
+            self.unexpected("variable", "_")
+        var = self.next().text
+        self.expect(")")
+        self.expect("->")
+        return SArm(sort.text, var, self.stmt(), (sort.line, sort.col))
+
+    def expr(self):
+        left = self.add_expr()
+        tok = self.peek()
+        if self.accept("<"):
+            return SLt(left, self.add_expr(), (tok.line, tok.col))
+        return left
+
+    def add_expr(self):
+        left = self.atom()
+        while True:
+            tok = self.peek()
+            if self.accept("-"):
+                left = SSub(left, self.atom(), (tok.line, tok.col))
+            else:
+                return left
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.next()
+            return SInt(int(tok.text), (tok.line, tok.col))
+        if tok.kind == "string":
+            self.next()
+            raw = tok.text[1:-1]
+            return SStr(raw.replace('\\"', '"').replace("\\\\", "\\"), (tok.line, tok.col))
+        if self.accept("("):
+            e = self.expr()
+            self.expect(")")
+            return e
+        if tok.kind == "ident" and tok.text != "_":
+            self.next()
+            if self.accept("("):
+                arg = self.expr()
+                self.expect(")")
+                return SCall(tok.text, arg, (tok.line, tok.col))
+            e: object = SVar(tok.text, (tok.line, tok.col))
+            while self.at("."):
+                dot = self.next()
+                fieldname = self.ident("value")
+                if fieldname.text != "value":
+                    raise ParseError(
+                        fieldname.line, fieldname.col,
+                        f"unknown field {fieldname.text!r}", ("value",),
+                    )
+                e = SField(e, (dot.line, dot.col))
+            return e
+        self.unexpected("integer", "string", "variable", "(")
 
 
 class OracleElaborator(_Elaborator):
@@ -562,13 +803,86 @@ class OracleElaborator(_Elaborator):
         ctor = Send if t.direction == "!" else Recv
         return ctor(Role(t.sender), Role(t.receiver), branches)
 
+    def run(self):
+        # an action without `[var]` acts on the first binding's session, or on `s`
+        self._defaults = {id(d.body): d.bindings[0][2] or "s" for d in self.sf.proc_defs()}
+        return super().run()
+
+    def expr(self, e) -> tc.Expr:
+        spine = []
+        while isinstance(e, (SSub, SLt)):
+            spine.append(e)
+            e = e.a
+        if isinstance(e, SInt):
+            out = tc.IntLit(e.value, e.pos)
+        elif isinstance(e, SStr):
+            out = tc.StrLit(e.value, e.pos)
+        elif isinstance(e, SVar):
+            out = tc.VarRef(e.name, e.pos)
+        elif isinstance(e, SField):
+            out = tc.Field(self.expr(e.target), e.pos)
+        elif isinstance(e, SCall):
+            sort = self.sort(e.name, e.pos)
+            out = tc.NewSort(sort, (self.expr(e.arg),), e.pos)
+        else:
+            raise TypeError(f"unknown surface expression: {e!r}")
+        for node in reversed(spine):
+            op = tc.Sub if isinstance(node, SSub) else tc.Lt
+            out = op(out, self.expr(node.b), node.pos)
+        return out
+
+    def proc_term(self, p, default_session=None) -> tc.ProcessTerm:
+        default_session = default_session or self._defaults[id(p)]
+        if isinstance(p, SSend):
+            session = p.session or default_session
+            sort = self.sort(p.sort_name, p.pos)
+            args = (self.expr(p.arg),) if p.arg is not None else ()
+            payload = tc.NewSort(sort, args, p.pos)
+            return tc.SendT(
+                session, Role(p.to), payload, self.proc_term(p.cont, default_session), p.pos
+            )
+        if isinstance(p, SRecv):
+            session = p.session or default_session
+            arms = tuple(
+                tc.RecvArm(
+                    arm.sort_name,
+                    arm.payload_var,
+                    self.proc_term(arm.cont, default_session),
+                    arm.pos,
+                )
+                for arm in p.arms
+            )
+            return tc.RecvT(session, Role(p.frm), arms, p.pos)
+        if isinstance(p, SLoop):
+            session = p.session or default_session
+            return tc.LoopT(session, p.var, self.proc_term(p.body, default_session), p.pos)
+        if isinstance(p, SRecur):
+            return tc.RecurT(p.var, p.session or default_session, p.pos)
+        if isinstance(p, SEndP):
+            return tc.EndT(p.results, p.pos)
+        if isinstance(p, SIf):
+            return tc.IfT(
+                self.expr(p.cond),
+                self.proc_term(p.then, default_session),
+                self.proc_term(p.els, default_session),
+                p.pos,
+            )
+        assert isinstance(p, SLet)
+        return tc.LetT(
+            p.name, self.expr(p.value), self.proc_term(p.cont, default_session), p.pos
+        )
+
 
 def front_end_outcome(tokens: list, parser=_Parser, elaborator=_Elaborator) -> tuple:
     """What parsing and elaborating a token list gives, positions included:
-    the parsed declarations, every syntax error, then the elaborated file or
-    the first error.  `repr` shows the `pos` fields that `==` ignores."""
+    the parsed declarations but for process bodies (the two parsers build
+    different nodes for those), every syntax error, then the elaborated file
+    or the first error.  `repr` shows the `pos` fields that `==` ignores."""
     result = parser(tokens).file()
-    decls, errors = repr(result.file.decls), [str(e) for e in result.errors]
+    decls = repr([
+        replace(d, body=None) if isinstance(d, ProcDef) else d for d in result.file.decls
+    ])
+    errors = [str(e) for e in result.errors]
     if errors:
         return decls, errors, None
     try:

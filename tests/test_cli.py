@@ -9,6 +9,8 @@ import time
 import pytest
 
 import conftest
+from helpers import ROOT, benchmark_inputs, cut_and_splice
+from mpstkit import cli
 
 SRC = str(conftest.FIXTURES.parent / "src")
 # the CLI runs in a child interpreter, which must find mpstkit without an install
@@ -427,6 +429,41 @@ class TestStress:
         result = mpstkit("run", str(path))
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"# session P\nseq 1: A -> B : Num({2 - terms})\n"
+
+
+class TestDamagedInputs:
+    """Seeded damage to every fixture and corpus/run input (not the
+    ping-pongs, whose processes never stop) goes through each command, in
+    process, without a traceback."""
+
+    def test_every_call_ends_in_an_exit_code(self, tmp_path, capsys):
+        # a SystemExit that carries a message exits 1
+        inputs = benchmark_inputs()
+        texts = [p.read_text() for p in sorted(conftest.FIXTURES.rglob("*.mpst"))]
+        texts += [
+            f.text
+            for workload in ("corpus", "run")
+            for f in inputs.family(workload, 4242, ROOT)
+            if not f.name.startswith("pingpong")
+        ]
+        commands = [
+            ["check"],
+            ["check", "--consistency", "--json"],
+            ["run", "--unchecked", "--timeout", "0.2"],
+            ["run", "--json", "--unchecked", "--timeout", "0.2"],
+            ["project", "--json", "--role", "A"],
+            ["fsm", "--json", "--role", "A"],
+        ]
+        path = tmp_path / "damaged.mpst"
+        for text in cut_and_splice(list(dict.fromkeys(texts)), 400, seed=11):
+            path.write_text(text)
+            for command in commands:
+                try:
+                    code = cli.main([command[0], str(path), *command[1:]])
+                except SystemExit as e:
+                    code = 1 if isinstance(e.code, str) else e.code
+                assert code in (0, 1, 2), (command, text)
+            capsys.readouterr()
 
 
 class TestBench:

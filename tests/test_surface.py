@@ -1,5 +1,7 @@
 """Surface syntax: parsing, rendering round trips, generic instantiation."""
 
+import re
+
 import pytest
 
 from mpstkit import cli
@@ -136,6 +138,21 @@ class TestParse:
             load_text("global T = A -> B : Mystery . end;")
         assert "unknown sort" in str(exc.value)
 
+    @pytest.mark.parametrize("body, error", [
+        ("send B X1(X2(1)); send B X3; end", "3:23: unknown sort: X1"),
+        ("send B M(X2(1)); send B X3; end", "3:32: unknown sort: X2"),
+        ("if X1(1) < X2(1) then { end } else { end }", "3:26: unknown sort: X1"),
+        ("if 1 < 2 then { send B X1; end } else { send B X2; end }", "3:39: unknown sort: X1"),
+        ("let v = 1 - X1(1) - X2(1); send B X3; end", "3:35: unknown sort: X1"),
+        ("recv B { M(v) -> send B X1; end, M(w) -> send B X2; end }", "3:40: unknown sort: X1"),
+    ])
+    def test_first_unknown_sort_of_a_process_in_text_order(self, body, error):
+        # a send's sort comes before its argument, both before the continuation
+        text = f"sort M(int);\nglobal G = A -> B : M . end;\nproc a plays A in G {{ {body} }}\n"
+        with pytest.raises(ElabError) as exc:
+            load_text(text)
+        assert str(exc.value) == error
+
     def test_comments_and_strings(self):
         pf = load_text(
             'sort Name(string); // trailing comment\n'
@@ -163,6 +180,23 @@ class TestRoundTrip:
             assert struct_eq(g, pf2.concrete[name]), name
         assert [p.term for p in pf1.procs] == [p.term for p in pf2.procs]
         assert [p.bindings for p in pf1.procs] == [p.bindings for p in pf2.procs]
+
+    def test_render_leaves_out_only_default_session_selectors(self):
+        # buyer2 plays `as s, … as u` and buyer3 `as u`: their defaults are s and u
+        text = conftest.fixture_path("three_buyer.mpst").read_text()
+        rendered = render_file(parse_protocol_file(text).file)
+        chunks = rendered.split("\n\nproc ")[1:]
+        selectors = {
+            chunk.split()[0]: re.findall(r"\b(send|recv|loop|recur)\[(\w+)\]", chunk)
+            for chunk in chunks
+        }
+        assert selectors == {
+            "buyer1": [],
+            "buyer2": [("send", "u"), ("send", "u"), ("recv", "u")],
+            "buyer3": [("send", "s"), ("send", "s")],
+            "seller": [],
+        }
+        assert "send[s] B1 Quit;\n          send[s] S Quit;" in chunks[2]
 
     def test_long_subtraction_round_trips(self):
         # 5,000 terms: rendering walks the left spine of `-` without recursing;
@@ -286,12 +320,17 @@ class TestEndpointSortSchemas:
 
 class TestOneTypeRule:
     """Global and declared local types share one parser rule and one
-    elaboration rule, with the results of a rule for each
-    (`helpers.OracleParser` and `helpers.OracleElaborator`)."""
+    elaboration rule, with the results of a rule for each; processes parse
+    straight to `typecheck` terms, with the results of parsing to surface
+    nodes and copying those (`helpers.OracleParser` and
+    `helpers.OracleElaborator`)."""
 
     def test_agrees_with_a_rule_for_each(self):
         inputs = benchmark_inputs()
-        texts = [p.read_text() for p in sorted(conftest.FIXTURES.rglob("*.mpst"))]
+        fixtures = [p.read_text() for p in sorted(conftest.FIXTURES.rglob("*.mpst"))]
+        # rendered fixtures leave out default-session selectors, even where a
+        # process plays several sessions
+        texts = fixtures + [render_file(parse_protocol_file(t).file) for t in fixtures]
         texts += [
             f.text
             for workload in inputs.WORKLOADS
@@ -349,13 +388,17 @@ class TestOneTypeRule:
             elaborate(sf)
         assert str(exc.value) == "3:15: unknown recursion variable in local type: G"
 
-    @pytest.mark.parametrize("step", ["A -> B : M . ", "A -> B ! M . "])
+    @pytest.mark.parametrize("step", ["A -> B : M . ", "A -> B ! M . ", "send A M; "])
     def test_longest_declaration_is_unchanged(self, step):
-        # one type rule costs the stack frames per step of a rule for each
-        decl = "global H" if ":" in step else "local G @ B"
+        # one type rule costs the stack frames per step of a rule for each, and
+        # a statement parsed to a term those of one parsed to a surface node
+        if step.startswith("send"):
+            head, tail = "proc p plays B in G {", "end }"
+        else:
+            head, tail = ("global H =" if ":" in step else "local G @ B ="), "end;"
 
         def parses(parser, n):
-            text = f"sort M;\nglobal G = end;\n{decl} = {step * n}end;\n"
+            text = f"sort M;\nglobal G = end;\n{head} {step * n}{tail}\n"
             return not parser(tokenize(text)).file().errors
 
         def longest(parser):

@@ -1,8 +1,8 @@
 """Command-line interface: check, project, fsm, run, bench.
 
 Exit codes: 0 all checks passed / command succeeded; 1 a check failed or a
-run faulted; 2 the input did not parse or elaborate.  Set MPSTKIT_COLOR=0
-to disable ANSI colour.
+run faulted; 2 the input did not parse or elaborate, or a path on the command
+line cannot be read or written.  Set MPSTKIT_COLOR=0 to disable ANSI colour.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .elaborate import ElabError, ProtocolFile, elaborate
 from .fsm import interpret, to_dot
 from .projection import ProjectionError, project, result_or_error
 from .runtime import GlobalSession, RuntimeFault, run_all
-from .typecheck import check_session
+from .typecheck import check_session, unplayed_roles
 
 
 def _paint(text: str, code: str) -> str:
@@ -231,7 +231,11 @@ def cmd_fsm(args) -> int:
     machine = interpret(local)
     dot = to_dot(machine)
     if args.dot:
-        Path(args.dot).write_text(dot)
+        try:
+            Path(args.dot).write_text(dot)
+        except OSError as e:
+            print(_bad(str(e)), file=sys.stderr)
+            return 2
         print(
             f"{name} @ {args.role}: {len(machine.states)} states,"
             f" {len(machine.transitions)} transitions -> {args.dot}"
@@ -248,19 +252,14 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
 
     The processes run on this thread (see runtime.run_all), so a deadlock or
     a fault ends the run at once; `timeout` bounds only a run that never ends."""
-    needed: dict = {}
-    for proc in pf.procs:
-        for role, proto, _ in proc.bindings:
-            needed.setdefault(proto, set()).add(role)
     sessions: dict = {}
-    for proto, implemented in needed.items():
-        g = pf.concrete[proto]
-        missing = sorted(r.name for r in roles_of(g) if r not in implemented)
+    for proto, missing in unplayed_roles(pf).items():
+        if missing is None:
+            raise RuntimeFault(f"cannot run {proto}: protocol {proto} is generic")
         if missing:
-            raise RuntimeFault(
-                f"cannot run {proto}: roles {', '.join(missing)} have no process"
-            )
-        sessions[proto] = GlobalSession(g, proto)
+            names = ", ".join(r.name for r in missing)
+            raise RuntimeFault(f"cannot run {proto}: roles {names} have no process")
+        sessions[proto] = GlobalSession(pf.concrete[proto], proto)
     processes = [
         (proc.name, [(sessions[proto], role, var) for role, proto, var in proc.bindings], proc.term)
         for proc in pf.procs
@@ -299,7 +298,11 @@ def cmd_run(args) -> int:
         lines.extend(sessions[name].trace_lines())
     trace_text = "\n".join(lines) + "\n"
     if args.trace:
-        Path(args.trace).write_text(trace_text)
+        try:
+            Path(args.trace).write_text(trace_text)
+        except OSError as e:
+            print(_bad(str(e)), file=sys.stderr)
+            return 2
     if args.json:
         print(
             json.dumps(
@@ -341,8 +344,12 @@ def bench_file(path: str, repeat: int):
 
 
 def cmd_bench(args) -> int:
-    directory = Path(args.dir)
-    files = sorted(directory.glob("*.mpst"))
+    try:
+        names = os.listdir(args.dir)
+    except OSError as e:
+        print(_bad(str(e)), file=sys.stderr)
+        return 2
+    files = sorted(Path(args.dir, n) for n in names if n.endswith(".mpst"))
     rows = []
     for f in files:
         mean, stdev, ok = bench_file(str(f), args.repeat)

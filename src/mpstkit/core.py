@@ -107,13 +107,17 @@ class End:
         return "end"
 
 
-@dataclass(frozen=True)
-class Loop:
-    var: RecVar
-    body: "TypeNode"
+class _Rendered:
+    """A node that prints as the text `_render` builds for it."""
 
     def __str__(self) -> str:
         return _render(self)
+
+
+@dataclass(frozen=True)
+class Loop(_Rendered):
+    var: RecVar
+    body: "TypeNode"
 
 
 @dataclass(frozen=True)
@@ -128,39 +132,30 @@ Branches = tuple  # tuple[tuple[Sort, TypeNode], ...]
 
 
 @dataclass(frozen=True)
-class Com:
+class Com(_Rendered):
     """A communication step in a global type: sender -> receiver : branches."""
 
     sender: Role
     receiver: Role
     branches: Branches
 
-    def __str__(self) -> str:
-        return _render(self)
-
 
 @dataclass(frozen=True)
-class Send:
+class Send(_Rendered):
     """A local-type send: performed by `sender`, addressed to `receiver`."""
 
     sender: Role
     receiver: Role
     branches: Branches
 
-    def __str__(self) -> str:
-        return _render(self)
-
 
 @dataclass(frozen=True)
-class Recv:
+class Recv(_Rendered):
     """A local-type receive: performed by `receiver`, awaiting `sender`."""
 
     sender: Role
     receiver: Role
     branches: Branches
-
-    def __str__(self) -> str:
-        return _render(self)
 
 
 _OPS = {Com: ":", Send: "!", Recv: "?"}

@@ -85,15 +85,12 @@ def merge(a: LocalType, b: LocalType, *, union_sends: bool = False) -> LocalType
     if isinstance(a, Loop) and isinstance(b, Loop):
         var, body_a, body_b = _align_loops(a, b)
         return Loop(var, merge(body_a, body_b, union_sends=union_sends))
-    if isinstance(a, Recv) and isinstance(b, Recv):
+    if isinstance(a, (Send, Recv)) and type(a) is type(b):
         if (a.sender, a.receiver) != (b.sender, b.receiver):
-            raise MergeError(a, b, "receives from different peers")
-        return Recv(a.sender, a.receiver, _union(a, b, union_sends))
-    if isinstance(a, Send) and isinstance(b, Send):
-        if (a.sender, a.receiver) != (b.sender, b.receiver):
-            raise MergeError(a, b, "sends to different peers")
-        if union_sends:
-            return Send(a.sender, a.receiver, _union(a, b, union_sends))
+            peers = "sends to" if isinstance(a, Send) else "receives from"
+            raise MergeError(a, b, f"{peers} different peers")
+        if isinstance(a, Recv) or union_sends:
+            return type(a)(a.sender, a.receiver, _union(a, b, union_sends))
         names_a = [s.name for s, _ in a.branches]
         names_b = [s.name for s, _ in b.branches]
         if names_a != names_b:

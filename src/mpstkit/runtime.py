@@ -6,7 +6,8 @@ init(role) then also blocks until every role has joined, for callers that run
 each role on its own thread.  Endpoints are use-once handles: each action
 consumes the handle and returns a fresh successor, so a stale handle can never
 perform a second action (the dynamic half of linearity, kept even though terms
-are also checked statically).
+are also checked statically).  Actions read the type at Endpoint.head, with
+leading loops unrolled; only enter_loop and recur step into a loop.
 
 run_all runs processes on one thread and reports those a deadlock or fault leaves waiting.
 
@@ -186,85 +187,78 @@ class Endpoint:
     def _consume(self, what: str) -> None:
         with self._lock:
             if self._consumed:
-                raise LinearityFault(
-                    f"endpoint for {self.role} already consumed; cannot {what}"
-                )
+                raise LinearityFault(f"endpoint for {self.role} already consumed; cannot {what}")
             self._consumed = True
 
     def _successor(self, t: LocalType) -> "Endpoint":
         return Endpoint(self.role, self.session, t)
 
-    def send(self, to, sort: Sort, payload=None) -> "Endpoint":
-        if isinstance(to, str):
-            to = Role(to)
-        self._consume(f"send {sort} to {to}")
-        t = unfold(self.current_type)
-        if not isinstance(t, Send):
-            raise ProtocolFault(f"{self.role}: protocol does not allow a send (at {t})")
-        if t.receiver != to:
-            raise ProtocolFault(
-                f"{self.role}: send addressed to {to}, protocol expects {t.receiver}"
-            )
+    def head(self) -> LocalType:
+        """The type of the next action: the current type with leading loops unrolled."""
+        return unfold(self.current_type)
+
+    def _expect(self, kind: type, peer: Role, doing: str) -> LocalType:
+        """Consume this handle for `doing` and return the head, which must be
+        a `kind` (Send or Recv) exchanged with `peer`."""
+        self._consume(doing)
+        t = self.head()
+        if not isinstance(t, kind):
+            act = "send" if kind is Send else "receive"
+            raise ProtocolFault(f"{self.role}: protocol does not allow a {act} (at {t})")
+        expected = t.receiver if kind is Send else t.sender
+        if expected != peer:
+            towards = "send addressed to" if kind is Send else "receive from"
+            raise ProtocolFault(f"{self.role}: {towards} {peer}, protocol expects {expected}")
+        return t
+
+    def _branch(self, t: LocalType, sort: Sort, fault: str) -> "Endpoint":
+        """The successor on `sort`'s branch of head `t`, else a ProtocolFault
+        whose text opens with `fault`, with {} for the sort's name."""
         cont = branch_lookup_name(t.branches, sort.name)
         if cont is None:
             offered = ", ".join(s.name for s, _ in t.branches)
-            raise ProtocolFault(
-                f"{self.role}: sort {sort.name} not offered here (offered: {offered})"
-            )
+            raise ProtocolFault(f"{self.role}: {fault.format(sort.name)} (offered: {offered})")
+        return self._successor(cont)
+
+    def send(self, to, sort: Sort, payload=None) -> "Endpoint":
+        to = Role(to) if isinstance(to, str) else to
+        t = self._expect(Send, to, f"send {sort} to {to}")
+        succ = self._branch(t, sort, "sort {} not offered here")
         _check_payload_shape(sort, payload)
         if isinstance(payload, Endpoint):
             payload = payload.transfer()
         self.session.record(self.role, to, sort, payload)
         self.session.queues[self.role, to].put(Message(sort, payload))
-        return self._successor(cont)
+        return succ
 
     def recv(self, frm, timeout: Optional[float] = None) -> tuple:
-        if isinstance(frm, str):
-            frm = Role(frm)
-        self._consume(f"receive from {frm}")
-        t = unfold(self.current_type)
-        if not isinstance(t, Recv):
-            raise ProtocolFault(
-                f"{self.role}: protocol does not allow a receive (at {t})"
-            )
-        if t.sender != frm:
-            raise ProtocolFault(
-                f"{self.role}: receive from {frm}, protocol expects {t.sender}"
-            )
+        frm = Role(frm) if isinstance(frm, str) else frm
+        t = self._expect(Recv, frm, f"receive from {frm}")
         msg = self.session.queues[frm, self.role].get(timeout=timeout)
-        cont = branch_lookup_name(t.branches, msg.sort.name)
-        if cont is None:
-            offered = ", ".join(s.name for s, _ in t.branches)
-            raise ProtocolFault(
-                f"{self.role}: received sort {msg.sort.name} not offered"
-                f" (offered: {offered})"
-            )
-        return msg, self._successor(cont)
+        return msg, self._branch(t, msg.sort, "received sort {} not offered")
 
     def would_wait(self, frm) -> bool:
         """Whether recv(frm) would block: the handle is live, the protocol
         expects a message from `frm` here, and none has arrived yet."""
-        if isinstance(frm, str):
-            frm = Role(frm)
-        t = unfold(self.current_type)
+        frm = Role(frm) if isinstance(frm, str) else frm
+        t = self.head()
         return (not self._consumed and isinstance(t, Recv) and t.sender == frm
                 and self.session.queues[frm, self.role].empty())
 
-    def enter_loop(self) -> "Endpoint":
-        self._consume("enter a loop")
+    def _unroll(self, doing: str, fault: str) -> "Endpoint":
+        """Consume this handle for `doing` and step into the loop its type must
+        be; `fault`, with {} for the type, is the ProtocolFault's text."""
+        self._consume(doing)
         t = self.current_type
         if not isinstance(t, Loop):
-            raise ProtocolFault(f"{self.role}: protocol does not loop at {t}")
+            raise ProtocolFault(f"{self.role}: " + fault.format(t))
         return self._successor(substitute(t.body, t.var, t))
 
+    def enter_loop(self) -> "Endpoint":
+        return self._unroll("enter a loop", "protocol does not loop at {}")
+
     def recur(self) -> "Endpoint":
-        self._consume("recur")
-        t = self.current_type
-        if not isinstance(t, Loop):
-            raise ProtocolFault(
-                f"{self.role}: recur where the protocol is not back at a loop ({t})"
-            )
-        return self._successor(substitute(t.body, t.var, t))
+        return self._unroll("recur", "recur where the protocol is not back at a loop ({})")
 
     def transfer(self) -> "Endpoint":
         """Hand this endpoint over (delegation): the old handle dies, the
@@ -273,7 +267,7 @@ class Endpoint:
         return self._successor(self.current_type)
 
     def is_terminated(self) -> bool:
-        return isinstance(unfold(self.current_type), End)
+        return isinstance(self.head(), End)
 
 
 def _check_payload_shape(sort: Sort, payload) -> None:
@@ -358,13 +352,9 @@ class _Interp:
                     yield ep, term.frm
                 msg, succ = ep.recv(term.frm)
                 self.actions.append(Action(RECV, term.frm, ep.role, msg.sort))
-                arm = next(
-                    (a for a in term.branches if a.sort_name == msg.sort.name), None
-                )
+                arm = next((a for a in term.branches if a.sort_name == msg.sort.name), None)
                 if arm is None:
-                    raise ProtocolFault(
-                        f"no branch for received sort {msg.sort.name}"
-                    )
+                    raise ProtocolFault(f"no branch for received sort {msg.sort.name}")
                 if arm.payload_var != "_":
                     endpoint = isinstance(msg.payload, Endpoint)
                     self.env[arm.payload_var] = msg.payload if endpoint else msg
@@ -454,7 +444,7 @@ def run_all(processes: list, timeout: float) -> tuple:
                     del running[name]
     why = "cancelled after a fault" if faults else None
     for name, (_, (ep, peer)) in running.items():
-        sorts = " or ".join(s.name for s, _ in unfold(ep.current_type).branches)
+        sorts = " or ".join(s.name for s, _ in ep.head().branches)
         reason = why or f"deadlocked: {ep.role} waits for {peer} to send {sorts}"
         faults.append((name, RuntimeFault(f"session {ep.session.name} {reason}")))
     return results, faults

@@ -791,11 +791,17 @@ def check_expr(env: TypingEnv, e: Expr):
 
 
 def check_process(env: TypingEnv, term: ProcessTerm, filename: str = "<proc>") -> list:
-    """Check a process term; returns the list of diagnostics (empty = ok)."""
+    """Check a process term; returns the list of diagnostics (empty = ok).
+    Raises ValueError when a session type of `env` is not well formed."""
     for state in env.sessions.values():
         bad = well_formed(state.type)
         if bad:
             raise ValueError(f"ill-formed local type in environment: {bad[0]}")
+    return _check_well_formed(env, term)
+
+
+def _check_well_formed(env: TypingEnv, term: ProcessTerm) -> list:
+    """check_process for an environment whose session types are well formed."""
     ch = Checker()
     live = {v: _Live(s.role, StateGraph(s.type, ch.cons)) for v, s in env.sessions.items()}
     ch.check(TypingEnv(live, dict(env.dead), dict(env.data)), term)
@@ -825,6 +831,39 @@ class SessionCheckResult:
         return [d for r in self.reports for d in r.diagnostics]
 
 
+def unplayed_roles(protocol_file) -> dict:
+    """For each protocol that a process plays, in the order first played: the
+    roles of its definition that no process plays, sorted by name, or None
+    when the protocol has no concrete definition (it is generic)."""
+    played: dict = {}
+    for proc in protocol_file.procs:
+        for role, proto_name, _ in proc.bindings:
+            played.setdefault(proto_name, set()).add(role)
+    out = {}
+    for name, roles in played.items():
+        g = protocol_file.concrete.get(name)
+        out[name] = None if g is None else sorted(roles_of(g) - roles, key=lambda r: r.name)
+    return out
+
+
+def _session_type(protocol_file, proto_name: str, role: Role, projections, pos: Pos):
+    """The well-formed local type of `role` in protocol `proto_name`, or the
+    Diagnostic, located at `pos`, that says why there is none."""
+    g = protocol_file.concrete.get(proto_name)
+    if g is None:
+        return Diagnostic(ErrorClass.UNBOUND_VARIABLE, f"unknown protocol {proto_name}", "$", pos)
+    if projections is not None:
+        local = projections[proto_name, role]
+    else:
+        local = result_or_error(project, g, role)
+    bad = [] if isinstance(local, ProjectionError) else well_formed(local)
+    if isinstance(local, ProjectionError) or bad:
+        why = f"the projection is not well formed ({bad[0]})" if bad else local
+        message = f"cannot project {proto_name} onto {role}: {why}"
+        return Diagnostic(ErrorClass.PROJECTION_FAILED, message, "$", pos)
+    return local
+
+
 def check_session(
     protocol_file, filename: str = "<file>", *, projections=None
 ) -> SessionCheckResult:
@@ -836,50 +875,21 @@ def check_session(
     or to the ProjectionError projecting it raised; by default each binding
     is projected here."""
     reports = []
-    warnings = []
-    implemented: dict = {}
     for proc in protocol_file.procs:
         env = TypingEnv()
         diags: list = []
         for role, proto_name, var in proc.bindings:
-            implemented.setdefault(proto_name, set()).add(role)
-            try:
-                g = protocol_file.concrete[proto_name]
-            except KeyError:
-                diags.append(
-                    Diagnostic(
-                        ErrorClass.UNBOUND_VARIABLE,
-                        f"unknown protocol {proto_name}",
-                        "$",
-                        proc.pos,
-                    )
-                )
-                continue
-            if projections is not None:
-                local = projections[proto_name, role]
+            local = _session_type(protocol_file, proto_name, role, projections, proc.pos)
+            if isinstance(local, Diagnostic):
+                diags.append(local)
             else:
-                local = result_or_error(project, g, role)
-            if isinstance(local, ProjectionError):
-                diags.append(
-                    Diagnostic(
-                        ErrorClass.PROJECTION_FAILED,
-                        f"cannot project {proto_name} onto {role}: {local}",
-                        "$",
-                        proc.pos,
-                    )
-                )
-                continue
-            env.sessions[var] = SessionState(role, local)
+                env.sessions[var] = SessionState(role, local)
         if not diags:
-            diags = check_process(env, proc.term, filename)
+            diags = _check_well_formed(env, proc.term)
         reports.append(ProcReport(proc.name, diags))
-    for proto_name, roles in implemented.items():
-        g = protocol_file.concrete.get(proto_name)
-        if g is None:
-            continue
-        for role in sorted(roles_of(g), key=lambda r: r.name):
-            if role not in roles:
-                warnings.append(
-                    f"role {role} of protocol {proto_name} has no process (unimplemented)"
-                )
+    warnings = [
+        f"role {role} of protocol {proto_name} has no process (unimplemented)"
+        for proto_name, missing in unplayed_roles(protocol_file).items()
+        for role in missing or ()
+    ]
     return SessionCheckResult(reports, warnings)

@@ -929,6 +929,56 @@ def cut_and_splice(texts: list, count: int, seed: int) -> list:
     return out
 
 
+# Whole declarations that parse but are odd.  In a global, {i} numbers the
+# protocol and {g} names a generic one defined in the same file.
+ODD_GLOBALS = [
+    "global G{i} = A -> B : {{ M . end, M . end }};",
+    "global G{i} = A -> A : M . end;",
+    "global G{i} = B -> A : {{ N . A -> B : M . end, N . end }};",
+    "global G{i} = rec X . X;",
+    "global G{i} = rec X . rec Y . A -> B : {{ M . X, N . Y, Q . end }};",
+    "global G{i} = {g}[A, B, end];",
+    "global G{i} = {g}[A, B, {g}[B, A, end]];",
+    "global G{i} = {g}[B, B, {g}[A, B, rec X . {g}[A, B, X]]];",
+    "global G{i} = A -> B : M . C -> A : N . end;",
+    "global G{i} = A -> B : {{ M . C -> A : M . end, N . C -> A : N . end }};",
+]
+ODD_BODIES = [
+    "end",
+    "send B M; end",
+    "send A M; end",
+    "send B N(1); send B M; end",
+    "recv A { M(_) -> end }",
+    "recv A { M(_) -> end, N(_) -> end }",
+    "recv B { M(_) -> end, N(v) -> send B M; end }",
+    "loop X { send B Q; end }",
+    "loop X { recv A { M(_) -> recur X, Q(_) -> end } }",
+    "send C M; end",
+]
+
+
+def odd_files(count: int, seed: int) -> list:
+    """`count` seeded files, each of whole declarations that parse but are
+    odd: duplicate branch sorts, self-communication, `rec X . X`, nested
+    instantiations of a generic protocol, and processes bound to generic
+    protocols as well as concrete ones."""
+    rng = seeded(seed)
+    out = []
+    for _ in range(count):
+        g = f"K{rng.randrange(3)}"
+        lines = ["sort M; sort N(int); sort Q;",
+                 f"global {g}[P: role, R: role, T: protocol] = P -> R : {{ M . T, Q . end }};"]
+        names = [g]
+        for i in range(rng.randint(1, 3)):
+            lines.append(rng.choice(ODD_GLOBALS).format(i=i, g=g))
+            names.append(f"G{i}")
+        for k in range(rng.randint(1, 4)):
+            role, name = rng.choice("ABC"), rng.choice(names)
+            lines.append(f"proc p{k} plays {role} in {name} {{ {rng.choice(ODD_BODIES)} }}")
+        out.append("\n".join(lines) + "\n")
+    return out
+
+
 def oracle_struct_eq(a, b) -> bool:
     """Equality of alpha-normal forms.  A free variable named like a fresh
     binder (`X0`, `X1`, ...) is captured by it: `rec Y . X0` equals

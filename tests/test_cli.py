@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, output formats, trace files, benchmarking."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import time
 import pytest
 
 import conftest
-from helpers import ROOT, benchmark_inputs, cut_and_splice
+from helpers import ROOT, benchmark_inputs, cut_and_splice, odd_files
 from mpstkit import cli
 
 SRC = str(conftest.FIXTURES.parent / "src")
@@ -333,6 +335,18 @@ class TestRun:
             "fault in q: session G2 deadlocked: B waits for A to send Ping",
         ]
 
+    def test_unchecked_generic_binding_fails_the_run(self, tmp_path):
+        path = tmp_path / "generic.mpst"
+        path.write_text(
+            "sort M;\n"
+            "global G[P: role, Q: role] = P -> Q : M . end;\n"
+            "proc a plays A in G { send B M; end }\n"
+        )
+        result = mpstkit("run", "--unchecked", str(path))
+        assert result.returncode == 1
+        assert result.stdout == "run failed: cannot run G: protocol G is generic\n"
+        assert result.stderr == ""
+
     @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
     def test_timeout_must_be_positive(self, timeout):
         result = mpstkit("run", fx("negotiation.mpst"), "--timeout", timeout)
@@ -356,6 +370,39 @@ def test_non_utf8_file_is_an_input_error(tmp_path, command):
     assert result.stderr == (
         f"{path}: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command", [("fsm", "--role", "B", "--dot"), ("run", "--trace")], ids=["fsm", "run"]
+)
+def test_unwritable_output_path_is_an_input_error(tmp_path, command):
+    out = tmp_path / "missing" / "out.txt"
+    result = mpstkit(command[0], fx("negotiation.mpst"), *command[1:], str(out))
+    assert result.returncode == 2
+    assert result.stderr == f"[Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_parity_tool_fingerprints_two_fixtures():
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    inputs = [(name, conftest.fixture_path(name).read_text())
+              for name in ("negotiation.mpst", "mutations/oneshot_bad_send.mpst")]
+    lines = parity.parity_lines(inputs)
+    assert lines == parity.parity_lines(inputs)
+    rows = {tuple(line.split(" | ")[:2]): line.split(" | ")[2:] for line in lines}
+    assert len(rows) == len(lines) == 18
+    trace = "# session Negotiation\n" + "".join(
+        f"seq {i}: {step}\n" for i, step in enumerate(
+            ["A -> B : Propose(5)", "B -> A : Propose(11)", "A -> B : Propose(6)",
+             "B -> A : Propose(11)", "A -> B : Reject"], start=1))
+    empty = hashlib.sha256(b"").hexdigest()
+    assert rows["negotiation.mpst", "run"] == [
+        "exit 0", f"stdout {hashlib.sha256(trace.encode()).hexdigest()}", f"stderr {empty}"]
+    assert [row[0] for key, row in rows.items() if key[0] == "negotiation.mpst"] == ["exit 0"] * 9
+    bad = "mutations/oneshot_bad_send.mpst"
+    assert rows[bad, "check --consistency"][0] == "exit 1"
+    assert rows[bad, "run --unchecked --timeout 1"][0] == "exit 1"
 
 
 def stress_protocol(sends: int) -> str:
@@ -432,12 +479,33 @@ class TestStress:
 
 
 class TestDamagedInputs:
-    """Seeded damage to every fixture and corpus/run input (not the
-    ping-pongs, whose processes never stop) goes through each command, in
-    process, without a traceback."""
+    """Two seeded sources of damaged input go through each command, in
+    process, without a traceback: cut-and-spliced copies of every fixture
+    and corpus/run input (not the ping-pongs, whose processes never stop),
+    and files of whole declarations that parse but are odd."""
+
+    COMMANDS = [
+        ["check"],
+        ["check", "--consistency", "--json"],
+        ["run", "--unchecked", "--timeout", "0.2"],
+        ["run", "--json", "--unchecked", "--timeout", "0.2"],
+        ["project", "--json", "--role", "A"],
+        ["fsm", "--json", "--role", "A"],
+    ]
+
+    def exit_codes(self, texts, path, capsys):
+        for text in texts:
+            path.write_text(text)
+            for command in self.COMMANDS:
+                try:
+                    code = cli.main([command[0], str(path), *command[1:]])
+                except SystemExit as e:
+                    # a SystemExit that carries a message exits 1
+                    code = 1 if isinstance(e.code, str) else e.code
+                assert code in (0, 1, 2), (command, text)
+            capsys.readouterr()
 
     def test_every_call_ends_in_an_exit_code(self, tmp_path, capsys):
-        # a SystemExit that carries a message exits 1
         inputs = benchmark_inputs()
         texts = [p.read_text() for p in sorted(conftest.FIXTURES.rglob("*.mpst"))]
         texts += [
@@ -446,24 +514,11 @@ class TestDamagedInputs:
             for f in inputs.family(workload, 4242, ROOT)
             if not f.name.startswith("pingpong")
         ]
-        commands = [
-            ["check"],
-            ["check", "--consistency", "--json"],
-            ["run", "--unchecked", "--timeout", "0.2"],
-            ["run", "--json", "--unchecked", "--timeout", "0.2"],
-            ["project", "--json", "--role", "A"],
-            ["fsm", "--json", "--role", "A"],
-        ]
-        path = tmp_path / "damaged.mpst"
-        for text in cut_and_splice(list(dict.fromkeys(texts)), 400, seed=11):
-            path.write_text(text)
-            for command in commands:
-                try:
-                    code = cli.main([command[0], str(path), *command[1:]])
-                except SystemExit as e:
-                    code = 1 if isinstance(e.code, str) else e.code
-                assert code in (0, 1, 2), (command, text)
-            capsys.readouterr()
+        damaged = cut_and_splice(list(dict.fromkeys(texts)), 400, seed=11)
+        self.exit_codes(damaged, tmp_path / "damaged.mpst", capsys)
+
+    def test_odd_declarations(self, tmp_path, capsys):
+        self.exit_codes(odd_files(150, seed=12), tmp_path / "odd.mpst", capsys)
 
 
 class TestBench:
@@ -471,6 +526,13 @@ class TestBench:
         result = mpstkit("bench", str(tmp_path))
         assert result.returncode == 0
         assert "no .mpst files" in result.stdout
+
+    def test_missing_dir_is_an_input_error(self, tmp_path):
+        missing = tmp_path / "missing"
+        result = mpstkit("bench", str(missing))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"[Errno 2] No such file or directory: '{missing}'\n"
 
     def test_single_repeat_has_zero_stddev(self, tmp_path):
         (tmp_path / "p.mpst").write_text("global E = end;\n")

@@ -14,7 +14,9 @@ from mpstkit.runtime import (
     Endpoint,
     GlobalSession,
     LinearityFault,
+    Message,
     ProtocolFault,
+    RuntimeFault,
     SessionSetupFault,
     new_global_session,
     run,
@@ -301,6 +303,67 @@ class TestFifoAndUseOnce:
             ("a", "field access on 1, which is not a message"),
             ("b", "session G cancelled after a fault"),
         ]
+
+
+OFFER = "global G = A -> B : { M . B -> A : N . end, Q . end };\n"
+SORTS = {name: Sort(name) for name in "MNQZ"}
+
+
+def _stale(ep):
+    ep.transfer()
+    return ep
+
+
+def _queued(session, ep, sort):
+    session.queues[Role("A"), Role("B")].put(Message(SORTS[sort], None))
+    return ep
+
+
+# (id, protocol, action on the joined session and its endpoints, fault, text)
+ENDPOINT_FAULTS = [
+    ("send-on-consumed", OFFER, lambda s, a, b: _stale(a).send("B", SORTS["M"]),
+     LinearityFault, "endpoint for A already consumed; cannot send M to B"),
+    ("receive-on-consumed", OFFER, lambda s, a, b: _stale(b).recv("A"),
+     LinearityFault, "endpoint for B already consumed; cannot receive from A"),
+    ("loop-on-consumed", OFFER, lambda s, a, b: _stale(a).enter_loop(),
+     LinearityFault, "endpoint for A already consumed; cannot enter a loop"),
+    ("recur-on-consumed", OFFER, lambda s, a, b: _stale(a).recur(),
+     LinearityFault, "endpoint for A already consumed; cannot recur"),
+    ("send-where-receive-due", OFFER, lambda s, a, b: b.send("A", SORTS["N"]),
+     ProtocolFault, "B: protocol does not allow a send (at A -> B ? { M . B -> A ! N . end, Q . end })"),
+    ("send-where-receive-due-in-a-loop", "global G = rec X . A -> B : M . X;\n",
+     lambda s, a, b: b.send("A", SORTS["M"]),
+     ProtocolFault, "B: protocol does not allow a send (at A -> B ? M . rec X . A -> B ? M . X)"),
+    ("receive-where-send-due", OFFER, lambda s, a, b: a.recv("B"),
+     ProtocolFault, "A: protocol does not allow a receive (at A -> B ! { M . B -> A ? N . end, Q . end })"),
+    ("wrong-addressee", OFFER, lambda s, a, b: a.send("C", SORTS["M"]),
+     ProtocolFault, "A: send addressed to C, protocol expects B"),
+    ("wrong-sender", OFFER, lambda s, a, b: b.recv("C"),
+     ProtocolFault, "B: receive from C, protocol expects A"),
+    ("unoffered-sort-on-send", OFFER, lambda s, a, b: a.send("B", SORTS["Z"]),
+     ProtocolFault, "A: sort Z not offered here (offered: M, Q)"),
+    ("unoffered-sort-on-receive", OFFER, lambda s, a, b: _queued(s, b, "Z").recv("A"),
+     ProtocolFault, "B: received sort Z not offered (offered: M, Q)"),
+    ("loop-away-from-a-loop", OFFER, lambda s, a, b: a.enter_loop(),
+     ProtocolFault, "A: protocol does not loop at A -> B ! { M . B -> A ? N . end, Q . end }"),
+    ("recur-away-from-a-loop", OFFER, lambda s, a, b: a.recur(),
+     ProtocolFault,
+     "A: recur where the protocol is not back at a loop (A -> B ! { M . B -> A ? N . end, Q . end })"),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol, action, fault, text",
+    [case[1:] for case in ENDPOINT_FAULTS],
+    ids=[case[0] for case in ENDPOINT_FAULTS],
+)
+def test_endpoint_fault(protocol, action, fault, text):
+    g = load_text("sort M; sort N; sort Q;\n" + protocol).concrete["G"]
+    session = GlobalSession(g, "G")
+    a, b = session.join("A"), session.join("B")
+    with pytest.raises(RuntimeFault) as exc:
+        action(session, a, b)
+    assert (type(exc.value), str(exc.value)) == (fault, text)
 
 
 class TestDelegation:

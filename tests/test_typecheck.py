@@ -265,6 +265,16 @@ proc c plays C in P { end }""",
      ErrorClass.PROJECTION_FAILED,
      "cannot project P onto C: global type is not projectable onto C (at $):"
      " sends offer different sorts", "proc c"),
+    ("duplicate-branch-projection", _SORTS + """global D = A -> B : { Ping . end, Ping . end };
+proc a plays A in D { send B Ping; end }""",
+     ErrorClass.PROJECTION_FAILED,
+     "cannot project D onto A: the projection is not well formed"
+     " ($: duplicate branch sort: Ping)", "proc a"),
+    ("self-communication-projection", _SORTS + """global D = A -> A : Ping . end;
+proc a plays A in D { send A Ping; end }""",
+     ErrorClass.PROJECTION_FAILED,
+     "cannot project D onto A: the projection is not well formed"
+     " ($: sender equals receiver: A)", "proc a"),
 ]
 
 

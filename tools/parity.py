@@ -1,0 +1,119 @@
+"""Fingerprint what the CLI prints for a fixed set of inputs, to compare two
+checkouts.
+
+    python tools/parity.py 1 4242 9101 > parity.txt
+
+The inputs are the fixtures and every `benchmark/inputs.family` input at the
+given seeds (duplicate texts once).  Each goes through `cli.main`, in process,
+with `check --consistency` (text and `--json`), `project` and `fsm --json` for
+every role of every protocol, and `run`, `run --json` and `run --unchecked
+--timeout 1`, except on the ping-pong and `deep` texts, whose processes end
+only by timeout.  Each call prints one line: the input, the command, the exit code
+and the SHA-256 of stdout and of stderr.  An exception that escapes
+`cli.main` reads as exit `traceback`.  The mpstkit and benchmark inputs used
+are those of the checkout this file is in, so to compare two commits run a
+copy of it in each checkout and diff the outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from mpstkit import cli  # noqa: E402
+from mpstkit.core import roles_of  # noqa: E402
+
+
+def benchmark_inputs():
+    """The benchmark's seeded input generators (`benchmark/inputs.py`)."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(ROOT / "benchmark"))
+    return inputs
+
+
+def inputs_for(seeds: list) -> list:
+    """(label, text) for each fixture, then each family input at each seed."""
+    out = [(p.relative_to(ROOT).as_posix(), p.read_text())
+           for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
+    if seeds:
+        family = benchmark_inputs().family
+        out += [(f"{workload}/{f.name}@{seed}", f.text)
+                for seed in seeds for workload in ("corpus", "deep", "wide", "run")
+                for f in family(workload, seed, ROOT)]
+    first: dict = {}  # text -> the label it first came with
+    for label, text in out:
+        first.setdefault(text, label)
+    return [(label, text) for text, label in first.items()]
+
+
+def call(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of cli.main(argv), as a shell would see it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+            if isinstance(code, str):  # the interpreter prints it and exits 1
+                print(code, file=err)
+                code = 1
+        except Exception as e:  # noqa: BLE001 - a traceback is a result here
+            err.write("".join(traceback.format_exception_only(type(e), e)))
+            code = "traceback"
+    return code, out.getvalue(), err.getvalue()
+
+
+# Family inputs whose processes end only by timeout, so that what a run
+# prints depends on the machine's speed: the ping-pongs and every deep loop.
+ENDLESS = ("deep/", "run/pingpong")
+
+
+def commands(label: str, path: str) -> list:
+    """The command lines run on the input at `path`."""
+    out = [["check", path, "--consistency"], ["check", path, "--consistency", "--json"]]
+    pf, _ = cli.load_file(path)
+    for name in sorted(pf.concrete) if pf else ():
+        for role in sorted(r.name for r in roles_of(pf.concrete[name])):
+            out.append(["project", path, "--protocol", name, "--role", role])
+            out.append(["fsm", path, "--protocol", name, "--role", role, "--json"])
+    if not label.startswith(ENDLESS):
+        out += [["run", path], ["run", path, "--json"],
+                ["run", path, "--unchecked", "--timeout", "1"]]
+    return out
+
+
+def parity_lines(inputs: list) -> list:
+    """One line per input and command.  Every input is written to the same
+    relative path, so the path the CLI prints does not depend on the label."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for label, text in inputs:
+                Path("input.mpst").write_text(text)
+                for argv in commands(label, "input.mpst"):
+                    code, out, err = call(argv)
+                    digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+                    lines.append(f"{label} | {' '.join(argv[:1] + argv[2:])} | exit {code}"
+                                 f" | stdout {digest[0]} | stderr {digest[1]}")
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+if __name__ == "__main__":
+    for line in parity_lines(inputs_for([int(s) for s in sys.argv[1:]])):
+        print(line)

@@ -21,7 +21,7 @@ from .consistency import consistent
 from .core import Role, roles_of, struct_eq, type_to_json, well_formed
 from .elaborate import ElabError, ProtocolFile, elaborate
 from .fsm import interpret, to_dot
-from .projection import ProjectionError, project, result_or_error
+from .projection import ProjectionError
 from .runtime import GlobalSession, RuntimeFault, run_all
 from .typecheck import check_session, unplayed_roles
 
@@ -109,24 +109,8 @@ class CheckOutcome:
         }
 
 
-class _Projections(dict):
-    """(protocol name, role) -> the projection, or the ProjectionError it
-    raised.  An entry is projected on its first lookup, so the checks of one
-    file share one projection per (protocol, role)."""
-
-    def __init__(self, concrete: dict):
-        super().__init__()
-        self.concrete = concrete
-
-    def __missing__(self, key):
-        name, role = key
-        local = self[key] = result_or_error(project, self.concrete[name], role)
-        return local
-
-
 def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> CheckOutcome:
     outcome = CheckOutcome(path)
-    projections = _Projections(pf.concrete)
     for name, g in pf.concrete.items():
         outcome.well_formedness[name] = well_formed(g)
     for la in pf.local_asserts:
@@ -135,7 +119,7 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
                 f"local type declared for generic/unknown protocol {la.global_name}"
             )
             continue
-        projected = projections[la.global_name, la.role]
+        projected = pf.projection(la.global_name, la.role)
         if isinstance(projected, ProjectionError):
             outcome.assert_failures.append(str(projected))
             continue
@@ -145,12 +129,12 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
                 f" match the projection:\n  declared:  {la.declared}\n"
                 f"  projected: {projected}"
             )
-    outcome.session_result = check_session(pf, path, projections=projections)
+    outcome.session_result = check_session(pf)
     if with_consistency:
         for name, g in pf.concrete.items():
             if not outcome.well_formedness.get(name):
                 outcome.consistency[name] = consistent(
-                    g, projections={r: projections[name, r] for r in roles_of(g)}
+                    g, projections={r: pf.projection(name, r) for r in roles_of(g)}
                 )
     return outcome
 
@@ -204,17 +188,19 @@ def _project_or_exit(args) -> tuple:
     name = args.protocol or next(iter(pf.concrete))
     if name not in pf.concrete:
         raise SystemExit(_bad(f"unknown protocol {name}"))
-    g = pf.concrete[name]
-    roles = sorted(r.name for r in roles_of(g))
+    roles = sorted(r.name for r in roles_of(pf.concrete[name]))
     # a protocol without roles (just `end`) projects to `end` onto any role
     if roles and args.role not in roles:
         raise SystemExit(
             _bad(f"unknown role {args.role} in protocol {name} (roles: {', '.join(roles)})")
         )
     try:
-        return name, project(g, Role(args.role))
-    except (ProjectionError, ValueError) as e:  # ValueError: an invalid role name
+        local = pf.projection(name, Role(args.role))
+    except ValueError as e:  # an invalid role name
         raise SystemExit(_bad(str(e)))
+    if isinstance(local, ProjectionError):
+        raise SystemExit(_bad(str(local)))
+    return name, local
 
 
 def cmd_project(args) -> int:

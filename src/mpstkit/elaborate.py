@@ -31,7 +31,7 @@ from .core import (
     Sort,
     free_rec_vars,
 )
-from .projection import ProjectionError, project
+from .projection import ProjectionError, project, result_or_error
 
 
 class ElabError(Exception):
@@ -68,6 +68,16 @@ class ProtocolFile:
     local_asserts: list = field(default_factory=list)
     procs: list = field(default_factory=list)
     surface: Optional[surface.SurfaceFile] = None
+    _projections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def projection(self, name: str, role: Role):
+        """The projection of concrete protocol `name` onto `role`, or the
+        ProjectionError projecting it raised; projected on first use, so
+        every check of this file shares one projection per (name, role)."""
+        key = (name, role)
+        if key not in self._projections:
+            self._projections[key] = result_or_error(project, self.concrete[name], role)
+        return self._projections[key]
 
 
 @dataclass
@@ -122,16 +132,17 @@ class _Elaborator:
     # -- protocols and types -------------------------------------------------
 
     def concrete(self, name: str, pos=None) -> GlobalType:
-        if name not in self._concrete_memo:
-            d = self.defs.get(name)
-            if d is not None and d.params:
-                raise ElabError(
-                    f"protocol {name} is generic; it must be instantiated", pos
-                )
-            self._concrete_memo[name] = self.instantiate(name, [], pos)
-        return self._concrete_memo[name]
+        d = self.defs.get(name)
+        if d is not None and d.params:
+            raise ElabError(f"protocol {name} is generic; it must be instantiated", pos)
+        return self.instantiate(name, [], pos)
 
     def instantiate(self, name: str, args: list, pos=None) -> GlobalType:
+        """The body of definition `name` with its parameters bound to `args`.
+        A definition without parameters is elaborated once: every reference
+        to it gets the same object."""
+        if not args and name in self._concrete_memo:
+            return self._concrete_memo[name]
         d = self.defs.get(name)
         if d is None:
             raise ElabError(f"unknown protocol: {name}", pos)
@@ -160,9 +171,12 @@ class _Elaborator:
                 protos[pname] = arg
         self._in_progress.add(name)
         try:
-            return self.type_expr(d.body, _Ctx(roles, protos, {}))
+            g = self.type_expr(d.body, _Ctx(roles, protos, {}))
         finally:
             self._in_progress.discard(name)
+        if not args:
+            self._concrete_memo[name] = g
+        return g
 
     def _role(self, name: str, ctx: _Ctx, pos) -> Role:
         if name in ctx.roles:
@@ -192,13 +206,13 @@ class _Elaborator:
             var = self._fresh_recvar(t.var, ctx)
             inner = _Ctx(ctx.roles, ctx.protos, {**ctx.recvars, t.var: var}, ctx.local)
             return Loop(var, self.type_expr(t.body, inner))
-        if isinstance(t, (surface.STCom, surface.SLAct)):
-            if isinstance(t, surface.STCom):
+        if isinstance(t, surface.STCom):
+            if t.op == ":":
                 ctor = Com
                 sender = self._role(t.sender, ctx, t.pos)
                 receiver = self._role(t.receiver, ctx, t.pos)
             else:  # a local type names its roles as written, even a recursion variable's
-                ctor = Send if t.direction == "!" else Recv
+                ctor = Send if t.op == "!" else Recv
                 sender, receiver = Role(t.sender), Role(t.receiver)
             branches = tuple(
                 (self.sort(sname, t.pos), self.type_expr(cont, ctx))
@@ -285,7 +299,10 @@ class _Elaborator:
         pf.global_defs = dict(self.defs)
         for name, d in self.defs.items():
             if not d.params:
-                pf.concrete[name] = self.concrete(name, d.pos)
+                try:
+                    pf.concrete[name] = self.concrete(name, d.pos)
+                except RecursionError:  # references still recurse, each into its definition
+                    raise ElabError("protocol references nested too deeply", d.pos) from None
         for name in self.sort_decls:
             pf.sorts[name] = self.sort(name, self.sort_decls[name].pos)
         for d in self.sf.local_defs():
@@ -312,7 +329,7 @@ class _Elaborator:
                             " an explicit 'as' variable",
                             d.pos,
                         )
-                    var = "s"
+                    var = surface.default_session(d.bindings)
                 if var in used_vars:
                     raise ElabError(
                         f"process {d.name}: duplicate session variable {var}", d.pos

@@ -184,9 +184,12 @@ class Endpoint:
         with self._lock:
             return self._consumed
 
-    def _consume(self, what: str) -> None:
+    def _consume(self, what: str, *args) -> None:
+        """Mark this handle used; `what`, formatted with `args` only on the
+        fault, names the action refused when it already was."""
         with self._lock:
             if self._consumed:
+                what = what.format(*args)
                 raise LinearityFault(f"endpoint for {self.role} already consumed; cannot {what}")
             self._consumed = True
 
@@ -197,10 +200,10 @@ class Endpoint:
         """The type of the next action: the current type with leading loops unrolled."""
         return unfold(self.current_type)
 
-    def _expect(self, kind: type, peer: Role, doing: str) -> LocalType:
-        """Consume this handle for `doing` and return the head, which must be
-        a `kind` (Send or Recv) exchanged with `peer`."""
-        self._consume(doing)
+    def _expect(self, kind: type, peer: Role, doing: str, *args) -> LocalType:
+        """Consume this handle for `doing` (see _consume) and return the head,
+        which must be a `kind` (Send or Recv) exchanged with `peer`."""
+        self._consume(doing, *args)
         t = self.head()
         if not isinstance(t, kind):
             act = "send" if kind is Send else "receive"
@@ -222,7 +225,7 @@ class Endpoint:
 
     def send(self, to, sort: Sort, payload=None) -> "Endpoint":
         to = Role(to) if isinstance(to, str) else to
-        t = self._expect(Send, to, f"send {sort} to {to}")
+        t = self._expect(Send, to, "send {} to {}", sort, to)
         succ = self._branch(t, sort, "sort {} not offered here")
         _check_payload_shape(sort, payload)
         if isinstance(payload, Endpoint):
@@ -233,7 +236,7 @@ class Endpoint:
 
     def recv(self, frm, timeout: Optional[float] = None) -> tuple:
         frm = Role(frm) if isinstance(frm, str) else frm
-        t = self._expect(Recv, frm, f"receive from {frm}")
+        t = self._expect(Recv, frm, "receive from {}", frm)
         msg = self.session.queues[frm, self.role].get(timeout=timeout)
         return msg, self._branch(t, msg.sort, "received sort {} not offered")
 

@@ -106,8 +106,12 @@ Pos = tuple  # (line, col)
 
 @dataclass(frozen=True)
 class STCom:
+    """One communication step: `:` in a global type, `!` (send) or `?`
+    (receive) in a declared local type."""
+
     sender: str
     receiver: str
+    op: str  # ":" | "!" | "?"
     branches: tuple  # ((sortName, STy), ...)
     pos: Pos = field(default=None, compare=False)
 
@@ -132,18 +136,6 @@ class STRef:
 
 
 STy = Union[STCom, STEnd, STRec, STRef]
-
-
-@dataclass(frozen=True)
-class SLAct:
-    sender: str
-    receiver: str
-    direction: str  # "!" send, "?" recv
-    branches: tuple
-    pos: Pos = field(default=None, compare=False)
-
-
-SLTy = Union[SLAct, STEnd, STRec, STRef]
 
 
 @dataclass(frozen=True)
@@ -172,7 +164,7 @@ class GlobalDef:
 class LocalDef:
     global_name: str
     role: str
-    declared: SLTy
+    declared: STy
     pos: Pos = field(default=None, compare=False)
 
 
@@ -383,11 +375,11 @@ class _Parser:
         pos = (name.line, name.col)
         if self.accept("->"):
             receiver = self.ident("role").text
-            if not local:
-                self.expect(":")
-                return STCom(name.text, receiver, self.branches(local), pos)
-            direction = self.accept("!") or self.accept("?") or self.unexpected("!", "?")
-            return SLAct(name.text, receiver, direction.text, self.branches(local), pos)
+            if local:
+                op = self.accept("!") or self.accept("?") or self.unexpected("!", "?")
+            else:
+                op = self.expect(":")
+            return STCom(name.text, receiver, op.text, self.branches(local), pos)
         args: list = []
         if not local and self.accept("["):
             while True:
@@ -592,13 +584,8 @@ def _render_sty(t) -> str:
         if t.args:
             return f"{t.name}[{', '.join(_render_sty(a) for a in t.args)}]"
         return t.name
-    if isinstance(t, STCom):
-        return f"{t.sender} -> {t.receiver} : {_render_sbranches(t.branches)}"
-    assert isinstance(t, SLAct)
-    return (
-        f"{t.sender} -> {t.receiver} {t.direction} "
-        f"{_render_sbranches(t.branches)}"
-    )
+    assert isinstance(t, STCom)
+    return f"{t.sender} -> {t.receiver} {t.op} {_render_sbranches(t.branches)}"
 
 
 def _render_sbranches(branches) -> str:

@@ -41,7 +41,7 @@ from .core import (
     well_formed,
 )
 from .fsm import StateGraph
-from .projection import ProjectionError, project, result_or_error
+from .projection import ProjectionError
 
 Pos = Optional[tuple]  # (line, col)
 
@@ -790,7 +790,7 @@ def check_expr(env: TypingEnv, e: Expr):
     return ch.expr_type(env, e, "$"), ch.diags
 
 
-def check_process(env: TypingEnv, term: ProcessTerm, filename: str = "<proc>") -> list:
+def check_process(env: TypingEnv, term: ProcessTerm) -> list:
     """Check a process term; returns the list of diagnostics (empty = ok).
     Raises ValueError when a session type of `env` is not well formed."""
     for state in env.sessions.values():
@@ -846,16 +846,12 @@ def unplayed_roles(protocol_file) -> dict:
     return out
 
 
-def _session_type(protocol_file, proto_name: str, role: Role, projections, pos: Pos):
+def _session_type(protocol_file, proto_name: str, role: Role, pos: Pos):
     """The well-formed local type of `role` in protocol `proto_name`, or the
     Diagnostic, located at `pos`, that says why there is none."""
-    g = protocol_file.concrete.get(proto_name)
-    if g is None:
+    if proto_name not in protocol_file.concrete:
         return Diagnostic(ErrorClass.UNBOUND_VARIABLE, f"unknown protocol {proto_name}", "$", pos)
-    if projections is not None:
-        local = projections[proto_name, role]
-    else:
-        local = result_or_error(project, g, role)
+    local = protocol_file.projection(proto_name, role)
     bad = [] if isinstance(local, ProjectionError) else well_formed(local)
     if isinstance(local, ProjectionError) or bad:
         why = f"the projection is not well formed ({bad[0]})" if bad else local
@@ -864,22 +860,18 @@ def _session_type(protocol_file, proto_name: str, role: Role, projections, pos: 
     return local
 
 
-def check_session(
-    protocol_file, filename: str = "<file>", *, projections=None
-) -> SessionCheckResult:
-    """Check every process script in a protocol file against its projections.
+def check_session(protocol_file) -> SessionCheckResult:
+    """Check every process script in a protocol file against its projections,
+    as `protocol_file.projection` gives them.
 
     Roles of a referenced protocol with no process are warnings, not errors:
-    each process is checked independently of who else is implemented.
-    `projections`, when given, maps (protocol name, role) to the projection
-    or to the ProjectionError projecting it raised; by default each binding
-    is projected here."""
+    each process is checked independently of who else is implemented."""
     reports = []
     for proc in protocol_file.procs:
         env = TypingEnv()
         diags: list = []
         for role, proto_name, var in proc.bindings:
-            local = _session_type(protocol_file, proto_name, role, projections, proc.pos)
+            local = _session_type(protocol_file, proto_name, role, proc.pos)
             if isinstance(local, Diagnostic):
                 diags.append(local)
             else:

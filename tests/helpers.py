@@ -56,7 +56,6 @@ from mpstkit.surface import (
     LocalDef,
     ParseError,
     ProcDef,
-    SLAct,
     STCom,
     STEnd,
     STRec,
@@ -530,7 +529,7 @@ class OracleParser(_Parser):
             receiver = self.ident("role")
             self.expect(":")
             branches = self.branches(self.type_expr)
-            return STCom(name.text, receiver.text, branches, (name.line, name.col))
+            return STCom(name.text, receiver.text, ":", branches, (name.line, name.col))
         args: list = []
         if self.accept("["):
             while True:
@@ -569,7 +568,7 @@ class OracleParser(_Parser):
                 t = self.peek()
                 raise ParseError(t.line, t.col, f"unexpected {t.text!r}", ("!", "?"))
             branches = self.branches(self.local_type_expr)
-            return SLAct(
+            return STCom(
                 name.text, receiver.text, direction, branches, (name.line, name.col)
             )
         return STRef(name.text, (), (name.line, name.col))
@@ -795,12 +794,12 @@ class OracleElaborator(_Elaborator):
                     f"unknown recursion variable in local type: {t.name}", t.pos
                 )
             return Recur(ctx.recvars[t.name])
-        assert isinstance(t, SLAct)
+        assert isinstance(t, STCom)
         branches = tuple(
             (self.sort(sname, t.pos), self.local_type(cont, ctx))
             for sname, cont in t.branches
         )
-        ctor = Send if t.direction == "!" else Recv
+        ctor = Send if t.op == "!" else Recv
         return ctor(Role(t.sender), Role(t.receiver), branches)
 
     def run(self):
@@ -957,11 +956,30 @@ ODD_BODIES = [
 ]
 
 
+def reference_chain(kind: str, n: int) -> list:
+    """Declarations of protocols `P0` … `P{n-1}`, each naming the one before
+    (sorts `M` and `Q` are not declared here).  `kind` is one of:
+    "in order", `Pi = A -> B : M . P(i-1)` after the protocol it names;
+    "reversed", the same declarations in the opposite order;
+    "generic", `Pi[T: protocol] = A -> B : M . P(i-1)[T]`, and `Main = P{n-1}[end]`;
+    "diamond", `Pi = A -> B : { M . P(i-1), Q . P(i-1) }`, so `Pi` has 2^i paths."""
+    if kind == "generic":
+        lines = ["global P0[T: protocol] = T;"]
+        lines += [f"global P{i}[T: protocol] = A -> B : M . P{i - 1}[T];" for i in range(1, n)]
+        return lines + [f"global Main = P{n - 1}[end];"]
+    step = "{{ M . {0}, Q . {0} }}" if kind == "diamond" else "M . {0}"
+    lines = ["global P0 = end;"]
+    lines += [f"global P{i} = A -> B : " + step.format(f"P{i - 1}") + ";" for i in range(1, n)]
+    return lines[::-1] if kind == "reversed" else lines
+
+
 def odd_files(count: int, seed: int) -> list:
     """`count` seeded files, each of whole declarations that parse but are
     odd: duplicate branch sorts, self-communication, `rec X . X`, nested
-    instantiations of a generic protocol, and processes bound to generic
-    protocols as well as concrete ones."""
+    instantiations of a generic protocol, chains of references in file order
+    and reversed, diamonds of up to 8 levels (consistency doubles its work
+    with each), and processes bound to generic protocols as well as
+    concrete ones."""
     rng = seeded(seed)
     out = []
     for _ in range(count):
@@ -972,6 +990,11 @@ def odd_files(count: int, seed: int) -> list:
         for i in range(rng.randint(1, 3)):
             lines.append(rng.choice(ODD_GLOBALS).format(i=i, g=g))
             names.append(f"G{i}")
+        kind = rng.choice(["in order", "reversed", "diamond", None])
+        if kind is not None:
+            n = rng.randint(1, 8 if kind == "diamond" else 40)
+            lines += reference_chain(kind, n)
+            names.append(f"P{n - 1}")
         for k in range(rng.randint(1, 4)):
             role, name = rng.choice("ABC"), rng.choice(names)
             lines.append(f"proc p{k} plays {role} in {name} {{ {rng.choice(ODD_BODIES)} }}")

@@ -97,7 +97,7 @@ def test_criterion_3_mutation_suite():
     passed = 0
     for name, (needle, wanted) in expectations.items():
         text = conftest.fixture_path(f"mutations/{name}").read_text()
-        result = check_session(load_text(text), name)
+        result = check_session(load_text(text))
         diags = result.all_diagnostics()
         line = next(
             i for i, l in enumerate(text.splitlines(), 1) if needle in l

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import conftest
-from helpers import ROOT, benchmark_inputs, cut_and_splice, odd_files
+from helpers import ROOT, benchmark_inputs, cut_and_splice, odd_files, reference_chain
 from mpstkit import cli
 
 SRC = str(conftest.FIXTURES.parent / "src")
@@ -476,6 +476,33 @@ class TestStress:
         result = mpstkit("run", str(path))
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"# session P\nseq 1: A -> B : Num({2 - terms})\n"
+
+
+# (kind, declarations, command, exit code, where the one error line points)
+CHAINS = [
+    ("in order", 1000, ["check"], 0, None),
+    ("in order", 1000, ["project", "--protocol", "P999", "--role", "B"], 0, None),
+    ("in order", 1000, ["fsm", "--json", "--protocol", "P999", "--role", "B"], 0, None),
+    ("in order", 300, ["check", "--consistency"], 0, None),
+    ("reversed", 200, ["check"], 0, None),
+    ("reversed", 1000, ["check"], 2, "2:1"),
+    ("generic", 1000, ["check"], 2, "1002:1"),
+]
+
+
+@pytest.mark.parametrize("kind, n, command, code, where", CHAINS)
+def test_reference_chain(tmp_path, capsys, kind, n, command, code, where):
+    """A chain of references in file order is elaborated once per
+    declaration; one that recurses per reference past the stack is a
+    located error at the declaration it starts from."""
+    path = tmp_path / "chain.mpst"
+    path.write_text("\n".join(["sort M; sort Q;", *reference_chain(kind, n)]) + "\n")
+    assert cli.main([command[0], str(path), *command[1:]]) == code
+    err = capsys.readouterr().err
+    if where is None:
+        assert err == ""
+    else:
+        assert err == f"{path}:{where}: protocol references nested too deeply\n"
 
 
 class TestDamagedInputs:

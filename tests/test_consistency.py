@@ -1,10 +1,11 @@
 """Partner restriction, duality, and the consistency verdicts of the corpus."""
 
+import importlib
 from pathlib import Path
 
 import pytest
 
-from mpstkit import cli, consistency, typecheck
+from mpstkit import cli, consistency
 from mpstkit.consistency import consistent, dual, restrict_to_partner
 from mpstkit.core import (
     Com,
@@ -273,7 +274,8 @@ class TestSharedWork:
             consistency, "restrict_to_partner", count_restrict(restrict_to_partner)
         )
         monkeypatch.setattr(consistency, "dual", count_dual)
-        for mod in (cli, typecheck, consistency):
+        # the package re-exports the function `elaborate`, so import the module by name
+        for mod in (importlib.import_module("mpstkit.elaborate"), consistency):
             monkeypatch.setattr(mod, "project", count_project)
         outcome = cli.check_protocol_file(pf, "ring.mpst", True)
         assert outcome.ok

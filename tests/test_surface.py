@@ -298,6 +298,38 @@ class TestInstantiate:
         inner_wrap = g.body.branches[0][1]
         assert inner_wrap.body.branches[0][1].body.branches[0][1] == Recur(g.var)
 
+    def test_reference_is_the_definition_itself(self):
+        # P2 names P1 and P0 before either is declared; W passes P0 through
+        pf = load_text(
+            "sort M; sort N;\n"
+            "global P2 = A -> B : { M . P1, N . P0 };\n"
+            "global P0 = A -> B : M . end;\n"
+            "global P1 = A -> B : M . P0;\n"
+            "global W[T: protocol] = B -> A : M . T;\n"
+            "global Q = W[P0];\n"
+        )
+        p0, p1, p2 = (pf.concrete[f"P{i}"] for i in range(3))
+        assert p1.branches[0][1] is p0
+        assert p2.branches[0][1] is p1 and p2.branches[1][1] is p0
+        assert pf.concrete["Q"].branches[0][1] is p0
+
+    @pytest.mark.parametrize(
+        "decls, error",
+        [
+            ("global P0 = A -> B : M . P1;\nglobal P1 = A -> B : M . P2;\n"
+             "global P2 = A -> B : M . P1;", "4:26: recursive protocol definition: P1"),
+            ("global G[T: protocol] = A -> B : M . T;\nglobal P0 = A -> B : M . end;\n"
+             "global P1 = A -> B : M . P0;\nglobal P2 = A -> B : M . G;",
+             "5:26: protocol G expects 1 argument(s), got 0"),
+            ("global P0 = A -> B : M . end;\nglobal P1 = A -> B : M . P0;\n"
+             "global P2 = A -> B : N . P1;", "4:13: unknown sort: N"),
+        ],
+    )
+    def test_first_error_past_shared_definitions(self, decls, error):
+        with pytest.raises(ElabError) as exc:
+            load_text("sort M;\n" + decls)
+        assert str(exc.value) == error
+
     def test_recursive_definition_cycle_detected(self):
         with pytest.raises(ElabError) as exc:
             load_text("sort Ok;\nglobal T = A -> B : Ok . T;")

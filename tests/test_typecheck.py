@@ -128,7 +128,7 @@ class TestExampleCatalogue:
 
     def run_mutation(self, name):
         text = conftest.fixture_path(f"mutations/{name}").read_text()
-        result = check_session(load_text(text), name)
+        result = check_session(load_text(text))
         assert not result.ok
         return text, result.all_diagnostics()
 

@@ -203,10 +203,34 @@ def _project_or_exit(args) -> tuple:
     return name, local
 
 
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)`, written with an explicit stack so that
+    a value nested as deep as a long projection prints without recursion.
+    Scalars and keys (all strings) are rendered by `json.dumps` itself."""
+    parts: list = []
+    stack: list = [(value, 0)]  # (value, indent level) or (text, None)
+    while stack:
+        v, level = stack.pop()
+        if level is None:
+            parts.append(v)
+        elif isinstance(v, (dict, list)) and v:
+            is_dict = isinstance(v, dict)
+            pad = "\n" + "  " * (level + 1)
+            todo = [("{" if is_dict else "[", None)]
+            for n, (k, x) in enumerate(v.items() if is_dict else enumerate(v)):
+                key = json.dumps(k) + ": " if is_dict else ""
+                todo += [(("," if n else "") + pad + key, None), (x, level + 1)]
+            todo.append(("\n" + "  " * level + ("}" if is_dict else "]"), None))
+            stack += reversed(todo)
+        else:
+            parts.append(json.dumps(v))
+    return "".join(parts)
+
+
 def cmd_project(args) -> int:
     _, local = _project_or_exit(args)
     if args.json:
-        print(json.dumps(type_to_json(local), indent=2))
+        print(_json_text(type_to_json(local)))
     else:
         print(local)
     return 0

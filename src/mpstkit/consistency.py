@@ -6,15 +6,18 @@ and the continuations they guarded are merged (an internal choice by r1 that
 r2 never hears about must collapse into one behaviour r2 can rely on).  The
 two restricted views must then be dual: every send to the partner matched by
 a receive from this role with the same sorts, coinductively through loops.
+Duality is a relation between behaviours, not terms, so it steps the two
+views' state graphs pair by pair of head nodes and never compares types up
+to renaming.
 
 The check does work in proportion to the role pairs that talk.  Each role is
-projected once, and each (role, partner) view is restricted at most once,
-with a MergeError kept as the result.  A role's view for a partner it never
-acts with erases every action, so it cannot depend on the partner: one such
-*silent view* per role (always `end` or a MergeError) serves all of them.
-Duality does not depend on argument order, so it is decided once per
-unordered pair, and a pair whose two views are both `end` is dual without
-building state graphs.
+projected once, and the roles are read off that projection table.  Each
+(role, partner) view is restricted at most once, with a MergeError kept as
+the result.  A role's view for a partner it never acts with erases every
+action, so it cannot depend on the partner: one such *silent view* per role
+(always `end` or a MergeError) serves all of them.  Duality does not depend
+on argument order, so it is decided once per unordered pair, and a pair
+whose two views are both `end` is dual without building state graphs.
 
 Consistency is a separate, explicitly invoked verdict.  Projection and
 process checking never depend on it: inconsistent-but-projectable protocols
@@ -52,40 +55,33 @@ def dual(a: LocalType, b: LocalType) -> bool:
     """Coinductive duality: a send in one view is a receive in the other,
     with equal sort sets and pairwise-dual continuations.
 
-    Both views are compiled into `StateGraph`s sharing one hash-cons table,
-    and the walk goes depth first over pairs of their state ids, visiting
-    each pair once.  A state is still a closed unfolding up to renaming of
-    bound variables, so the pairs visited and the verdict are those of
-    unfolding by substitution.
+    Each view is numbered once as a `StateGraph`, and the walk goes depth
+    first over pairs of their head nodes, visiting each pair once.  A head
+    node's behaviour is fixed by the graph, so two finite graphs stepped
+    pair by pair decide the relation; no state is named up to renaming.
     """
-    cons: dict = {}
+    ga, gb = StateGraph(a, {}), StateGraph(b, {})
     seen: set = set()
-    stack = [(StateGraph(a, cons), 0, StateGraph(b, cons), 0)]
+    stack = [(0, 0)]
     while stack:
-        gx, x, gy, y = stack.pop()
-        kx, x = gx.state(x)
-        ky, y = gy.state(y)
-        if (kx, ky) in seen:
+        x, y = stack.pop()
+        x, y = ga.head(x), gb.head(y)
+        if (x, y) in seen:
             continue
-        seen.add((kx, ky))
-        tx, ty = gx.nodes[x], gy.nodes[y]
+        seen.add((x, y))
+        tx, ty = ga.nodes[x], gb.nodes[y]
         if isinstance(tx, End) and isinstance(ty, End):
             continue
-        if isinstance(tx, Send) and isinstance(ty, Recv):
-            gs, s, gr, r = gx, x, gy, y
-        elif isinstance(tx, Recv) and isinstance(ty, Send):
-            gs, s, gr, r = gy, y, gx, x
-        else:
+        if {type(tx), type(ty)} != {Send, Recv}:
             return False
         if (tx.sender, tx.receiver) != (ty.sender, ty.receiver):
             return False
-        snd_conts = {n.name: k for (n, _), k in zip(gs.nodes[s].branches, gs.links[s])}
-        rcv_conts = {n.name: k for (n, _), k in zip(gr.nodes[r].branches, gr.links[r])}
-        if snd_conts.keys() != rcv_conts.keys():
+        xs = {n.name: k for (n, _), k in zip(tx.branches, ga.links[x])}
+        ys = {n.name: k for (n, _), k in zip(ty.branches, gb.links[y])}
+        if xs.keys() != ys.keys():
             return False
-        stack.extend(
-            (gs, snd_conts[n], gr, rcv_conts[n]) for n in reversed(snd_conts)
-        )
+        sender = xs if isinstance(tx, Send) else ys
+        stack.extend((xs[n], ys[n]) for n in reversed(sender))
     return True
 
 
@@ -133,13 +129,13 @@ class ConsistencyReport:
 def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     """Check all ordered role pairs of g; the report lists every failure.
 
-    `projections`, when given, maps each role of g to its projection or to
-    the ProjectionError projecting it raised, so a caller that has already
-    projected g need not project it again.
+    `projections`, when given, maps each role of g, and nothing else, to its
+    projection or to the ProjectionError projecting it raised, so a caller
+    that has already projected g need not project it again or list its roles.
     """
-    roles = sorted(roles_of(g), key=lambda r: r.name)
     if projections is None:
-        projections = {r: result_or_error(project, g, r) for r in roles}
+        projections = {r: result_or_error(project, g, r) for r in roles_of(g)}
+    roles = sorted(projections, key=lambda r: r.name)
     # Roles are numbered in name order; the caches below are keyed on those
     # numbers, which hash faster than roles.
     index = {r: i for i, r in enumerate(roles)}

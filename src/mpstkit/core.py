@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Optional, Union
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -222,15 +223,17 @@ def unfold(t: TypeNode) -> TypeNode:
 
 
 def alpha_normalize(t: TypeNode) -> TypeNode:
-    """Rename bound recursion variables canonically (X0, X1, ... in preorder)."""
-    counter = [0]
+    """Rename bound recursion variables canonically (X0, X1, ... in preorder).
+    A name that occurs free in t is skipped, so no free variable is captured."""
+    free = free_rec_vars(t)
+    names = (RecVar(f"X{k}") for k in count())
+    canonical = (v for v in names if v not in free)
 
     def walk(node: TypeNode, env: dict) -> TypeNode:
         if isinstance(node, Recur):
             return Recur(env.get(node.var, node.var))
         if isinstance(node, Loop):
-            fresh = RecVar(f"X{counter[0]}")
-            counter[0] += 1
+            fresh = next(canonical)
             inner = dict(env)
             inner[node.var] = fresh
             return Loop(fresh, walk(node.body, inner))

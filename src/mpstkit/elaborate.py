@@ -63,7 +63,6 @@ class ProtocolFile:
     """Elaborated protocol file: the unit the checker and runtime consume."""
 
     sorts: dict = field(default_factory=dict)  # name -> Sort
-    global_defs: dict = field(default_factory=dict)  # name -> surface.GlobalDef
     concrete: dict = field(default_factory=dict)  # name -> GlobalType (no params)
     local_asserts: list = field(default_factory=list)
     procs: list = field(default_factory=list)
@@ -296,7 +295,6 @@ class _Elaborator:
 
     def run(self) -> ProtocolFile:
         pf = ProtocolFile(surface=self.sf)
-        pf.global_defs = dict(self.defs)
         for name, d in self.defs.items():
             if not d.params:
                 try:

@@ -2,12 +2,12 @@
 
 A closed local type is compiled once into a `StateGraph`: every subterm gets
 an int id, a `Loop` points at its body and a `Recur` at its binder, so
-unfolding follows pointers instead of substituting.  States are the distinct
-closed unfoldings reachable from the type, compared up to bound-variable
-renaming exactly as substitution-based unfolding compared them; the graph
-names them by hash-consing their de Bruijn forms, so loops become back-edges
-instead of fresh states.  Transitions carry the send/receive action labels;
-terminated subterms are final states.
+unfolding follows pointers instead of substituting.  FSM states are the
+distinct closed unfoldings reachable from the type, compared up to
+bound-variable renaming exactly as substitution-based unfolding compared
+them; `interpret` names them by hash-consing their de Bruijn forms, so loops
+become back-edges instead of fresh states.  Transitions carry the
+send/receive action labels; terminated subterms are final states.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ class StateGraph:
 
     `nodes[i]` is subterm i (the root is 0) and `links[i]` its pointers: the
     child ids of a Com/Send/Recv, the body id of a Loop, the binder id of a Recur
-    (-1 when unbound).  `state(i)` unfolds node i by following pointers and
-    names the result by hash-consing, in the table `cons`, the de Bruijn form
-    of its closed unfolding.  Two graphs that share a table give equal state
-    ids exactly to alpha-equal closed unfoldings.  `closed(i)` names node i's
-    own closed term the same way, and `term(i)` rebuilds it for display.
+    (-1 when unbound).  `head(i)` unfolds node i by following pointers.
+    `closed(i)` names node i's closed term by hash-consing its de Bruijn
+    form in the table `cons`; two graphs that share a table give equal ids
+    exactly to alpha-equal closed terms.  `term(i)` rebuilds that term for
+    display.
     """
 
     def __init__(self, l: LocalType, cons: dict):
@@ -146,11 +146,6 @@ class StateGraph:
                     )
             self._heads[i] = h
         return h
-
-    def state(self, i: int) -> tuple:
-        """(state id, head node) of the unfolding of node i."""
-        h = self.head(i)
-        return self.closed(h), h
 
     def closed(self, n: int) -> int:
         """Cons id of node n's closed term: n's subterm with each Recur bound
@@ -259,7 +254,8 @@ def interpret(l: LocalType) -> Fsm:
     transitions: list = []
 
     def state_of(node: int) -> tuple:
-        key, head = graph.state(node)
+        head = graph.head(node)
+        key = graph.closed(head)
         if key in ids:
             return ids[key], None
         ids[key] = len(ids) + 1

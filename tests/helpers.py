@@ -1003,9 +1003,7 @@ def odd_files(count: int, seed: int) -> list:
 
 
 def oracle_struct_eq(a, b) -> bool:
-    """Equality of alpha-normal forms.  A free variable named like a fresh
-    binder (`X0`, `X1`, ...) is captured by it: `rec Y . X0` equals
-    `rec Y . Y` here."""
+    """Equality of alpha-normal forms."""
     return alpha_normalize(a) == alpha_normalize(b)
 
 

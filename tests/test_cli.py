@@ -391,7 +391,7 @@ def test_parity_tool_fingerprints_two_fixtures():
     lines = parity.parity_lines(inputs)
     assert lines == parity.parity_lines(inputs)
     rows = {tuple(line.split(" | ")[:2]): line.split(" | ")[2:] for line in lines}
-    assert len(rows) == len(lines) == 18
+    assert len(rows) == len(lines) == 22
     trace = "# session Negotiation\n" + "".join(
         f"seq {i}: {step}\n" for i, step in enumerate(
             ["A -> B : Propose(5)", "B -> A : Propose(11)", "A -> B : Propose(6)",
@@ -399,7 +399,7 @@ def test_parity_tool_fingerprints_two_fixtures():
     empty = hashlib.sha256(b"").hexdigest()
     assert rows["negotiation.mpst", "run"] == [
         "exit 0", f"stdout {hashlib.sha256(trace.encode()).hexdigest()}", f"stderr {empty}"]
-    assert [row[0] for key, row in rows.items() if key[0] == "negotiation.mpst"] == ["exit 0"] * 9
+    assert [row[0] for key, row in rows.items() if key[0] == "negotiation.mpst"] == ["exit 0"] * 11
     bad = "mutations/oneshot_bad_send.mpst"
     assert rows[bad, "check --consistency"][0] == "exit 1"
     assert rows[bad, "run --unchecked --timeout 1"][0] == "exit 1"
@@ -487,6 +487,7 @@ CHAINS = [
     ("reversed", 200, ["check"], 0, None),
     ("reversed", 1000, ["check"], 2, "2:1"),
     ("generic", 1000, ["check"], 2, "1002:1"),
+    ("in order", 1000, ["project", "--json", "--protocol", "P999", "--role", "B"], 0, None),
 ]
 
 

@@ -122,6 +122,14 @@ class TestAlphaNormalize:
         expected = Loop(RecVar("X0"), Loop(RecVar("X1"), Recur(RecVar("X0"))))
         assert alpha_normalize(t) == expected
 
+    def test_free_variable_not_captured(self):
+        # rec Y . A -> B ! { Ok . X0, Propose . Y }: X0 is free and stays so
+        x0, x1 = RecVar("X0"), RecVar("X1")
+        t = Loop(Y, Send(A, B, ((Ok, Recur(x0)), (Propose, Recur(Y)))))
+        expected = Loop(x1, Send(A, B, ((Ok, Recur(x0)), (Propose, Recur(x1)))))
+        assert alpha_normalize(t) == expected
+        assert struct_eq(t, alpha_normalize(t))
+
     def test_idempotent(self):
         rng = seeded(7)
         for _ in range(300):
@@ -169,10 +177,10 @@ class TestStructEq:
         assert not struct_eq(sends, long_chain(4999)[0])
 
     def test_free_variable_is_not_captured_by_a_fresh_binder(self):
-        # alpha-normal forms name binders X0, X1, ...: there `rec Y . X0`
-        # and `rec Y . Y` both read `rec X0 . X0`
+        # alpha-normal forms name binders X0, X1, ... but skip free names:
+        # `rec Y . X0` reads `rec X1 . X0`, not `rec X0 . X0` like `rec Y . Y`
         free, bound = Loop(Y, Recur(RecVar("X0"))), Loop(Y, Recur(Y))
-        assert helpers.oracle_struct_eq(free, bound)
+        assert not helpers.oracle_struct_eq(free, bound)
         assert not struct_eq(free, bound)
         assert struct_eq(free, Loop(X, Recur(RecVar("X0"))))
 

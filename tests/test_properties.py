@@ -308,6 +308,10 @@ def test_interpret_matches_substitution_oracle(l):
 def test_dual_matches_substitution_oracle(l, other, data):
     d = manual_dual(l)
     assert dual(l, d) == oracle_dual(l, d) == True  # noqa: E712
+    # one view unrolled once: its head nodes differ from l's although the
+    # closed unfoldings they reach are alpha-equal
+    u = manual_dual(unfold(l))
+    assert dual(l, u) == oracle_dual(l, u) == True  # noqa: E712
     assert dual(l, other) == oracle_dual(l, other)
     n = comm_count(d)
     if n:

@@ -5,14 +5,14 @@ checkouts.
 
 The inputs are the fixtures and every `benchmark/inputs.family` input at the
 given seeds (duplicate texts once).  Each goes through `cli.main`, in process,
-with `check --consistency` (text and `--json`), `project` and `fsm --json` for
-every role of every protocol, and `run`, `run --json` and `run --unchecked
---timeout 1`, except on the ping-pong and `deep` texts, whose processes end
-only by timeout.  Each call prints one line: the input, the command, the exit code
-and the SHA-256 of stdout and of stderr.  An exception that escapes
-`cli.main` reads as exit `traceback`.  The mpstkit and benchmark inputs used
-are those of the checkout this file is in, so to compare two commits run a
-copy of it in each checkout and diff the outputs.
+with `check --consistency` (text and `--json`), `project` (text and `--json`)
+and `fsm --json` for every role of every protocol, and `run`, `run --json`
+and `run --unchecked --timeout 1`, except on the ping-pong and `deep` texts,
+whose processes end only by timeout.  Each call prints one line: the input,
+the command, the exit code and the SHA-256 of stdout and of stderr.  An
+exception that escapes `cli.main` reads as exit `traceback`.  The mpstkit and
+benchmark inputs used are those of the checkout this file is in, so to
+compare two commits run a copy of it in each checkout and diff the outputs.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ def commands(label: str, path: str) -> list:
     for name in sorted(pf.concrete) if pf else ():
         for role in sorted(r.name for r in roles_of(pf.concrete[name])):
             out.append(["project", path, "--protocol", name, "--role", role])
+            out.append(["project", path, "--protocol", name, "--role", role, "--json"])
             out.append(["fsm", path, "--protocol", name, "--role", role, "--json"])
     if not label.startswith(ENDLESS):
         out += [["run", path], ["run", path, "--json"],

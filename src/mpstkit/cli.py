@@ -46,7 +46,7 @@ def load_file(path: str):
     errors is a non-empty list of strings when the file does not parse or
     elaborate; the ProtocolFile is None in that case."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except OSError as e:
         return None, [str(e)]
     except UnicodeDecodeError as e:

@@ -16,6 +16,10 @@ declared local types that must match a projection, and process scripts:
       recv A { Propose(v) -> ... }
     }
 
+A token is its lexeme: `tokenize` lexes the text in one regex pass, keeping
+where each lexeme starts, and the parser reads each token's kind off its
+text.  A `(line, col)` is computed only where a `pos` or a `ParseError` keeps one.
+
 Parsing is deterministic recursive descent.  Errors carry line/column and
 the expected-token set; the parser resynchronises at the next top-level
 keyword so several errors can be reported in one pass.
@@ -30,8 +34,9 @@ says what a sort name means.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import core, typecheck as tc
 
@@ -43,25 +48,25 @@ KEYWORDS = {
 # the keywords that start a declaration; the parser resynchronises at them
 _DECL_KEYWORDS = ("sort", "global", "local", "proc")
 
-_TOKEN_RE = re.compile(
+# One match per token: the blanks and comments before it, then the lexeme in
+# group 1 or, in group 2, a character no token starts with.  One of these
+# always follows the blanks, so they are never given back.
+_LEXEME_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*|_)
-  | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<punct>->|[{}()\[\];:.,=@!?<\-])
-  | (?P<bad>(?s:.))
+    (?:\s+|//[^\n]*)*
+    (?:
+        ( [A-Za-z][A-Za-z0-9_]*|_   # identifier or keyword
+        | \d+
+        | "(?:[^"\\]|\\.)*"
+        | ->|[{}()\[\];:.,=@!?<\-]
+        | \Z )                      # eof: the empty lexeme
+      | (?s:(.))
+    )
     """,
     re.VERBOSE,
 )
 
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | "punct" | "kw" | "eof"
-    text: str
-    line: int
-    col: int
+Pos = tuple  # (line, col)
 
 
 @dataclass
@@ -78,30 +83,46 @@ class ParseError(Exception):
         return msg
 
 
-def tokenize(text: str) -> list:
-    tokens = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind, lexeme, start = m.lastgroup, m.group(), m.start()
-        col = start - line_start + 1
-        if kind == "bad":
-            raise ParseError(line, col, f"unexpected character {lexeme!r}")
-        if kind == "ident" and lexeme in KEYWORDS:
-            kind = "kw"
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = start + lexeme.rfind("\n") + 1
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+class Lexemes(list):
+    """The lexemes of a text, ending with "" for eof; `starts` holds the
+    offset of each, `newlines` -1 and then the offset of each line break."""
+
+    def __init__(self, lexemes: list, starts: list, newlines: list):
+        super().__init__(lexemes)
+        self.starts, self.newlines = starts, newlines
+
+    def pos(self, i: int) -> Pos:
+        """The (line, col) of the i-th lexeme."""
+        offset = self.starts[i]
+        line = bisect_right(self.newlines, offset)
+        return line, offset - self.newlines[line - 1]
+
+
+def tokenize(text: str) -> Lexemes:
+    """The lexemes of `text`, then "" for eof, with the offset each starts
+    at.  Blanks and `//` comments separate lexemes, and a keyword is lexed as
+    an identifier is.  The first character no token starts with (an
+    unterminated string's `"` among them) is a `ParseError`."""
+    matches = list(_LEXEME_RE.finditer(text))
+    if len(matches) > 1 and matches[-2][1] == "":
+        matches.pop()  # after trailing blanks, `\Z` matches once more, empty
+    lexemes = Lexemes(
+        [m[1] for m in matches],
+        [m.start(m.lastindex) for m in matches],
+        [-1, *(m.start() for m in re.finditer("\n", text))],
+    )
+    if None in lexemes:
+        i = lexemes.index(None)
+        raise ParseError(*lexemes.pos(i), f"unexpected character {matches[i][2]!r}")
+    return lexemes
+
+
+def _is_name(lexeme: str) -> bool:  # an identifier, but not `_` or a keyword
+    return lexeme[:1].isalpha() and lexeme not in KEYWORDS
 
 
 # ---------------------------------------------------------------------------
 # Surface AST
-
-Pos = tuple  # (line, col)
 
 
 @dataclass(frozen=True)
@@ -225,50 +246,49 @@ def default_session(bindings) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list):
+    def __init__(self, tokens: Lexemes):
         self.tokens = tokens
         self.i = 0
 
-    # the token list always ends with eof, and next() never steps past it
-    def peek(self) -> Token:
+    # the lexemes always end with "" for eof, and next() never steps past it
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
+    def next(self) -> str:
+        lexeme = self.tokens[self.i]
+        if lexeme:
             self.i += 1
-        return tok
+        return lexeme
 
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.i]
-        return tok.text == text and tok.kind in ("punct", "kw")
+    def pos(self, back: int = 0) -> Pos:
+        """The (line, col) of the next token, or of the one `back` before it."""
+        return self.tokens.pos(self.i - back)
 
-    def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.next()
+    def accept(self, text: str) -> Optional[str]:
+        if self.tokens[self.i] == text:
+            self.i += 1
+            return text
         return None
 
     def unexpected(self, *expected: str):
-        tok = self.peek()
-        raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r}", expected)
+        raise ParseError(*self.pos(), f"unexpected {self.peek()!r}", expected)
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            self.unexpected(text)
-        return self.next()
+    def expect(self, text: str) -> str:
+        return self.accept(text) or self.unexpected(text)
 
-    def ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text == "_":
+    def ident(self, what: str = "identifier") -> str:
+        lexeme = self.tokens[self.i]
+        if not _is_name(lexeme):
             self.unexpected(what)
-        return self.next()
+        self.i += 1
+        return lexeme
 
     # -- declarations --------------------------------------------------------
 
     def file(self) -> ParseResult:
         decls: list = []
         errors: list = []
-        while self.peek().kind != "eof":
+        while self.peek():
             start = self.i
             try:
                 decls.append(self.decl())
@@ -279,31 +299,28 @@ class _Parser:
                 # syncing from just after the keyword always makes progress, and
                 # finds the same place as syncing from where the stack ran out,
                 # since no top-level keyword occurs inside a declaration
-                kw = self.tokens[start]
-                errors.append(ParseError(kw.line, kw.col, "declaration nested too deeply"))
+                errors.append(ParseError(*self.tokens.pos(start), "declaration nested too deeply"))
                 self.i = start + 1
                 self._sync()
         return ParseResult(SurfaceFile(decls), errors)
 
     def _sync(self) -> None:
-        while self.peek().kind != "eof":
-            if self.peek().kind == "kw" and self.peek().text in _DECL_KEYWORDS:
-                return
+        while self.peek() and self.peek() not in _DECL_KEYWORDS:
             self.next()
 
     def decl(self):
-        if self.at("sort"):
-            return self.sort_decl()
-        if self.at("global"):
-            return self.global_def()
-        if self.at("local"):
-            return self.local_def()
-        if self.at("proc"):
-            return self.proc_def()
+        pos = self.pos()  # of the keyword, which each rule is given
+        if self.accept("sort"):
+            return self.sort_decl(pos)
+        if self.accept("global"):
+            return self.global_def(pos)
+        if self.accept("local"):
+            return self.local_def(pos)
+        if self.accept("proc"):
+            return self.proc_def(pos)
         self.unexpected(*_DECL_KEYWORDS)
 
-    def sort_decl(self) -> SortDecl:
-        kw = self.expect("sort")
+    def sort_decl(self, pos: Pos) -> SortDecl:
         name = self.ident("sort name")
         schema: object = core.PAYLOAD_NONE
         if self.accept("("):
@@ -319,67 +336,59 @@ class _Parser:
                 self.expect("@")
                 onto = self.ident("role")
                 self.expect("]")
-                schema = SEndpointSchema(role.text, gname.text, onto.text)
+                schema = SEndpointSchema(role, gname, onto)
             else:
                 self.unexpected("int", "string", "endpoint")
             self.expect(")")
         self.expect(";")
-        return SortDecl(name.text, schema, (kw.line, kw.col))
+        return SortDecl(name, schema, pos)
 
-    def global_def(self) -> GlobalDef:
-        kw = self.expect("global")
+    def global_def(self, pos: Pos) -> GlobalDef:
         name = self.ident("protocol name")
         params: list = []
         if self.accept("["):
             while True:
                 pname = self.ident("parameter name")
                 self.expect(":")
-                if self.accept("role"):
-                    kind = "role"
-                elif self.accept("protocol"):
-                    kind = "protocol"
-                else:
-                    self.unexpected("role", "protocol")
-                params.append((pname.text, kind))
+                kind = self.accept("role") or self.accept("protocol")
+                params.append((pname, kind or self.unexpected("role", "protocol")))
                 if not self.accept(","):
                     break
             self.expect("]")
         self.expect("=")
         body = self.type_expr(local=False)
         self.expect(";")
-        return GlobalDef(name.text, tuple(params), body, (kw.line, kw.col))
+        return GlobalDef(name, tuple(params), body, pos)
 
-    def local_def(self) -> LocalDef:
-        kw = self.expect("local")
+    def local_def(self, pos: Pos) -> LocalDef:
         gname = self.ident("protocol name")
         self.expect("@")
         role = self.ident("role")
         self.expect("=")
         declared = self.type_expr(local=True)
         self.expect(";")
-        return LocalDef(gname.text, role.text, declared, (kw.line, kw.col))
+        return LocalDef(gname, role, declared, pos)
 
     # -- type expressions ----------------------------------------------------
 
     def type_expr(self, local: bool):
         """A global type (`A -> B : …`, with protocol references `N[…]`) or,
         when `local`, a declared local type (`A -> B ! …` / `A -> B ? …`)."""
-        tok = self.peek()
+        pos = self.pos()
         if self.accept("end"):
-            return STEnd((tok.line, tok.col))
+            return STEnd(pos)
         if self.accept("rec"):
             var = self.ident("recursion variable")
             self.expect(".")
-            return STRec(var.text, self.type_expr(local), (tok.line, tok.col))
+            return STRec(var, self.type_expr(local), pos)
         name = self.ident("role or recursion variable" if local else "role or protocol name")
-        pos = (name.line, name.col)
         if self.accept("->"):
-            receiver = self.ident("role").text
+            receiver = self.ident("role")
             if local:
                 op = self.accept("!") or self.accept("?") or self.unexpected("!", "?")
             else:
                 op = self.expect(":")
-            return STCom(name.text, receiver, op.text, self.branches(local), pos)
+            return STCom(name, receiver, op, self.branches(local), pos)
         args: list = []
         if not local and self.accept("["):
             while True:
@@ -387,7 +396,7 @@ class _Parser:
                 if not self.accept(","):
                     break
             self.expect("]")
-        return STRef(name.text, tuple(args), pos)
+        return STRef(name, tuple(args), pos)
 
     def branches(self, local: bool) -> tuple:
         if self.accept("{"):
@@ -401,12 +410,11 @@ class _Parser:
     def branch(self, local: bool) -> tuple:
         sort = self.ident("sort name")
         self.expect(".")
-        return (sort.text, self.type_expr(local))
+        return (sort, self.type_expr(local))
 
     # -- processes -----------------------------------------------------------
 
-    def proc_def(self) -> ProcDef:
-        kw = self.expect("proc")
+    def proc_def(self, pos: Pos) -> ProcDef:
         name = self.ident("process name")
         self.expect("plays")
         bindings: list = []
@@ -416,26 +424,25 @@ class _Parser:
             proto = self.ident("protocol name")
             var = None
             if self.accept("as"):
-                var = self.ident("session variable").text
-            bindings.append((role.text, proto.text, var))
+                var = self.ident("session variable")
+            bindings.append((role, proto, var))
             if not self.accept(","):
                 break
         self.default_session = default_session(bindings)
         self.expect("{")
         body = self.stmt()
         self.expect("}")
-        return ProcDef(name.text, tuple(bindings), body, (kw.line, kw.col))
+        return ProcDef(name, tuple(bindings), body, pos)
 
     def _session_sel(self) -> str:
         if self.accept("["):
             var = self.ident("session variable")
             self.expect("]")
-            return var.text
+            return var
         return self.default_session
 
     def stmt(self) -> tc.ProcessTerm:
-        tok = self.peek()
-        pos = (tok.line, tok.col)
+        pos = self.pos()
         if self.accept("send"):
             sel = self._session_sel()
             to = self.ident("role")
@@ -446,7 +453,7 @@ class _Parser:
                 self.expect(")")
             self.expect(";")
             cont = self.stmt()
-            return tc.SendT(sel, core.Role(to.text), SCall(sort.text, args, pos), cont, pos)
+            return tc.SendT(sel, core.Role(to), SCall(sort, args, pos), cont, pos)
         if self.accept("recv"):
             sel = self._session_sel()
             frm = self.ident("role")
@@ -455,24 +462,24 @@ class _Parser:
             while self.accept(","):
                 arms.append(self.arm())
             self.expect("}")
-            return tc.RecvT(sel, core.Role(frm.text), tuple(arms), pos)
+            return tc.RecvT(sel, core.Role(frm), tuple(arms), pos)
         if self.accept("loop"):
             sel = self._session_sel()
             var = self.ident("loop label")
             self.expect("{")
             body = self.stmt()
             self.expect("}")
-            return tc.LoopT(sel, var.text, body, pos)
+            return tc.LoopT(sel, var, body, pos)
         if self.accept("recur"):
             sel = self._session_sel()
             var = self.ident("loop label")
-            return tc.RecurT(var.text, sel, pos)
+            return tc.RecurT(var, sel, pos)
         if self.accept("end"):
             results: list = []
             if self.accept("("):
-                results.append(self.ident("variable").text)
+                results.append(self.ident("variable"))
                 while self.accept(","):
-                    results.append(self.ident("variable").text)
+                    results.append(self.ident("variable"))
                 self.expect(")")
             return tc.EndT(tuple(results), pos)
         if self.accept("if"):
@@ -492,67 +499,63 @@ class _Parser:
             value = self.expr()
             self.expect(";")
             cont = self.stmt()
-            return tc.LetT(name.text, value, cont, pos)
+            return tc.LetT(name, value, cont, pos)
         self.unexpected("send", "recv", "loop", "recur", "end", "if", "let")
 
     def arm(self) -> tc.RecvArm:
+        pos = self.pos()
         sort = self.ident("sort name")
         self.expect("(")
-        if self.peek().kind != "ident":
+        if not (self.peek() == "_" or _is_name(self.peek())):
             self.unexpected("variable", "_")
-        var = self.next().text
+        var = self.next()
         self.expect(")")
         self.expect("->")
-        return tc.RecvArm(sort.text, var, self.stmt(), (sort.line, sort.col))
+        return tc.RecvArm(sort, var, self.stmt(), pos)
 
     # -- expressions ---------------------------------------------------------
 
     def expr(self):
         left = self.add_expr()
-        tok = self.peek()
         if self.accept("<"):
-            return tc.Lt(left, self.add_expr(), (tok.line, tok.col))
+            pos = self.pos(back=1)
+            return tc.Lt(left, self.add_expr(), pos)
         return left
 
     def add_expr(self):
         left = self.atom()
-        while True:
-            tok = self.peek()
-            if self.accept("-"):
-                left = tc.Sub(left, self.atom(), (tok.line, tok.col))
-            else:
-                return left
+        while self.accept("-"):
+            pos = self.pos(back=1)
+            left = tc.Sub(left, self.atom(), pos)
+        return left
 
     def atom(self):
-        tok = self.peek()
-        pos = (tok.line, tok.col)
-        if tok.kind == "int":
+        pos = self.pos()
+        lexeme = self.peek()
+        if lexeme[:1].isdecimal():
             self.next()
-            return tc.IntLit(int(tok.text), pos)
-        if tok.kind == "string":
+            return tc.IntLit(int(lexeme), pos)
+        if lexeme[:1] == '"':
             self.next()
-            raw = tok.text[1:-1]
+            raw = lexeme[1:-1]
             return tc.StrLit(raw.replace('\\"', '"').replace("\\\\", "\\"), pos)
         if self.accept("("):
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "ident" and tok.text != "_":
+        if _is_name(lexeme):
             self.next()
             if self.accept("("):
                 arg = self.expr()
                 self.expect(")")
-                return SCall(tok.text, (arg,), pos)
-            e: object = tc.VarRef(tok.text, pos)
-            while self.at("."):
-                dot = self.next()
+                return SCall(lexeme, (arg,), pos)
+            e: object = tc.VarRef(lexeme, pos)
+            while self.accept("."):
+                dot = self.pos(back=1)
                 fieldname = self.ident("value")
-                if fieldname.text != "value":
-                    raise ParseError(
-                        fieldname.line, fieldname.col,
-                        f"unknown field {fieldname.text!r}", ("value",),
-                    )
-                e = tc.Field(e, (dot.line, dot.col))
+                if fieldname != "value":
+                    raise ParseError(*self.pos(back=1), f"unknown field {fieldname!r}", ("value",))
+                e = tc.Field(e, dot)
             return e
         self.unexpected("integer", "string", "variable", "(")
 
@@ -633,42 +636,35 @@ def _selector(p, default: str) -> str:
     return "" if p.session == default else f"[{p.session}]"
 
 
-def _render_proc(p, indent: str, default: str) -> str:
-    pad = indent
-    if isinstance(p, tc.SendT):
-        return (
-            f"{pad}send{_selector(p, default)} {p.to} {_render_expr(p.payload)};\n"
-            + _render_proc(p.cont, indent, default)
-        )
+def _render_proc(p, pad: str, default: str) -> str:
+    steps = []  # a `;`-chain of sends and lets, walked in a loop
+    while isinstance(p, (tc.SendT, tc.LetT)):
+        if isinstance(p, tc.SendT):
+            steps.append(f"{pad}send{_selector(p, default)} {p.to} {_render_expr(p.payload)};\n")
+        else:
+            steps.append(f"{pad}let {p.name} = {_render_expr(p.value)};\n")
+        p = p.cont
     if isinstance(p, tc.RecvT):
         arms = []
         for arm in p.branches:
-            body = _render_proc(arm.cont, indent + "    ", default)
+            body = _render_proc(arm.cont, pad + "    ", default)
             arms.append(f"{pad}  {arm.sort_name}({arm.payload_var}) ->\n{body}")
-        joined = (",\n").join(arms)
-        return f"{pad}recv{_selector(p, default)} {p.frm} {{\n{joined}\n{pad}}}"
-    if isinstance(p, tc.LoopT):
-        body = _render_proc(p.body, indent + "  ", default)
-        return f"{pad}loop{_selector(p, default)} {p.recur_var} {{\n{body}\n{pad}}}"
-    if isinstance(p, tc.RecurT):
-        return f"{pad}recur{_selector(p, default)} {p.recur_var}"
-    if isinstance(p, tc.EndT):
-        if p.results:
-            return f"{pad}end({', '.join(p.results)})"
-        return f"{pad}end"
-    if isinstance(p, tc.IfT):
-        then = _render_proc(p.then, indent + "  ", default)
-        els = _render_proc(p.els, indent + "  ", default)
-        return (
-            f"{pad}if {_render_expr(p.cond)} then {{\n{then}\n{pad}}} "
-            f"else {{\n{els}\n{pad}}}"
-        )
-    if isinstance(p, tc.LetT):
-        return (
-            f"{pad}let {p.name} = {_render_expr(p.value)};\n"
-            + _render_proc(p.cont, indent, default)
-        )
-    raise TypeError(f"unknown process node: {p!r}")
+        joined = ",\n".join(arms)
+        last = f"{pad}recv{_selector(p, default)} {p.frm} {{\n{joined}\n{pad}}}"
+    elif isinstance(p, tc.LoopT):
+        body = _render_proc(p.body, pad + "  ", default)
+        last = f"{pad}loop{_selector(p, default)} {p.recur_var} {{\n{body}\n{pad}}}"
+    elif isinstance(p, tc.RecurT):
+        last = f"{pad}recur{_selector(p, default)} {p.recur_var}"
+    elif isinstance(p, tc.EndT):
+        last = f"{pad}end({', '.join(p.results)})" if p.results else f"{pad}end"
+    elif isinstance(p, tc.IfT):
+        then = _render_proc(p.then, pad + "  ", default)
+        els = _render_proc(p.els, pad + "  ", default)
+        last = f"{pad}if {_render_expr(p.cond)} then {{\n{then}\n{pad}}} else {{\n{els}\n{pad}}}"
+    else:
+        raise TypeError(f"unknown process node: {p!r}")
+    return "".join(steps) + last
 
 
 def render_file(sf: SurfaceFile) -> str:

@@ -52,7 +52,6 @@ from mpstkit import typecheck as tc
 from mpstkit.elaborate import ElabError, _Ctx, _Elaborator, load_text
 from mpstkit.fsm import RECV, SEND, Action, Fsm
 from mpstkit.surface import (
-    KEYWORDS,
     LocalDef,
     ParseError,
     ProcDef,
@@ -60,8 +59,8 @@ from mpstkit.surface import (
     STEnd,
     STRec,
     STRef,
-    Token,
     _Parser,
+    _is_name,
     tokenize,
 )
 
@@ -344,6 +343,7 @@ _ORACLE_TOKEN_RE = re.compile(
 
 
 def oracle_tokenize(text: str) -> list:
+    """(lexeme, line, col) of each token, then ("", line, col) for eof."""
     tokens = []
     line, col = 1, 1
     pos = 0
@@ -352,19 +352,8 @@ def oracle_tokenize(text: str) -> list:
         if m is None:
             raise ParseError(line, col, f"unexpected character {text[pos]!r}")
         lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "arrow":
-                tokens.append(Token("punct", "->", line, col))
-            elif kind == "ident":
-                k = "kw" if lexeme in KEYWORDS else "ident"
-                tokens.append(Token(k, lexeme, line, col))
-            elif kind == "int":
-                tokens.append(Token("int", lexeme, line, col))
-            elif kind == "string":
-                tokens.append(Token("string", lexeme, line, col))
-            else:
-                tokens.append(Token("punct", lexeme, line, col))
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -372,8 +361,13 @@ def oracle_tokenize(text: str) -> list:
         else:
             col += len(lexeme)
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("", line, col))
     return tokens
+
+
+def positioned(tokens: list) -> list:
+    """`tokenize`'s lexemes as `oracle_tokenize` gives them: with (line, col)."""
+    return [(lexeme, *tokens.pos(i)) for i, lexeme in enumerate(tokens)]
 
 
 def oracle_render_local(t) -> str:
@@ -517,19 +511,19 @@ class SLt:
 
 class OracleParser(_Parser):
     def type_expr(self, local: bool = False):  # the global rule only
-        tok = self.peek()
+        pos = self.pos()
         if self.accept("end"):
-            return STEnd((tok.line, tok.col))
+            return STEnd(pos)
         if self.accept("rec"):
             var = self.ident("recursion variable")
             self.expect(".")
-            return STRec(var.text, self.type_expr(), (tok.line, tok.col))
+            return STRec(var, self.type_expr(), pos)
         name = self.ident("role or protocol name")
         if self.accept("->"):
             receiver = self.ident("role")
             self.expect(":")
             branches = self.branches(self.type_expr)
-            return STCom(name.text, receiver.text, ":", branches, (name.line, name.col))
+            return STCom(name, receiver, ":", branches, pos)
         args: list = []
         if self.accept("["):
             while True:
@@ -537,26 +531,25 @@ class OracleParser(_Parser):
                 if not self.accept(","):
                     break
             self.expect("]")
-        return STRef(name.text, tuple(args), (name.line, name.col))
+        return STRef(name, tuple(args), pos)
 
-    def local_def(self) -> LocalDef:
-        kw = self.expect("local")
+    def local_def(self, pos) -> LocalDef:
         gname = self.ident("protocol name")
         self.expect("@")
         role = self.ident("role")
         self.expect("=")
         declared = self.local_type_expr()
         self.expect(";")
-        return LocalDef(gname.text, role.text, declared, (kw.line, kw.col))
+        return LocalDef(gname, role, declared, pos)
 
     def local_type_expr(self):
-        tok = self.peek()
+        pos = self.pos()
         if self.accept("end"):
-            return STEnd((tok.line, tok.col))
+            return STEnd(pos)
         if self.accept("rec"):
             var = self.ident("recursion variable")
             self.expect(".")
-            return STRec(var.text, self.local_type_expr(), (tok.line, tok.col))
+            return STRec(var, self.local_type_expr(), pos)
         name = self.ident("role or recursion variable")
         if self.accept("->"):
             receiver = self.ident("role")
@@ -565,13 +558,10 @@ class OracleParser(_Parser):
             elif self.accept("?"):
                 direction = "?"
             else:
-                t = self.peek()
-                raise ParseError(t.line, t.col, f"unexpected {t.text!r}", ("!", "?"))
+                raise ParseError(*self.pos(), f"unexpected {self.peek()!r}", ("!", "?"))
             branches = self.branches(self.local_type_expr)
-            return STCom(
-                name.text, receiver.text, direction, branches, (name.line, name.col)
-            )
-        return STRef(name.text, (), (name.line, name.col))
+            return STCom(name, receiver, direction, branches, pos)
+        return STRef(name, (), pos)
 
     def branches(self, sub) -> tuple:
         if self.accept("{"):
@@ -585,17 +575,17 @@ class OracleParser(_Parser):
     def branch(self, sub) -> tuple:
         sort = self.ident("sort name")
         self.expect(".")
-        return (sort.text, sub())
+        return (sort, sub())
 
     def _session_sel(self):
         if self.accept("["):
             var = self.ident("session variable")
             self.expect("]")
-            return var.text
+            return var
         return None
 
     def stmt(self):
-        tok = self.peek()
+        pos = self.pos()
         if self.accept("send"):
             sel = self._session_sel()
             to = self.ident("role")
@@ -606,7 +596,7 @@ class OracleParser(_Parser):
                 self.expect(")")
             self.expect(";")
             cont = self.stmt()
-            return SSend(sel, to.text, sort.text, arg, cont, (tok.line, tok.col))
+            return SSend(sel, to, sort, arg, cont, pos)
         if self.accept("recv"):
             sel = self._session_sel()
             frm = self.ident("role")
@@ -615,26 +605,26 @@ class OracleParser(_Parser):
             while self.accept(","):
                 arms.append(self.arm())
             self.expect("}")
-            return SRecv(sel, frm.text, tuple(arms), (tok.line, tok.col))
+            return SRecv(sel, frm, tuple(arms), pos)
         if self.accept("loop"):
             sel = self._session_sel()
             var = self.ident("loop label")
             self.expect("{")
             body = self.stmt()
             self.expect("}")
-            return SLoop(sel, var.text, body, (tok.line, tok.col))
+            return SLoop(sel, var, body, pos)
         if self.accept("recur"):
             sel = self._session_sel()
             var = self.ident("loop label")
-            return SRecur(sel, var.text, (tok.line, tok.col))
+            return SRecur(sel, var, pos)
         if self.accept("end"):
             results: list = []
             if self.accept("("):
-                results.append(self.ident("variable").text)
+                results.append(self.ident("variable"))
                 while self.accept(","):
-                    results.append(self.ident("variable").text)
+                    results.append(self.ident("variable"))
                 self.expect(")")
-            return SEndP(tuple(results), (tok.line, tok.col))
+            return SEndP(tuple(results), pos)
         if self.accept("if"):
             cond = self.expr()
             self.expect("then")
@@ -645,71 +635,68 @@ class OracleParser(_Parser):
             self.expect("{")
             els = self.stmt()
             self.expect("}")
-            return SIf(cond, then, els, (tok.line, tok.col))
+            return SIf(cond, then, els, pos)
         if self.accept("let"):
             name = self.ident("variable")
             self.expect("=")
             value = self.expr()
             self.expect(";")
             cont = self.stmt()
-            return SLet(name.text, value, cont, (tok.line, tok.col))
+            return SLet(name, value, cont, pos)
         self.unexpected("send", "recv", "loop", "recur", "end", "if", "let")
 
     def arm(self):
+        pos = self.pos()
         sort = self.ident("sort name")
         self.expect("(")
-        if self.peek().kind != "ident":
+        if not (self.peek() == "_" or _is_name(self.peek())):
             self.unexpected("variable", "_")
-        var = self.next().text
+        var = self.next()
         self.expect(")")
         self.expect("->")
-        return SArm(sort.text, var, self.stmt(), (sort.line, sort.col))
+        return SArm(sort, var, self.stmt(), pos)
 
     def expr(self):
         left = self.add_expr()
-        tok = self.peek()
         if self.accept("<"):
-            return SLt(left, self.add_expr(), (tok.line, tok.col))
+            pos = self.pos(back=1)
+            return SLt(left, self.add_expr(), pos)
         return left
 
     def add_expr(self):
         left = self.atom()
-        while True:
-            tok = self.peek()
-            if self.accept("-"):
-                left = SSub(left, self.atom(), (tok.line, tok.col))
-            else:
-                return left
+        while self.accept("-"):
+            pos = self.pos(back=1)
+            left = SSub(left, self.atom(), pos)
+        return left
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
+        pos = self.pos()
+        lexeme = self.peek()
+        if lexeme[:1].isdecimal():
             self.next()
-            return SInt(int(tok.text), (tok.line, tok.col))
-        if tok.kind == "string":
+            return SInt(int(lexeme), pos)
+        if lexeme[:1] == '"':
             self.next()
-            raw = tok.text[1:-1]
-            return SStr(raw.replace('\\"', '"').replace("\\\\", "\\"), (tok.line, tok.col))
+            raw = lexeme[1:-1]
+            return SStr(raw.replace('\\"', '"').replace("\\\\", "\\"), pos)
         if self.accept("("):
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "ident" and tok.text != "_":
+        if _is_name(lexeme):
             self.next()
             if self.accept("("):
                 arg = self.expr()
                 self.expect(")")
-                return SCall(tok.text, arg, (tok.line, tok.col))
-            e: object = SVar(tok.text, (tok.line, tok.col))
-            while self.at("."):
-                dot = self.next()
+                return SCall(lexeme, arg, pos)
+            e: object = SVar(lexeme, pos)
+            while self.accept("."):
+                dot = self.pos(back=1)
                 fieldname = self.ident("value")
-                if fieldname.text != "value":
-                    raise ParseError(
-                        fieldname.line, fieldname.col,
-                        f"unknown field {fieldname.text!r}", ("value",),
-                    )
-                e = SField(e, (dot.line, dot.col))
+                if fieldname != "value":
+                    raise ParseError(*self.pos(back=1), f"unknown field {fieldname!r}", ("value",))
+                e = SField(e, dot)
             return e
         self.unexpected("integer", "string", "variable", "(")
 

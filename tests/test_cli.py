@@ -372,6 +372,28 @@ def test_non_utf8_file_is_an_input_error(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ("check", "--consistency"), ("project", "--role", "B"), ("fsm", "--role", "B", "--json"),
+    ("run",),
+])
+@pytest.mark.parametrize("text, code", [
+    (conftest.fixture_path("negotiation.mpst").read_text(), 0),
+    ("global G = A -> : M . end;\n", 2),
+], ids=["negotiation", "syntax error on line 1"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, text, code, command):
+    path = tmp_path / "input.mpst"
+    outcomes = []
+    for mark in ("", "\ufeff"):
+        path.write_text(mark + text, encoding="utf-8")
+        try:
+            exit_code = cli.main([command[0], str(path), *command[1:]])
+        except SystemExit as e:  # project and fsm exit on a file that does not load
+            exit_code = e.code
+        outcomes.append((exit_code, *capsys.readouterr()))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][0] == code
+
+
 @pytest.mark.parametrize(
     "command", [("fsm", "--role", "B", "--dot"), ("run", "--trace")], ids=["fsm", "run"]
 )

@@ -47,6 +47,7 @@ from helpers import (
     oracle_restrict,
     oracle_struct_eq,
     oracle_tokenize,
+    positioned,
     random_global,
     random_local,
     seeded,
@@ -336,7 +337,7 @@ lex_inputs = st.lists(
 
 def lexed(lexer, text):
     try:
-        return [tuple(tok) for tok in lexer(text)]
+        return lexer(text)
     except ParseError as e:
         return str(e)
 
@@ -344,7 +345,7 @@ def lexed(lexer, text):
 @settings(max_examples=500, deadline=None)
 @given(lex_inputs)
 def test_tokenize_matches_oracle(text):
-    assert lexed(tokenize, text) == lexed(oracle_tokenize, text)
+    assert lexed(lambda t: positioned(tokenize(t)), text) == lexed(oracle_tokenize, text)
 
 
 @settings(max_examples=300, deadline=None)

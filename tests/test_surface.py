@@ -29,11 +29,12 @@ from helpers import (
     negotiation_global,
     negotiation_local_b,
     oracle_tokenize,
+    positioned,
 )
 
 
 def lexemes(text):
-    return [tuple(tok) for tok in tokenize(text)]
+    return positioned(tokenize(text))
 
 
 class TestTokenize:
@@ -44,30 +45,56 @@ class TestTokenize:
     )
     def test_fixture_tokens_match_oracle(self, fixture):
         text = conftest.fixture_path(fixture).read_text()
-        assert tokenize(text) == oracle_tokenize(text)
+        assert lexemes(text) == oracle_tokenize(text)
 
     def test_positions_after_a_string_spanning_two_lines(self):
         assert lexemes('let s = "a\nbc"; x') == [
-            ("kw", "let", 1, 1),
-            ("ident", "s", 1, 5),
-            ("punct", "=", 1, 7),
-            ("string", '"a\nbc"', 1, 9),
-            ("punct", ";", 2, 4),
-            ("ident", "x", 2, 6),
-            ("eof", "", 2, 7),
+            ("let", 1, 1),
+            ("s", 1, 5),
+            ("=", 1, 7),
+            ('"a\nbc"', 1, 9),
+            (";", 2, 4),
+            ("x", 2, 6),
+            ("", 2, 7),
         ]
 
     def test_comment_ending_the_file_without_newline(self):
         assert lexemes("end -> // done") == [
-            ("kw", "end", 1, 1),
-            ("punct", "->", 1, 5),
-            ("eof", "", 1, 15),
+            ("end", 1, 1),
+            ("->", 1, 5),
+            ("", 1, 15),
         ]
 
     def test_illegal_character_position(self):
         with pytest.raises(ParseError) as exc:
             tokenize("sort A;\n  $")
         assert str(exc.value) == "2:3: unexpected character '$'"
+
+    @pytest.mark.parametrize("text, error", [
+        ("sort A;\r\n\tglobal G =\r\n\t\tA -> B : A . end;\r\n", None),
+        ('let s = "a\\"b\nc"; x', None),
+        ('sort A;\nlet s = "abc', "2:9: unexpected character '\"'"),
+        ("end / end", "1:5: unexpected character '/'"),
+        ("end -> // done", None),
+        ("sort \u00e9;", "1:6: unexpected character '\u00e9'"),
+        ("", None),
+        (" \n\t \r\n ", None),
+        ("sort A;\nglobal G = end;\nproc p $", "3:8: unexpected character '$'"),
+    ], ids=[
+        "crlf and tabs", "escaped quote and newline in a string",
+        "unterminated string at eof", "lone slash", "comment ending the file",
+        "e acute", "empty", "whitespace only", "bad character on line 3",
+    ])
+    def test_edge_case_matches_oracle(self, text, error):
+        if error is not None:
+            for lexer in (tokenize, oracle_tokenize):
+                with pytest.raises(ParseError) as exc:
+                    lexer(text)
+                assert str(exc.value) == error
+            return
+        expected = oracle_tokenize(text)
+        assert lexemes(text) == expected
+        assert len(tokenize(text)) == len(expected)
 
 
 class TestParse:
@@ -218,6 +245,17 @@ class TestRoundTrip:
         second = parse_protocol_file(rendered)
         assert second.ok, second.errors
         assert render_file(second.file) == rendered
+
+    def test_long_process_renders_under_a_deep_stack(self):
+        # rendering walks a `;`-chain of sends and lets without recursing
+        body = "send B M; let x = 1; " * 450
+        result = parse_protocol_file(f"proc a plays A in P {{ {body}end }}")
+        assert result.ok, result.errors
+
+        def render_below(frames):
+            return render_below(frames - 1) if frames else render_file(result.file)
+
+        assert render_below(80) == render_file(result.file)
 
 
 class TestInstantiate:

@@ -3,16 +3,20 @@ checkouts.
 
     python tools/parity.py 1 4242 9101 > parity.txt
 
-The inputs are the fixtures and every `benchmark/inputs.family` input at the
-given seeds (duplicate texts once).  Each goes through `cli.main`, in process,
-with `check --consistency` (text and `--json`), `project` (text and `--json`)
+The inputs are the fixtures, every `benchmark/inputs.family` input at the
+given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
+`tests/helpers.cut_and_splice` (duplicate texts once).  Each goes through
+`cli.main`, in process, with `check --consistency` (text and `--json`), which
+prints the text, line and column of every syntax or elaboration error.  Each
+input but the damaged copies then goes through `project` (text and `--json`)
 and `fsm --json` for every role of every protocol, and `run`, `run --json`
 and `run --unchecked --timeout 1`, except on the ping-pong and `deep` texts,
 whose processes end only by timeout.  Each call prints one line: the input,
 the command, the exit code and the SHA-256 of stdout and of stderr.  An
-exception that escapes `cli.main` reads as exit `traceback`.  The mpstkit and
-benchmark inputs used are those of the checkout this file is in, so to
-compare two commits run a copy of it in each checkout and diff the outputs.
+exception that escapes `cli.main` reads as exit `traceback`.  The mpstkit,
+benchmark inputs and test helpers used are those of the checkout this file is
+in, so to compare two commits run a copy of it in each checkout and diff the
+outputs.
 """
 
 from __future__ import annotations
@@ -27,31 +31,28 @@ import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from helpers import benchmark_inputs, cut_and_splice  # noqa: E402
 from mpstkit import cli  # noqa: E402
 from mpstkit.core import roles_of  # noqa: E402
 
-
-def benchmark_inputs():
-    """The benchmark's seeded input generators (`benchmark/inputs.py`)."""
-    sys.path.insert(0, str(ROOT / "benchmark"))
-    try:
-        import inputs
-    finally:
-        sys.path.remove(str(ROOT / "benchmark"))
-    return inputs
+DAMAGED = 100  # damaged copies of the fixtures per seed
 
 
 def inputs_for(seeds: list) -> list:
-    """(label, text) for each fixture, then each family input at each seed."""
+    """(label, text) for each fixture, then each family input at each seed,
+    then the damaged copies of the fixtures for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
+    fixtures = [text for _, text in out]
     if seeds:
         family = benchmark_inputs().family
         out += [(f"{workload}/{f.name}@{seed}", f.text)
                 for seed in seeds for workload in ("corpus", "deep", "wide", "run")
                 for f in family(workload, seed, ROOT)]
+        out += [(f"damaged/{i}@{seed}", text) for seed in seeds
+                for i, text in enumerate(cut_and_splice(fixtures, DAMAGED, seed))]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
         first.setdefault(text, label)
@@ -83,6 +84,8 @@ ENDLESS = ("deep/", "run/pingpong")
 def commands(label: str, path: str) -> list:
     """The command lines run on the input at `path`."""
     out = [["check", path, "--consistency"], ["check", path, "--consistency", "--json"]]
+    if label.startswith("damaged/"):
+        return out
     pf, _ = cli.load_file(path)
     for name in sorted(pf.concrete) if pf else ():
         for role in sorted(r.name for r in roles_of(pf.concrete[name])):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -259,18 +259,20 @@ def struct_eq(a: TypeNode, b: TypeNode) -> bool:
 
 
 def free_rec_vars(t: TypeNode) -> set:
-    out: set = set()
-    stack = [(t, frozenset())]
-    while stack:
-        node, bound = stack.pop()
-        if isinstance(node, Recur):
-            if node.var not in bound:
-                out.add(node.var)
-        elif isinstance(node, Loop):
-            stack.append((node.body, bound | {node.var}))
-        elif isinstance(node, (Com, Send, Recv)):
-            stack += [(c, bound) for _, c in node.branches]
-    return out
+    """The recursion variables that occur free in t, built bottom up."""
+    out: list = []  # free variables of each pending subterm
+    for node in postorder(t):
+        kind = type(node)
+        if kind is Recur:
+            out.append(frozenset((node.var,)))
+        elif kind is Loop:
+            out.append(out.pop() - {node.var})
+        elif kind is End:
+            out.append(frozenset())
+        elif len(node.branches) != 1:  # a single continuation's set stays
+            start = len(out) - len(node.branches)
+            out[start:] = [frozenset().union(*out[start:])]
+    return set(out[0])
 
 
 def is_guarded(var: RecVar, t: TypeNode) -> bool:
@@ -285,7 +287,7 @@ def is_guarded(var: RecVar, t: TypeNode) -> bool:
 
 
 def roles_of(t: TypeNode) -> set:
-    comms = (n for n in subterms(t) if isinstance(n, (Com, Send, Recv)))
+    comms = (n for n in postorder(t) if isinstance(n, (Com, Send, Recv)))
     return {r for n in comms for r in (n.sender, n.receiver)}
 
 
@@ -372,16 +374,29 @@ def branch_lookup_name(branches: Branches, name: str) -> Optional[TypeNode]:
     return None
 
 
-def subterms(t: TypeNode) -> Iterator[TypeNode]:
-    """Every subterm of t in preorder, walked with an explicit stack."""
-    stack = [t]
+def postorder(t: TypeNode) -> list:
+    """Every subterm of t, each after its continuations, left to right: a
+    preorder taking branches right to left, on an explicit stack, reversed.
+    A subterm object met on two paths is listed at each of them."""
+    order: list = []
+    stack: list = [t]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, Loop):
+        order.append(node)
+        kind = type(node)
+        if kind is Loop:
             stack.append(node.body)
-        elif isinstance(node, (Com, Send, Recv)):
-            stack += [c for _, c in reversed(node.branches)]
+        elif kind is End or kind is Recur:
+            continue
+        elif len(node.branches) == 1:  # the common case, kept cheap
+            stack.append(node.branches[0][1])
+        else:
+            stack += [c for _, c in node.branches]
+    order.reverse()
+    return order
+
+
+subterms = postorder
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +416,25 @@ _KINDS = {Com: "com", Send: "send", Recv: "recv"}
 
 
 def type_to_json(t: TypeNode) -> dict:
-    """The JSON form of a type, filled in with an explicit stack so that long
-    types encode without deep recursion."""
-    root: dict = {}
-    stack = [(t, root)]
-    while stack:
-        node, out = stack.pop()
-        if isinstance(node, End):
-            out["kind"] = "end"
-        elif isinstance(node, Recur):
-            out.update(kind="recur", var=node.var.name)
-        elif isinstance(node, Loop):
-            out.update(kind="loop", var=node.var.name, body={})
-            stack.append((node.body, out["body"]))
+    """The JSON form of a type, built bottom up over `postorder`."""
+    out: list = []  # JSON forms of pending subterms; a node's children end it
+    for node in postorder(t):
+        kind = type(node)
+        if kind is End:
+            out.append({"kind": "end"})
+        elif kind is Recur:
+            out.append({"kind": "recur", "var": node.var.name})
+        elif kind is Loop:
+            out.append({"kind": "loop", "var": node.var.name, "body": out.pop()})
         else:
-            kids = [{} for _ in node.branches]
-            out.update({
-                "kind": _KINDS[type(node)],
+            start = len(out) - len(node.branches)
+            out[start:] = [{
+                "kind": _KINDS[kind],
                 "from": node.sender.name,
                 "to": node.receiver.name,
-                "branches": [[sort_to_json(s), k] for (s, _), k in zip(node.branches, kids)],
-            })
-            stack += zip([c for _, c in node.branches], kids)
-    return root
+                "branches": [[sort_to_json(s), k] for (s, _), k in zip(node.branches, out[start:])],
+            }]
+    return out[0]
 
 
 def payload_from_json(data: object) -> PayloadSchema:

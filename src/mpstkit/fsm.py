@@ -87,7 +87,8 @@ class StateGraph:
 
     `nodes[i]` is subterm i (the root is 0) and `links[i]` its pointers: the
     child ids of a Com/Send/Recv, the body id of a Loop, the binder id of a Recur
-    (-1 when unbound).  `head(i)` unfolds node i by following pointers.
+    (-1 when unbound).  A subterm object met again under the same innermost
+    binder, so in the same scope, is one node.  `head(i)` unfolds node i.
     `closed(i)` names node i's closed term by hash-consing its de Bruijn
     form in the table `cons`; two graphs that share a table give equal ids
     exactly to alpha-equal closed terms.  `term(i)` rebuilds that term for
@@ -100,19 +101,22 @@ class StateGraph:
         self.depth: list = [0]  # number of enclosing Loops
         self.cons = cons
         nodes, links, depth = self.nodes, self.links, self.depth
+        seen: dict = {}  # (id of a subterm, innermost binder id or None) -> node id
         stack = [(0, None)]  # (node id, scope: (var name, binder id, outer scope))
         while stack:
             i, scope = stack.pop()
             t = nodes[i]
             if isinstance(t, (Com, Send, Recv)):
-                first = len(nodes)
-                kids = tuple(range(first, first + len(t.branches)))
-                links[i] = kids
+                kids = []
                 for _, c in t.branches:
-                    nodes.append(c)
-                    links.append(None)
-                    depth.append(depth[i])
-                stack.extend((k, scope) for k in kids)
+                    k = seen.setdefault((id(c), scope and scope[1]), len(nodes))
+                    if k == len(nodes):  # first met in this scope: a new node
+                        nodes.append(c)
+                        links.append(None)
+                        depth.append(depth[i])
+                        stack.append((k, scope))
+                    kids.append(k)
+                links[i] = tuple(kids)
             elif isinstance(t, Loop):
                 body = len(nodes)
                 links[i] = body

@@ -27,6 +27,7 @@ from .core import (
     free_rec_vars,
     is_guarded,
     path_text,
+    postorder,
     Recv,
     Send,
     TypeNode,
@@ -149,25 +150,10 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
     `keep(node)` names, or erasing it (None) into the merge of its rebuilt
     continuations; loops are closed with close_loop.
 
-    Subterms are rebuilt in left-to-right post-order (a preorder taking
-    branches right to left, reversed), so a MergeError is the one the
+    Subterms are rebuilt in `postorder`, so a MergeError is the one the
     recursion would meet first; its `node` is the step that failed."""
-    order: list = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is Loop:
-            stack.append(node.body)
-        elif kind is End or kind is Recur:
-            continue
-        elif len(node.branches) == 1:  # the common case, kept cheap
-            stack.append(node.branches[0][1])
-        else:
-            stack += [c for _, c in node.branches]
     out: list = []  # rebuilt subterms; a node's continuations end it
-    for node in reversed(order):
+    for node in postorder(t):
         kind = type(node)
         if kind is End or kind is Recur:
             out.append(node)

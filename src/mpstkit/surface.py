@@ -534,7 +534,10 @@ class _Parser:
         lexeme = self.peek()
         if lexeme[:1].isdecimal():
             self.next()
-            return tc.IntLit(int(lexeme), pos)
+            try:
+                return tc.IntLit(int(lexeme), pos)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(*pos, "integer literal too long") from None
         if lexeme[:1] == '"':
             self.next()
             raw = lexeme[1:-1]

@@ -10,9 +10,10 @@ matches one token at a time, the reference local-type printer does not use
 core's `__str__`, the reference type rules parse and elaborate global and
 declared local types with a rule each, the reference process rules parse to
 surface nodes of their own and copy those into `typecheck` terms, the
-reference `struct_eq` compares alpha-normal forms, and the trace acceptor
+reference `struct_eq` compares alpha-normal forms, the trace acceptor
 replays runs against the global type's own step semantics without touching
-projection or the runtime.
+projection or the runtime, and the synchronous semantics steps a global type
+and the product of its projections each by its own rule.
 """
 
 from __future__ import annotations
@@ -1262,6 +1263,133 @@ def accepts_trace(g, events) -> bool:
         if state is None:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Synchronous semantics: the event traces of a global type against those of
+# its projections run together, where a send fires with the matching receive.
+# An event (sender, receiver, sort name), as strings, may pass a step of the
+# global type only when both of its roles are outside that step, and then
+# only uniformly in every branch.  `accept_event` is the asynchronous rule:
+# there an event may pass a step that shares its receiver.
+
+def sync_step(g, event, _loops=()):
+    """The global type after `event` under the synchronous rule, or None.
+    Unfolding puts a loop object itself back where it recurs, so a walk that
+    goes round a loop without meeting the event meets that object again."""
+    if isinstance(g, Loop):
+        if any(g is seen for seen in _loops):
+            return None
+        _loops += (g,)
+        g = unfold(g)
+    if not isinstance(g, Com):
+        return None
+    sender, receiver, sort_name = event
+    if (g.sender.name, g.receiver.name) == (sender, receiver):
+        return branch_lookup_name(g.branches, sort_name)
+    if {sender, receiver} & {g.sender.name, g.receiver.name}:
+        return None
+    stepped = []
+    for s, c in g.branches:
+        after = sync_step(c, event, _loops)
+        if after is None:
+            return None
+        stepped.append((s, after))
+    return Com(g.sender, g.receiver, tuple(stepped))
+
+
+def _global_events(g) -> set:
+    if isinstance(g, Loop):
+        return _global_events(g.body)
+    if not isinstance(g, Com):
+        return set()
+    out = {(g.sender.name, g.receiver.name, s.name) for s, _ in g.branches}
+    return out.union(*(_global_events(c) for _, c in g.branches))
+
+
+def global_traces(g, k: int) -> set:
+    """Every event sequence of length <= k that g allows synchronously."""
+    events = _global_events(g)  # stepping only unfolds: no new events
+    out = {()}
+
+    def walk(state, prefix):
+        if len(prefix) == k:
+            return
+        for event in events:
+            after = sync_step(state, event)
+            if after is not None:
+                out.add(prefix + (event,))
+                walk(after, prefix + (event,))
+
+    walk(g, ())
+    return out
+
+
+def _product_moves(state: tuple):
+    """(event, next state) for each send in a product state (a tuple of
+    local types, one per role) whose peer's head is the matching receive."""
+    heads = [unfold(l) for l in state]
+    for i, h in enumerate(heads):
+        if not isinstance(h, Send):
+            continue
+        for j, peer in enumerate(heads):
+            if isinstance(peer, Recv) and (peer.sender, peer.receiver) == (h.sender, h.receiver):
+                for s, c in h.branches:
+                    matched = branch_lookup_name(peer.branches, s.name)
+                    if matched is not None:
+                        after = list(state)
+                        after[i], after[j] = c, matched
+                        yield (h.sender.name, h.receiver.name, s.name), tuple(after)
+
+
+def sync_product_traces(projections: dict, k: int) -> set:
+    """Every event sequence of length <= k of the projections (role -> local
+    type) run together, each send firing with its matching receive."""
+    out = {()}
+
+    def walk(state, prefix):
+        if len(prefix) == k:
+            return
+        for event, after in _product_moves(state):
+            out.add(prefix + (event,))
+            walk(after, prefix + (event,))
+
+    walk(tuple(projections.values()), ())
+    return out
+
+
+def _offers_unmatched(heads: list) -> bool:
+    """Whether a role offers a sort that its peer, waiting on it, lacks."""
+    for h in heads:
+        if isinstance(h, Send):
+            for peer in heads:
+                if isinstance(peer, Recv) and (peer.sender, peer.receiver) == (h.sender, h.receiver):
+                    if {s.name for s, _ in h.branches} - {s.name for s, _ in peer.branches}:
+                        return True
+    return False
+
+
+def stuck_product_states(projections: dict, steps: int) -> list:
+    """Product states reachable within `steps` moves that are stuck: no send
+    meets its receive although some role has not reached `end`, or a role
+    may choose a sort that its peer, waiting on it, cannot take."""
+    frontier = [tuple(projections.values())]
+    seen = {tuple(map(str, frontier[0]))}
+    stuck = []
+    for depth in range(steps + 1):
+        later = []
+        for state in frontier:
+            moves = list(_product_moves(state))
+            heads = [unfold(l) for l in state]
+            if _offers_unmatched(heads) or not moves and not all(isinstance(h, End) for h in heads):
+                stuck.append(state)
+            for _, after in moves if depth < steps else ():
+                key = tuple(map(str, after))
+                if key not in seen:
+                    seen.add(key)
+                    later.append(after)
+        frontier = later
+    return stuck
 
 
 # ---------------------------------------------------------------------------

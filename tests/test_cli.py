@@ -394,6 +394,26 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, text, code, command):
     assert outcomes[0][0] == code
 
 
+@pytest.mark.parametrize("command", [
+    ("check", "--consistency"), ("project", "--role", "B"), ("fsm", "--role", "B", "--json"),
+    ("run",),
+])
+def test_over_long_integer_literal_is_a_located_syntax_error(tmp_path, capsys, command):
+    # more digits than int() converts by default; the text and place of the
+    # error must not depend on the interpreter's limit
+    path = tmp_path / "input.mpst"
+    path.write_text("sort N(int);\nglobal G = A -> B : N . end;\n"
+                    f"proc a plays A in G {{\n  send B N({'9' * 4301}); end\n}}\n"
+                    "proc b plays B in G { recv A { N(_) -> end } }\n")
+    try:
+        code = cli.main([command[0], str(path), *command[1:]])
+    except SystemExit as e:  # project and fsm exit on a file that does not load
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"{path}:4:12: integer literal too long" in err
+
+
 @pytest.mark.parametrize(
     "command", [("fsm", "--role", "B", "--dot"), ("run", "--trace")], ids=["fsm", "run"]
 )

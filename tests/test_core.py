@@ -2,6 +2,7 @@
 well-formedness, branch lookup, and the JSON encoding."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,13 +21,19 @@ from mpstkit.core import (
     branch_lookup,
     branch_lookup_name,
     free_rec_vars,
+    postorder,
+    roles_of,
     struct_eq,
     substitute,
+    subterms,
     type_from_json,
     type_to_json,
     unfold,
     well_formed,
 )
+from mpstkit.consistency import dual, restrict_to_partner
+from mpstkit.fsm import interpret
+from mpstkit.projection import project
 
 import helpers
 from helpers import (
@@ -304,6 +311,75 @@ class TestBranchLookup:
             (Propose, Recur(X)),
         ))
         assert struct_eq(cont, expected)
+
+
+STEPS = 5000
+
+
+@pytest.fixture(scope="module", params=["long_chain", "long_global"])
+def long_types(request):
+    """A 5000-step loop as a global type `g`, with `a` and `b` the views of
+    A and B, `roles` its roles and `projected` one known projection."""
+    if request.param == "long_chain":
+        a, b = long_chain(STEPS)
+        g = Recur(X)
+        for i in reversed(range(STEPS)):
+            g = Com(A, B, ((Sort(f"M{i}"), g),))
+        g = Loop(X, g)
+        return SimpleNamespace(g=g, a=a, b=b, roles={A, B}, projected=(A, a))
+    g = helpers.long_global(STEPS)
+    c = Role("C")  # a bystander of every step but the last
+    last = Loop(X, Recv(A, c, ((Sort(f"M{STEPS - 1}"), Recur(X)),)))
+    return SimpleNamespace(g=g, a=project(g, A), b=project(g, B), roles={A, B, c},
+                           projected=(c, last))
+
+
+class TestPostorder:
+    def test_left_to_right_post_order(self):
+        inner = Com(B, A, ((Ok, END),))
+        leaf = Recur(X)
+        g = Loop(X, Com(A, B, ((Ok, inner), (Propose, leaf))))
+        order = postorder(g)
+        expected = [inner.branches[0][1], inner, leaf, g.body, g]
+        assert len(order) == len(expected)
+        assert all(x is y for x, y in zip(order, expected))
+        assert subterms is postorder
+
+    def test_shared_subterm_listed_at_each_path(self):
+        shared = Send(A, B, ((Ok, END),))
+        t = Send(A, B, ((Ok, shared), (Propose, shared)))
+        assert [x is shared for x in postorder(t)] == [False, True, False, True, False]
+        assert type_to_json(t)["branches"][0][1] == type_to_json(t)["branches"][1][1]
+
+    @pytest.mark.parametrize("walk", [
+        "postorder", "subterms", "free_rec_vars", "roles_of", "type_to_json",
+        "project", "restrict_to_partner", "interpret", "dual",
+    ])
+    def test_walks_run_at_any_depth(self, long_types, walk):
+        g, a, b = long_types.g, long_types.a, long_types.b
+        if walk == "postorder":
+            order = postorder(g)
+            assert len(order) == STEPS + 2 and order[-1] is g and order[0] is not g
+        elif walk == "subterms":
+            assert len(subterms(a)) == STEPS + 2 and subterms(a)[-1] is a
+        elif walk == "free_rec_vars":
+            assert free_rec_vars(g) == set() and free_rec_vars(g.body) == {X}
+            assert free_rec_vars(a.body) == {X}
+        elif walk == "roles_of":
+            assert roles_of(g) == roles_of(a) == long_types.roles
+        elif walk == "type_to_json":
+            for t in (g, a):
+                assert struct_eq(type_from_json(type_to_json(t)), t)
+        elif walk == "project":
+            role, expected = long_types.projected
+            assert struct_eq(project(g, role), expected)
+        elif walk == "restrict_to_partner":
+            assert struct_eq(restrict_to_partner(b, A), b)  # B talks only to A
+        elif walk == "interpret":
+            assert len(interpret(a).states) == STEPS  # A acts in every step
+        else:
+            assert dual(restrict_to_partner(a, B), b)
+            assert not dual(a, a)
 
 
 class TestJson:

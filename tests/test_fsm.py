@@ -4,6 +4,7 @@ import pytest
 
 from mpstkit.core import (
     END,
+    End,
     Loop,
     Recur,
     RecVar,
@@ -15,7 +16,7 @@ from mpstkit.core import (
     subterms,
     well_formed,
 )
-from mpstkit.fsm import Action, Fsm, canonical, interpret, isomorphic, to_dot
+from mpstkit.fsm import Action, Fsm, StateGraph, canonical, interpret, isomorphic, to_dot
 from mpstkit.projection import project
 
 from helpers import (
@@ -144,6 +145,29 @@ class TestInterpret:
             machine = interpret(l)
             size = sum(1 for _ in subterms(l))
             assert len(machine.states) <= 10 * size
+
+
+class TestStateGraph:
+    def test_shared_continuation_is_one_node(self):
+        m, n = Sort("M"), Sort("N")
+        shared = Send(A, B, ((m, END), (n, END)))
+        tree = Send(A, B, ((m, End()), (n, End())))  # a distinct End in each branch
+        graph = StateGraph(shared, {})
+        assert len(graph.nodes) == 2 and graph.links[0] == (1, 1)
+        assert len(StateGraph(tree, {}).nodes) == 3
+        closed = [StateGraph(t, {}).closed(0) for t in (shared, tree)]
+        assert closed[0] == closed[1]
+        assert interpret(shared) == interpret(tree) == oracle_interpret(tree)
+
+    def test_a_subterm_shared_across_binders_is_one_node_per_scope(self):
+        # one Recur object under the outer and under the inner binder of X
+        x, go, stay = RecVar("X"), Sort("Go"), Sort("Stay")
+        back = Recur(x)
+        l = Loop(x, Send(A, B, ((go, Loop(x, Send(A, B, ((go, back),)))), (stay, back))))
+        graph = StateGraph(l, {})
+        loops = [i for i, t in enumerate(graph.nodes) if isinstance(t, Loop)]
+        assert sorted(graph.links[i] for i, t in enumerate(graph.nodes) if t is back) == loops
+        assert interpret(l) == oracle_interpret(l)
 
 
 class TestLanguageAgreement:

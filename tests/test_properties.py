@@ -27,7 +27,7 @@ from mpstkit.core import (
     unfold,
     well_formed,
 )
-from mpstkit.elaborate import load_text
+from mpstkit.elaborate import ElabError, load_text
 from mpstkit.fsm import interpret
 from mpstkit.projection import merge, project
 from mpstkit.runtime import GlobalSession, run_all
@@ -35,9 +35,12 @@ from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
 
 from helpers import (
+    ROOT,
     SORT_POOL,
     accepts_trace,
+    benchmark_inputs,
     erasure_outcomes,
+    global_traces,
     manual_dual,
     oracle_consistent,
     oracle_dual,
@@ -51,7 +54,9 @@ from helpers import (
     random_global,
     random_local,
     seeded,
+    stuck_product_states,
     subst_oracle,
+    sync_product_traces,
     synthesize_process,
 )
 
@@ -256,6 +261,69 @@ def test_erasure_matches_recursive_oracles(g):
     assert erasure_outcomes(g, project, restrict_to_partner) == erasure_outcomes(
         g, oracle_project, oracle_restrict
     )
+
+
+# ---------------------------------------------------------------------------
+# Projection semantics: run together synchronously, the projections of a
+# consistent global type make exactly its traces, and never get stuck short
+# of every role at `end`.  One way only: consistency also rejects some types
+# whose product is safe (a pair that never talks may fail to merge a branch
+# that loops with one that ends).
+
+TRACE_LENGTH, STUCK_STEPS = 6, 12
+
+
+def assert_projections_implement(g):
+    projections = {r.name: project(g, r) for r in sorted(roles_of(g), key=lambda r: r.name)}
+    assert sync_product_traces(projections, TRACE_LENGTH) == global_traces(g, TRACE_LENGTH)
+    assert stuck_product_states(projections, STUCK_STEPS) == []
+
+
+def first_consistent_global(seed: int, n_roles: int, relay: bool):
+    """The first projectable, consistent type with a communication that
+    `random_global` draws from `seed`."""
+    rng = seeded(seed)
+    while True:
+        g = random_global(rng, ["A", "B", "C", "D"][:n_roles], depth=4, relay=relay)
+        if roles_of(g) and consistent(g).consistent:  # a role that does not project fails a pair
+            return g
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.builds(first_consistent_global,
+                 st.integers(0, 2**32 - 1), st.integers(3, 4), st.booleans()))
+def test_consistent_projections_implement_the_global_type(g):
+    assert_projections_implement(g)
+
+
+# A bystander, C, merges two loops that differ: few `random_global` draws
+# are consistent and do that, because a silent view of a loop that may end
+# does not merge.
+LOOP_MERGE = """sort L1; sort L2; sort M; sort N; sort Q;
+global LoopMerge = A -> B : {
+  L1 . rec X . B -> C : { M . C -> A : M . X, Q . C -> A : Q . X },
+  L2 . rec X . B -> C : { M . C -> A : M . X, N . C -> A : N . X } };
+"""
+
+
+def test_consistent_inputs_project_to_their_global_types():
+    texts = {p.read_text() for p in sorted((ROOT / "fixtures").rglob("*.mpst"))}
+    texts.add(LOOP_MERGE)
+    family = benchmark_inputs().family
+    texts |= {f.text for seed in (1, 4242, 9101)
+              for workload in ("corpus", "deep", "wide", "run")
+              for f in family(workload, seed, ROOT)}
+    checked = 0
+    for text in sorted(texts):
+        try:
+            protocols = load_text(text).concrete.values()
+        except (ParseError, ElabError):
+            continue
+        for g in protocols:
+            if consistent(g).consistent:
+                assert_projections_implement(g)
+                checked += 1
+    assert checked >= 40
 
 
 def comm_count(t) -> int:

@@ -5,10 +5,12 @@ checkouts.
 
 The inputs are the fixtures, every `benchmark/inputs.family` input at the
 given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
-`tests/helpers.cut_and_splice` (duplicate texts once).  Each goes through
-`cli.main`, in process, with `check --consistency` (text and `--json`), which
-prints the text, line and column of every syntax or elaboration error.  Each
-input but the damaged copies then goes through `project` (text and `--json`)
+`tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files` and
+the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
+definitions (duplicate texts once).  Each goes through `cli.main`, in
+process, with `check --consistency` (text and `--json`), which prints the
+text, line and column of every syntax or elaboration error.  Each fixture
+and family input then goes through `project` (text and `--json`)
 and `fsm --json` for every role of every protocol, and `run`, `run --json`
 and `run --unchecked --timeout 1`, except on the ping-pong and `deep` texts,
 whose processes end only by timeout.  Each call prints one line: the input,
@@ -33,16 +35,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import benchmark_inputs, cut_and_splice  # noqa: E402
+from helpers import benchmark_inputs, cut_and_splice, odd_files, reference_chain  # noqa: E402
 from mpstkit import cli  # noqa: E402
 from mpstkit.core import roles_of  # noqa: E402
 
 DAMAGED = 100  # damaged copies of the fixtures per seed
+ODD = 20  # odd files per seed
+CHAINS = [("diamond", 8), ("in order", 40), ("reversed", 40), ("generic", 40)]
+CHECK_ONLY = ("damaged/", "odd/", "chain/")  # labels of inputs that are only checked
 
 
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
-    then the damaged copies of the fixtures for each seed."""
+    then the damaged copies of the fixtures, the odd files and the reference
+    chains for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -53,6 +59,11 @@ def inputs_for(seeds: list) -> list:
                 for f in family(workload, seed, ROOT)]
         out += [(f"damaged/{i}@{seed}", text) for seed in seeds
                 for i, text in enumerate(cut_and_splice(fixtures, DAMAGED, seed))]
+        out += [(f"odd/{i}@{seed}", text) for seed in seeds
+                for i, text in enumerate(odd_files(ODD, seed))]
+        out += [(f"chain/{kind} {n}@{seed}",
+                 "\n".join(["sort M; sort Q;", *reference_chain(kind, n)]) + "\n")
+                for seed in seeds for kind, n in CHAINS]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
         first.setdefault(text, label)
@@ -84,7 +95,7 @@ ENDLESS = ("deep/", "run/pingpong")
 def commands(label: str, path: str) -> list:
     """The command lines run on the input at `path`."""
     out = [["check", path, "--consistency"], ["check", path, "--consistency", "--json"]]
-    if label.startswith("damaged/"):
+    if label.startswith(CHECK_ONLY):
         return out
     pf, _ = cli.load_file(path)
     for name in sorted(pf.concrete) if pf else ():

@@ -11,9 +11,9 @@ views' state graphs pair by pair of head nodes and never compares types up
 to renaming.
 
 The check does work in proportion to the role pairs that talk.  Each role is
-projected once, and the roles are read off that projection table.  Each
-(role, partner) view is restricted at most once, with a MergeError kept as
-the result.  A role's view for a partner it never acts with erases every
+projected once, and one walk of the global type finds who talks to whom.
+Each (role, partner) view is restricted at most once, with a MergeError kept
+as the result.  A role's view for a partner it never acts with erases every
 action, so it cannot depend on the partner: one such *silent view* per role
 (always `end` or a MergeError) serves all of them.  Duality does not depend
 on argument order, so it is decided once per unordered pair, and a pair
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import End, GlobalType, LocalType, Recv, Role, Send, roles_of
+from .core import Com, End, GlobalType, LocalType, Recv, Role, Send, postorder
 from .fsm import StateGraph
 from .projection import MergeError, ProjectionError, erase, project, result_or_error
 
@@ -133,25 +133,25 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     projection or to the ProjectionError projecting it raised, so a caller
     that has already projected g need not project it again or list its roles.
     """
+    # who talks to whom in g: a role's projection acts with no other role,
+    # and with each partner when g projects onto the role
+    met = {(n.sender, n.receiver) for n in postorder(g) if type(n) is Com}
     if projections is None:
-        projections = {r: result_or_error(project, g, r) for r in roles_of(g)}
+        projections = {r: result_or_error(project, g, r) for r in set().union(*met)}
     roles = sorted(projections, key=lambda r: r.name)
     # Roles are numbered in name order; the caches below are keyed on those
     # numbers, which hash faster than roles.
     index = {r: i for i, r in enumerate(roles)}
     local = [projections[r] for r in roles]
     errors = [l if isinstance(l, ProjectionError) else None for l in local]
-    peers = [
-        set() if e is not None else {index.get(p) for p in roles_of(l) - {r}}
-        for r, l, e in zip(roles, local, errors)
-    ]
+    talks = {(index[a], index[b]) for a, b in met} | {(index[b], index[a]) for a, b in met}
     # (role, partner) -> restricted view or MergeError.  A partner the role
     # never acts with gets the key (role, -1): every action is erased, so
     # that view is the same for all such partners.
     views: dict = {}
 
     def view(i: int, j: int):
-        key = (i, j if j in peers[i] else -1)
+        key = (i, j if (i, j) in talks else -1)
         v = views.get(key)
         if v is None:
             v = views[key] = result_or_error(restrict_to_partner, local[i], roles[j])

@@ -135,46 +135,46 @@ def merge_all(ts: list, *, union_sends: bool = False) -> LocalType:
     return acc
 
 
-def close_loop(var: RecVar, body: LocalType) -> LocalType:
-    # A loop the role never acts in projects to End; an unused binder is
-    # dropped so projections stay well formed.
-    if var not in free_rec_vars(body):
-        return body
-    if not is_guarded(var, body):
-        return END
-    return Loop(var, body)
-
-
 def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
     """Rebuild t bottom up, keeping each communication as the constructor
     `keep(node)` names, or erasing it (None) into the merge of its rebuilt
-    continuations; loops are closed with close_loop.
+    continuations.  Loops close from the free recursion variables kept beside
+    each rebuilt subterm, so projections stay well formed.
 
     Subterms are rebuilt in `postorder`, so a MergeError is the one the
     recursion would meet first; its `node` is the step that failed."""
     out: list = []  # rebuilt subterms; a node's continuations end it
+    free: list = []  # the free recursion variables of each subterm in out
+    none: frozenset = frozenset()
     for node in postorder(t):
         kind = type(node)
         if kind is End or kind is Recur:
             out.append(node)
-            continue
-        if kind is Loop:
-            out.append(close_loop(node.var, out.pop()))
-            continue
-        bs = node.branches
-        start = len(out) - len(bs)
-        ctor = keep(node)
-        if ctor is not None and len(bs) == 1:
-            out[-1] = ctor(node.sender, node.receiver, ((bs[0][0], out[-1]),))
-        elif ctor is not None:
-            sorts = [s for s, _ in bs]
-            out[start:] = [ctor(node.sender, node.receiver, tuple(zip(sorts, out[start:])))]
-        elif len(bs) != 1:  # a single continuation stays as it is
-            try:
-                out[start:] = [merge_all(out[start:], union_sends=union_sends)]
-            except MergeError as e:
-                e.node = node
-                raise
+            free.append(none if kind is End else frozenset((node.var,)))
+        elif kind is Loop:
+            var, fv = node.var, free[-1]
+            if var in fv:  # else the unused binder is dropped
+                closed = is_guarded(var, out[-1])  # else the role never acts in it
+                out[-1] = Loop(var, out[-1]) if closed else END
+                free[-1] = fv - {var} if closed else none
+        elif len(node.branches) == 1:  # one continuation keeps its free variables
+            ctor = keep(node)
+            if ctor is not None:
+                out[-1] = ctor(node.sender, node.receiver, ((node.branches[0][0], out[-1]),))
+        else:
+            bs, ctor = node.branches, keep(node)
+            start = len(out) - len(bs)
+            if ctor is not None:
+                sorts = [s for s, _ in bs]
+                out[start:] = [ctor(node.sender, node.receiver, tuple(zip(sorts, out[start:])))]
+            else:
+                try:
+                    out[start:] = [merge_all(out[start:], union_sends=union_sends)]
+                except MergeError as e:
+                    e.node = node
+                    raise
+            fvs = free[start:]  # usually all empty; a merge's are its operands' together
+            free[start:] = fvs[:1] if fvs and fvs.count(fvs[0]) == len(fvs) else [none.union(*fvs)]
     return out[0]
 
 

@@ -42,13 +42,14 @@ from mpstkit.core import (
     Violation,
     alpha_normalize,
     branch_lookup_name,
+    free_rec_vars,
     is_guarded,
     roles_of,
     struct_eq,
     unfold,
 )
 from mpstkit.consistency import ConsistencyReport, PairVerdict, dual
-from mpstkit.projection import MergeError, ProjectionError, close_loop, merge_all, project
+from mpstkit.projection import MergeError, ProjectionError, merge_all, project
 from mpstkit import typecheck as tc
 from mpstkit.elaborate import ElabError, _Ctx, _Elaborator, load_text
 from mpstkit.fsm import RECV, SEND, Action, Fsm
@@ -190,6 +191,16 @@ def oracle_interpret(l) -> Fsm:
 # Recursive projection and partner restriction, the references for the
 # explicit-stack `projection.erase` that both now run on.  The projection
 # oracle builds its path string at every node instead of using path_text.
+
+def close_loop(var, body):
+    """The recursive rule `erase` folds: a loop the role never acts in
+    projects to End, and an unused binder is dropped."""
+    if var not in free_rec_vars(body):
+        return body
+    if not is_guarded(var, body):
+        return END
+    return Loop(var, body)
+
 
 def oracle_project(g, role):
     def walk(node, path: str):
@@ -1132,6 +1143,16 @@ def long_global(steps: int):
         pair = (A, c) if i == steps - 1 else (A, B) if i % 2 == 0 else (B, A)
         g = Com(*pair, ((Sort(f"M{i}"), g),))
     return Loop(x, g)
+
+
+def nested_loops(n: int):
+    """`rec X0 . A -> B : M . rec X1 . … X{n-1}`, built with constructors:
+    n loops, each directly under one message, where only the innermost
+    binder is used."""
+    g = Recur(RecVar(f"X{n - 1}"))
+    for i in reversed(range(n)):
+        g = Loop(RecVar(f"X{i}"), Com(A, B, ((Sort("M"), g),)))
+    return g
 
 
 def token_ring_text(n_roles: int, with_exit: bool = False) -> str:

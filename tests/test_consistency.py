@@ -18,11 +18,12 @@ from mpstkit.core import (
     Send,
     Sort,
     UnfoldError,
+    roles_of,
     struct_eq,
     well_formed,
 )
 from mpstkit.elaborate import load_text
-from mpstkit.projection import MergeError, project
+from mpstkit.projection import MergeError, project, result_or_error
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
 
 import conftest
@@ -338,6 +339,23 @@ class TestSharedWork:
             ("C", "A", "restricted views not dual"),
             ("C", "B", None),
         ]
+
+    def test_partners_come_from_the_global_type(self, monkeypatch):
+        # R0 may stop a token ring, so most pairs never talk and share a
+        # silent view; no projection is walked to find who talks to whom
+        g = load_text(token_ring_text(5, with_exit=True)).concrete["Ring"]
+        projections = {r: result_or_error(project, g, r) for r in roles_of(g)}
+        walked = []
+
+        def count_roles_of(t):
+            walked.append(t)
+            return roles_of(t)
+
+        # raising=False: consistency need not import roles_of at all
+        monkeypatch.setattr(consistency, "roles_of", count_roles_of, raising=False)
+        report = consistent(g, projections=projections)
+        assert walked == []
+        assert report.to_json() == oracle_consistent(g).to_json()
 
     def test_long_loop_is_stack_safe(self):
         report = consistent(long_global(5000))

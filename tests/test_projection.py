@@ -1,8 +1,12 @@
 """Projection and the full-merge operator, against hand-built reference
 types for the negotiation and purchase protocols."""
 
+import time
+
 import pytest
 
+from mpstkit import projection
+from mpstkit.consistency import restrict_to_partner
 from mpstkit.core import (
     Com,
     END,
@@ -13,6 +17,7 @@ from mpstkit.core import (
     Role,
     Send,
     Sort,
+    free_rec_vars,
     struct_eq,
     subterms,
     well_formed,
@@ -31,6 +36,7 @@ from helpers import (
     mergeable_pair,
     negotiation_global,
     negotiation_local_b,
+    nested_loops,
     random_global,
     random_local,
     seeded,
@@ -147,6 +153,36 @@ class TestProjectGolden:
         x, c = RecVar("X"), Role("C")
         assert project(g, c) == Loop(x, Recv(A, c, ((Sort("M4999"), Recur(x)),)))
         assert project(g, Role("D")) == END
+
+
+class TestNestedLoops:
+    """Erasure closes each loop from the free variables it keeps beside the
+    rebuilt body, so directly nested loops cost no walk per loop."""
+
+    def test_loops_close_without_walking_their_bodies(self, monkeypatch):
+        walked = []
+
+        def count_free_rec_vars(t):
+            walked.append(t)
+            return free_rec_vars(t)
+
+        monkeypatch.setattr(projection, "free_rec_vars", count_free_rec_vars)
+        g = nested_loops(2000)
+        local = project(g, A)
+        view = restrict_to_partner(local, B)
+        assert project(g, Role("C")) == END
+        assert restrict_to_partner(local, Role("C")) == END
+        assert walked == []
+        # every binder but the innermost is unused, so it is dropped
+        expected = "A -> B ! M . " * 1999 + "rec X1999 . A -> B ! M . X1999"
+        assert str(local) == str(view) == expected
+        assert well_formed(local) == []
+
+    def test_deep_nesting_projects_in_linear_time(self):
+        g = nested_loops(4000)
+        start = time.perf_counter()
+        project(g, A)
+        assert time.perf_counter() - start < 0.25
 
 
 class TestMerge:

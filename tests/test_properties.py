@@ -6,7 +6,7 @@ is a legal input for the operations under test.
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mpstkit.consistency import consistent, dual, restrict_to_partner
 from mpstkit.core import (
@@ -29,7 +29,7 @@ from mpstkit.core import (
 )
 from mpstkit.elaborate import ElabError, load_text
 from mpstkit.fsm import interpret
-from mpstkit.projection import merge, project
+from mpstkit.projection import MergeError, ProjectionError, merge, project, result_or_error
 from mpstkit.runtime import GlobalSession, run_all
 from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
@@ -253,14 +253,70 @@ def test_consistent_matches_pairwise_oracle(g):
     assert consistent(g).to_json() == oracle_consistent(g).to_json()
 
 
+# Directly nested loops: erasure drops an unused binder (Y in the first, X
+# in the second), keeps a guarded loop, and turns one whose variable is
+# left unguarded into `end` (C in the second; B's view of C in the first).
+# The third keeps both binders, and the last rebinds X inside Y.
+X, Y = RecVar("X"), RecVar("Y")
+M, N = Sort("M"), Sort("N")
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_globals)
+@example(Loop(X, Loop(Y, Com(A, B, ((M, Com(C, A, ((M, Recur(X)),))),)))))
+@example(Loop(X, Loop(Y, Com(A, B, ((M, Recur(Y)),)))))
+@example(Loop(X, Loop(Y, Com(A, B, ((M, Recur(X)), (N, Recur(Y)))))))
+@example(Loop(X, Com(A, B, ((M, Loop(Y, Loop(X, Com(B, C, ((M, Recur(X)), (N, Recur(Y))))))),))))
 def test_erasure_matches_recursive_oracles(g):
     # projections or their errors (role, path, text), then every restriction
     # of each projection to another role or its MergeError reason
     assert erasure_outcomes(g, project, restrict_to_partner) == erasure_outcomes(
         g, oracle_project, oracle_restrict
     )
+
+
+# Two facts erasure and `consistent` rely on, over draws with 3 or 4 roles:
+# a projection, and each of its views for a partner, is well formed; and a
+# projectable role's projection acts with exactly the roles it meets in g.
+
+small_globals = st.builds(
+    lambda seed, n_roles, relay: random_global(
+        seeded(seed), ["A", "B", "C", "D"][:n_roles], depth=4, relay=relay
+    ),
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 4),
+    st.booleans(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_globals)
+def test_projections_and_their_views_are_well_formed(g):
+    assert well_formed(g) == []
+    roles = roles_of(g)
+    for r in roles:
+        local = result_or_error(project, g, r)
+        if isinstance(local, ProjectionError):
+            continue
+        assert well_formed(local) == [], (r, local)
+        for p in roles - {r}:
+            view = result_or_error(restrict_to_partner, local, p)
+            if not isinstance(view, MergeError):
+                assert well_formed(view) == [], (r, p, view)
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_globals)
+def test_projections_act_with_the_partners_met_in_the_global_type(g):
+    partners: dict = {}
+    for n in subterms(g):
+        if isinstance(n, Com):
+            partners.setdefault(n.sender, set()).add(n.receiver)
+            partners.setdefault(n.receiver, set()).add(n.sender)
+    for r in roles_of(g):
+        local = result_or_error(project, g, r)
+        if not isinstance(local, ProjectionError):
+            assert roles_of(local) - {r} == partners[r], (r, local)
 
 
 # ---------------------------------------------------------------------------

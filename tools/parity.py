@@ -5,20 +5,20 @@ checkouts.
 
 The inputs are the fixtures, every `benchmark/inputs.family` input at the
 given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
-`tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files` and
+`tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files`,
 the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
-definitions (duplicate texts once).  Each goes through `cli.main`, in
-process, with `check --consistency` (text and `--json`), which prints the
-text, line and column of every syntax or elaboration error.  Each fixture
-and family input then goes through `project` (text and `--json`)
-and `fsm --json` for every role of every protocol, and `run`, `run --json`
-and `run --unchecked --timeout 1`, except on the ping-pong and `deep` texts,
-whose processes end only by timeout.  Each call prints one line: the input,
-the command, the exit code and the SHA-256 of stdout and of stderr.  An
-exception that escapes `cli.main` reads as exit `traceback`.  The mpstkit,
-benchmark inputs and test helpers used are those of the checkout this file is
-in, so to compare two commits run a copy of it in each checkout and diff the
-outputs.
+definitions, and the generated `LOOPS` (duplicate texts once).  Each goes
+through `cli.main`, in process, with `check --consistency` (text and
+`--json`), which prints the text, line and column of every syntax or
+elaboration error.  Each fixture, family input and loop then goes through
+`project` (text and `--json`) and `fsm --json` for every role of every
+protocol, and `run`, `run --json` and `run --unchecked --timeout 1`, except
+on the ping-pong and `deep` texts, whose processes end only by timeout.
+Each call prints one line: the input, the command, the exit code and the
+SHA-256 of stdout and of stderr.  An exception that escapes `cli.main` reads
+as exit `traceback`.  The mpstkit, benchmark inputs and test helpers used are
+those of the checkout this file is in, so to compare two commits run a copy
+of it in each checkout and diff the outputs.
 """
 
 from __future__ import annotations
@@ -35,20 +35,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import benchmark_inputs, cut_and_splice, odd_files, reference_chain  # noqa: E402
+from helpers import (  # noqa: E402
+    benchmark_inputs, cut_and_splice, nested_loops, odd_files, reference_chain,
+)
 from mpstkit import cli  # noqa: E402
 from mpstkit.core import roles_of  # noqa: E402
 
 DAMAGED = 100  # damaged copies of the fixtures per seed
 ODD = 20  # odd files per seed
 CHAINS = [("diamond", 8), ("in order", 40), ("reversed", 40), ("generic", 40)]
+# `tests/helpers.nested_loops` at 50 and 200 levels, under the parser's
+# nesting limit, and a protocol whose roles B and C meet only inside a loop,
+# behind a choice of A's
+LOOPS = [(f"nested {n}", f"sort M;\nglobal Nested = {nested_loops(n)};\n") for n in (50, 200)]
+LOOPS.append(("behind", """sort Go; sort Stop; sort M;
+global Behind = rec X . A -> B : {
+  Go . B -> C : M . C -> B : M . X,
+  Stop . B -> C : Stop . end };
+"""))
 CHECK_ONLY = ("damaged/", "odd/", "chain/")  # labels of inputs that are only checked
 
 
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
-    then the damaged copies of the fixtures, the odd files and the reference
-    chains for each seed."""
+    then the damaged copies of the fixtures, the odd files, the reference
+    chains and the loops for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -64,6 +75,7 @@ def inputs_for(seeds: list) -> list:
         out += [(f"chain/{kind} {n}@{seed}",
                  "\n".join(["sort M; sort Q;", *reference_chain(kind, n)]) + "\n")
                 for seed in seeds for kind, n in CHAINS]
+        out += [(f"loops/{label}@{seed}", text) for seed in seeds for label, text in LOOPS]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
         first.setdefault(text, label)

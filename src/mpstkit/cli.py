@@ -1,8 +1,9 @@
 """Command-line interface: check, project, fsm, run, bench.
 
-Exit codes: 0 all checks passed / command succeeded; 1 a check failed or a
-run faulted; 2 the input did not parse or elaborate, or a path on the command
-line cannot be read or written.  Set MPSTKIT_COLOR=0 to disable ANSI colour.
+Exit codes: 0 all checks passed / command succeeded; 1 a check failed, a
+run faulted or stdout was closed early; 2 the input did not parse or
+elaborate, or a path on the command line cannot be read or written.  Set
+MPSTKIT_COLOR=0 to disable ANSI colour.
 """
 
 from __future__ import annotations
@@ -177,17 +178,22 @@ def cmd_check(args) -> int:
 
 def _project_or_exit(args) -> tuple:
     """(protocol name, local type) for `--protocol` and `--role`; exits 2 when
-    the file does not load and 1, with one line on stderr, on an unknown
-    protocol or role or a failed projection."""
+    the file does not load and 1, with one line on stderr, when there is no
+    protocol to pick, on an unknown or generic protocol, an unknown role or a
+    failed projection."""
     pf = _load_or_report(args.file)
     if pf is None:
         raise SystemExit(2)
-    if not args.protocol and len(pf.concrete) != 1:
+    if not args.protocol and not pf.concrete:
+        raise SystemExit(_bad("file defines no concrete protocol"))
+    if not args.protocol and len(pf.concrete) > 1:
         names = ", ".join(sorted(pf.concrete))
         raise SystemExit(_bad(f"file defines several protocols ({names}); use --protocol"))
     name = args.protocol or next(iter(pf.concrete))
     if name not in pf.concrete:
-        raise SystemExit(_bad(f"unknown protocol {name}"))
+        generic = any(d.name == name for d in pf.surface.global_defs())
+        raise SystemExit(_bad(f"protocol {name} is generic" if generic
+                              else f"unknown protocol {name}"))
     roles = sorted(r.name for r in roles_of(pf.concrete[name]))
     # a protocol without roles (just `end`) projects to `end` onto any role
     if roles and args.role not in roles:
@@ -443,7 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader has gone (`| head`): send what is still buffered, which
+        # Python flushes at exit, to devnull, as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ def dual(a: LocalType, b: LocalType) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PairVerdict:
     r1: Role
     r2: Role

@@ -5,8 +5,12 @@ describe one role's side of it.  Both share the End/Loop/Recur node kinds,
 so substitution, unfolding, alpha-normalization, structural equality and
 well-formedness are written once and work on either family.
 
-All nodes are frozen dataclasses: values are immutable after construction,
-hashable, and safe to share between threads.
+Every class here (the type nodes, `Role`, `RecVar`, `Sort`,
+`EndpointPayload` and `Violation`) is a frozen dataclass: values are
+immutable after construction, hashable, and safe to share between threads.
+The parse trees, process terms and checker records of the other modules,
+built many times more often, are plain dataclasses: compared and hashed by
+value all the same, and never changed after construction.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ class ElabError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LocalAssert:
     global_name: str
     role: Role
@@ -50,7 +50,7 @@ class LocalAssert:
     pos: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProcDecl:
     name: str
     bindings: tuple  # ((Role, protocolName, var), ...)

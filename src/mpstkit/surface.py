@@ -17,8 +17,9 @@ declared local types that must match a projection, and process scripts:
     }
 
 A token is its lexeme: `tokenize` lexes the text in one regex pass, keeping
-where each lexeme starts, and the parser reads each token's kind off its
-text.  A `(line, col)` is computed only where a `pos` or a `ParseError` keeps one.
+the match each lexeme was read from, and the parser reads each token's kind
+off its text.  Where a lexeme starts, and its `(line, col)`, are computed only
+where a `pos` or a `ParseError` keeps one.
 
 Parsing is deterministic recursive descent.  Errors carry line/column and
 the expected-token set; the parser resynchronises at the next top-level
@@ -36,6 +37,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 from . import core, typecheck as tc
@@ -84,33 +86,31 @@ class ParseError(Exception):
 
 
 class Lexemes(list):
-    """The lexemes of a text, ending with "" for eof; `starts` holds the
-    offset of each, `newlines` -1 and then the offset of each line break."""
+    """The lexemes of a text, ending with "" for eof; `matches` holds the
+    match each was read from, `newlines` -1 and then the offset of each line
+    break."""
 
-    def __init__(self, lexemes: list, starts: list, newlines: list):
-        super().__init__(lexemes)
-        self.starts, self.newlines = starts, newlines
+    def __init__(self, matches: list, newlines: list):
+        super().__init__(map(itemgetter(1), matches))
+        self.matches, self.newlines = matches, newlines
 
     def pos(self, i: int) -> Pos:
         """The (line, col) of the i-th lexeme."""
-        offset = self.starts[i]
+        m = self.matches[i]
+        offset = m.start(m.lastindex)
         line = bisect_right(self.newlines, offset)
         return line, offset - self.newlines[line - 1]
 
 
 def tokenize(text: str) -> Lexemes:
-    """The lexemes of `text`, then "" for eof, with the offset each starts
-    at.  Blanks and `//` comments separate lexemes, and a keyword is lexed as
+    """The lexemes of `text`, then "" for eof, with the match each was read
+    from.  Blanks and `//` comments separate lexemes, and a keyword is lexed as
     an identifier is.  The first character no token starts with (an
     unterminated string's `"` among them) is a `ParseError`."""
     matches = list(_LEXEME_RE.finditer(text))
     if len(matches) > 1 and matches[-2][1] == "":
         matches.pop()  # after trailing blanks, `\Z` matches once more, empty
-    lexemes = Lexemes(
-        [m[1] for m in matches],
-        [m.start(m.lastindex) for m in matches],
-        [-1, *(m.start() for m in re.finditer("\n", text))],
-    )
+    lexemes = Lexemes(matches, [-1, *(m.start() for m in re.finditer("\n", text))])
     if None in lexemes:
         i = lexemes.index(None)
         raise ParseError(*lexemes.pos(i), f"unexpected character {matches[i][2]!r}")
@@ -125,7 +125,7 @@ def _is_name(lexeme: str) -> bool:  # an identifier, but not `_` or a keyword
 # Surface AST
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STCom:
     """One communication step: `:` in a global type, `!` (send) or `?`
     (receive) in a declared local type."""
@@ -137,19 +137,19 @@ class STCom:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STEnd:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STRec:
     var: str
     body: "STy"
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class STRef:
     name: str
     args: tuple = ()
@@ -159,21 +159,21 @@ class STRef:
 STy = Union[STCom, STEnd, STRec, STRef]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SortDecl:
     name: str
     schema: object  # "none" | "int" | "string" | SEndpointSchema
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SEndpointSchema:
     role: str
     global_name: str
     project_onto: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GlobalDef:
     name: str
     params: tuple  # ((name, "role"|"protocol"), ...)
@@ -181,7 +181,7 @@ class GlobalDef:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LocalDef:
     global_name: str
     role: str
@@ -189,7 +189,7 @@ class LocalDef:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SCall:
     """A sort constructor `Name(arg)`, or a send's sort and argument: what the
     name means is known only once the whole file is read, so elaboration
@@ -200,7 +200,7 @@ class SCall:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProcDef:
     name: str
     bindings: tuple  # ((role, protocolName, var|None), ...)

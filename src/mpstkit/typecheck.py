@@ -50,45 +50,45 @@ Pos = Optional[tuple]  # (line, col)
 # Expressions
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntLit:
     value: int
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StrLit:
     value: str
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class VarRef:
     name: str
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NewSort:
     sort: Sort
     args: tuple = ()
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Field:
     target: "Expr"
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Sub:
     a: "Expr"
     b: "Expr"
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Lt:
     a: "Expr"
     b: "Expr"
@@ -102,7 +102,7 @@ Expr = Union[IntLit, StrLit, VarRef, NewSort, Field, Sub, Lt]
 # Process terms
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SendT:
     session: str
     to: Role
@@ -111,7 +111,7 @@ class SendT:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RecvArm:
     sort_name: str
     payload_var: str  # "_" discards
@@ -119,7 +119,7 @@ class RecvArm:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RecvT:
     session: str
     frm: Role
@@ -127,7 +127,7 @@ class RecvT:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LoopT:
     session: str
     recur_var: str
@@ -135,20 +135,20 @@ class LoopT:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RecurT:
     recur_var: str
     session: str
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EndT:
     results: tuple = ()
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IfT:
     cond: Expr
     then: "ProcessTerm"
@@ -156,7 +156,7 @@ class IfT:
     pos: Pos = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LetT:
     name: str
     value: Expr
@@ -187,7 +187,7 @@ class ErrorClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Diagnostic:
     cls: ErrorClass
     message: str
@@ -224,7 +224,7 @@ T_STRING = "string"
 T_BOOL = "bool"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EndpointType:
     """Type of a session endpoint used as a delegation payload."""
 
@@ -232,7 +232,7 @@ class EndpointType:
     local: LocalType
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SessionState:
     """A session variable's role and local type, as a caller supplies it."""
 
@@ -240,7 +240,7 @@ class SessionState:
     type: LocalType
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LoopEntry:
     recur_var: str
     node: int  # the loop's node in the session's graph

@@ -180,6 +180,61 @@ def test_unknown_role_is_one_line(command, role):
     assert result.stderr == f"unknown role {role} in protocol Negotiation (roles: A, B)\n"
 
 
+GENERIC_ONLY = "sort M;\nglobal G[P: role, Q: role] = P -> Q : M . end;\n"
+
+
+@pytest.mark.parametrize("command", ["project", "fsm"])
+@pytest.mark.parametrize("text", ["", GENERIC_ONLY], ids=["empty", "generic-only"])
+def test_no_concrete_protocol_is_named(command, text, tmp_path):
+    # with no --protocol, a file with nothing to pick says so, not "several"
+    f = tmp_path / "f.mpst"
+    f.write_text(text)
+    result = mpstkit(command, str(f), "--role", "A")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "file defines no concrete protocol\n"
+
+
+@pytest.mark.parametrize("command", ["project", "fsm"])
+def test_generic_protocol_is_named(command, tmp_path):
+    f = tmp_path / "f.mpst"
+    f.write_text(GENERIC_ONLY)
+    result = mpstkit(command, str(f), "--role", "A", "--protocol", "G")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "protocol G is generic\n"
+    result = mpstkit(command, str(f), "--role", "A", "--protocol", "H")
+    assert (result.returncode, result.stderr) == (1, "unknown protocol H\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["project", fx("three_buyer.mpst"), "--protocol", "Purchase", "--role", "B1", "--json"],
+        ["bench", str(conftest.FIXTURES), "--repeat", "1"],
+    ],
+    ids=["project", "bench"],
+)
+def test_closed_stdout_is_not_a_traceback(args):
+    # the child's stdout is a pipe whose reader is closed before it starts,
+    # as when `| head` has exited: its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mpstkit.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""  # no traceback, nor an "Exception ignored" at exit
+
+
 class TestFsm:
     def test_dot_file_written(self, tmp_path):
         out = tmp_path / "bob.dot"
@@ -433,7 +488,7 @@ def test_parity_tool_fingerprints_two_fixtures():
     lines = parity.parity_lines(inputs)
     assert lines == parity.parity_lines(inputs)
     rows = {tuple(line.split(" | ")[:2]): line.split(" | ")[2:] for line in lines}
-    assert len(rows) == len(lines) == 22
+    assert len(rows) == len(lines) == 26
     trace = "# session Negotiation\n" + "".join(
         f"seq {i}: {step}\n" for i, step in enumerate(
             ["A -> B : Propose(5)", "B -> A : Propose(11)", "A -> B : Propose(6)",
@@ -441,7 +496,7 @@ def test_parity_tool_fingerprints_two_fixtures():
     empty = hashlib.sha256(b"").hexdigest()
     assert rows["negotiation.mpst", "run"] == [
         "exit 0", f"stdout {hashlib.sha256(trace.encode()).hexdigest()}", f"stderr {empty}"]
-    assert [row[0] for key, row in rows.items() if key[0] == "negotiation.mpst"] == ["exit 0"] * 11
+    assert [row[0] for key, row in rows.items() if key[0] == "negotiation.mpst"] == ["exit 0"] * 13
     bad = "mutations/oneshot_bad_send.mpst"
     assert rows[bad, "check --consistency"][0] == "exit 1"
     assert rows[bad, "run --unchecked --timeout 1"][0] == "exit 1"

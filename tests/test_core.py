@@ -1,6 +1,7 @@
 """Core AST operations: substitution, unfolding, normalization, equality,
 well-formedness, branch lookup, and the JSON encoding."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 from mpstkit.core import (
     Com,
     END,
+    EndpointPayload,
     Loop,
     Recur,
     RecVar,
@@ -32,8 +34,9 @@ from mpstkit.core import (
     well_formed,
 )
 from mpstkit.consistency import dual, restrict_to_partner
-from mpstkit.fsm import interpret
+from mpstkit.fsm import Action, interpret
 from mpstkit.projection import project
+from mpstkit.runtime import Message, TraceEvent
 
 import helpers
 from helpers import (
@@ -439,3 +442,24 @@ class TestRender:
         two = Send(A, B, ((Ok, END), (Propose, Recur(X))))
         assert str(Loop(X, two)) == "rec X . A -> B ! { Ok . end, Propose . X }"
         assert str(Recv(A, B, ())) == "A -> B ? {  }"
+
+
+_M = Sort("M")
+_STEP = ((_M, END),)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        A, X, _M, EndpointPayload(B, Send(B, A, _STEP)), END, Loop(X, Recur(X)), Recur(X),
+        Com(A, B, _STEP), Send(A, B, _STEP), Recv(A, B, _STEP),
+        Message(_M, 1), TraceEvent(1, A, B, _M, None), Action("send", B, A, _M),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_shared_values_stay_frozen(value):
+    # type values and the runtime's values are shared between threads and
+    # handed to callers, so assigning a field must fail
+    name = dataclasses.fields(value)[0].name if dataclasses.fields(value) else "tag"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, None)

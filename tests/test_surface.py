@@ -1,10 +1,11 @@
 """Surface syntax: parsing, rendering round trips, generic instantiation."""
 
+import dataclasses
 import re
 
 import pytest
 
-from mpstkit import cli
+from mpstkit import cli, typecheck as tc
 from mpstkit.core import END, Loop, Recur, RecVar, Recv, Role, Sort, struct_eq
 from mpstkit.elaborate import ElabError, elaborate, instantiate, load_text
 from mpstkit.surface import (
@@ -480,3 +481,37 @@ class TestOneTypeRule:
             return lo
 
         assert longest(_Parser) == longest(OracleParser)
+
+
+class TestPlainRecords:
+    """Parse-tree nodes and process terms are plain dataclasses: compared and
+    hashed by value, with `pos` left out, and rebuilt by `replace`."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.relative_to(conftest.FIXTURES).as_posix()
+                       for p in conftest.FIXTURES.rglob("*.mpst")))
+    def test_two_parses_are_equal_with_equal_hashes(self, name):
+        text = conftest.fixture_path(name).read_text()
+        a, b = (parse_protocol_file(text).file.decls for _ in range(2))
+        assert a == b and a is not b
+        assert [hash(d) for d in a] == [hash(d) for d in b]
+
+    def test_records_differing_only_in_pos_are_equal(self):
+        text = "sort M;\nglobal G = A -> B : M . end;\nproc p plays A in G { send B M; end }\n"
+        a = parse_protocol_file(text).file.decls
+        b = parse_protocol_file("\n\n  " + text.replace(" . ", " .\n ")).file.decls
+        assert len(a) == 3 and [d.pos for d in a] != [d.pos for d in b]
+        assert a == b and [hash(d) for d in a] == [hash(d) for d in b]
+        send = tc.SendT("s", Role("B"), tc.NewSort(Sort("M")), tc.EndT(), (1, 1))
+        moved = tc.SendT("s", Role("B"), tc.NewSort(Sort("M")), tc.EndT(), (9, 9))
+        assert send == moved and hash(send) == hash(moved)
+
+    def test_replace_round_trips(self):
+        (proc,) = parse_protocol_file(
+            "proc p plays A in G { send B M; end }\n").file.proc_defs()
+        renamed = dataclasses.replace(proc, name="q")
+        assert (renamed.name, renamed.pos) == ("q", proc.pos) and renamed != proc
+        assert dataclasses.replace(renamed, name="p") == proc
+        send = tc.SendT("s", Role("B"), tc.NewSort(Sort("M")), tc.EndT(), (2, 3))
+        back = dataclasses.replace(dataclasses.replace(send, session="t"), session="s")
+        assert back == send and back.pos == send.pos

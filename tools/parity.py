@@ -12,8 +12,10 @@ through `cli.main`, in process, with `check --consistency` (text and
 `--json`), which prints the text, line and column of every syntax or
 elaboration error.  Each fixture, family input and loop then goes through
 `project` (text and `--json`) and `fsm --json` for every role of every
-protocol, and `run`, `run --json` and `run --unchecked --timeout 1`, except
-on the ping-pong and `deep` texts, whose processes end only by timeout.
+protocol; `project` and `fsm --json` once without `--protocol`, for the first
+role of the first protocol (or `A` when there is none); and `run`, `run
+--json` and `run --unchecked --timeout 1`, except on the ping-pong and `deep`
+texts, whose processes end only by timeout.
 Each call prints one line: the input, the command, the exit code and the
 SHA-256 of stdout and of stderr.  An exception that escapes `cli.main` reads
 as exit `traceback`.  The mpstkit, benchmark inputs and test helpers used are
@@ -110,11 +112,16 @@ def commands(label: str, path: str) -> list:
     if label.startswith(CHECK_ONLY):
         return out
     pf, _ = cli.load_file(path)
-    for name in sorted(pf.concrete) if pf else ():
+    names = sorted(pf.concrete) if pf else []
+    for name in names:
         for role in sorted(r.name for r in roles_of(pf.concrete[name])):
             out.append(["project", path, "--protocol", name, "--role", role])
             out.append(["project", path, "--protocol", name, "--role", role, "--json"])
             out.append(["fsm", path, "--protocol", name, "--role", role, "--json"])
+    # without --protocol, the CLI picks the file's one protocol or says why it cannot
+    first = sorted(r.name for r in roles_of(pf.concrete[names[0]])) if names else []
+    role = first[0] if first else "A"
+    out += [["project", path, "--role", role], ["fsm", path, "--role", role, "--json"]]
     if not label.startswith(ENDLESS):
         out += [["run", path], ["run", path, "--json"],
                 ["run", path, "--unchecked", "--timeout", "1"]]

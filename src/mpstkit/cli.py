@@ -191,8 +191,7 @@ def _project_or_exit(args) -> tuple:
         raise SystemExit(_bad(f"file defines several protocols ({names}); use --protocol"))
     name = args.protocol or next(iter(pf.concrete))
     if name not in pf.concrete:
-        generic = any(d.name == name for d in pf.surface.global_defs())
-        raise SystemExit(_bad(f"protocol {name} is generic" if generic
+        raise SystemExit(_bad(f"protocol {name} is generic" if pf.is_generic(name)
                               else f"unknown protocol {name}"))
     roles = sorted(r.name for r in roles_of(pf.concrete[name]))
     # a protocol without roles (just `end`) projects to `end` onto any role
@@ -302,12 +301,6 @@ def cmd_run(args) -> int:
     except RuntimeFault as e:
         print(_bad(f"run failed: {e}"))
         return 1
-    for name, result in sorted(results.items()):
-        faults.extend(
-            (name, RuntimeFault(f"role {ep.role} ended with its session unfinished"))
-            for ep in result.terminals.values()
-            if not ep.is_terminated()
-        )
     lines = []
     for name in sorted(sessions):
         lines.append(f"# session {name}")

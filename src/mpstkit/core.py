@@ -3,7 +3,8 @@
 Global types describe a protocol from the bird's-eye view; local types
 describe one role's side of it.  Both share the End/Loop/Recur node kinds,
 so substitution, unfolding, alpha-normalization, structural equality and
-well-formedness are written once and work on either family.
+well-formedness are written once and work on either family; unfolding and
+well-formedness decide contractiveness by one rule, `is_guarded`.
 
 Every class here (the type nodes, `Role`, `RecVar`, `Sort`,
 `EndpointPayload` and `Violation`) is a frozen dataclass: values are
@@ -192,10 +193,6 @@ TypeNode = Union[Com, Send, Recv, End, Loop, Recur]
 
 END = End()
 
-# Cap on unfolding steps; well-formed types never get close (one step per
-# directly nested Loop), so hitting this means a non-contractive input.
-_UNFOLD_FUEL = 512
-
 
 def substitute(body: TypeNode, var: RecVar, replacement: TypeNode) -> TypeNode:
     """Replace every free Recur(var) in body by replacement.
@@ -216,13 +213,12 @@ def substitute(body: TypeNode, var: RecVar, replacement: TypeNode) -> TypeNode:
 
 
 def unfold(t: TypeNode) -> TypeNode:
-    """Unroll leading Loop nodes until the head constructor is not a Loop."""
-    fuel = _UNFOLD_FUEL
+    """Unroll leading Loop nodes until the head constructor is not a Loop.  Each
+    step removes one, unless `is_guarded` fails: then UnfoldError."""
     while isinstance(t, Loop):
-        t = substitute(t.body, t.var, t)
-        fuel -= 1
-        if fuel == 0:
+        if not is_guarded(t.var, t.body):
             raise UnfoldError("unfolding did not terminate: non-contractive type")
+        t = substitute(t.body, t.var, t)
     return t
 
 

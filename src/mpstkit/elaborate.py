@@ -78,6 +78,11 @@ class ProtocolFile:
             self._projections[key] = result_or_error(project, self.concrete[name], role)
         return self._projections[key]
 
+    def is_generic(self, name: str) -> bool:
+        """Whether the file defines protocol `name` with parameters."""
+        defs = self.surface.global_defs() if self.surface else ()
+        return any(d.name == name and d.params for d in defs)
+
 
 @dataclass
 class _Ctx:

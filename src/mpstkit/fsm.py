@@ -128,27 +128,19 @@ class StateGraph:
                 while scope is not None and scope[0] != t.var.name:
                     scope = scope[2]
                 links[i] = -1 if scope is None else scope[1]
-        self._heads: list = [None] * len(nodes)
         self._stride = max(depth) + 1
         self._memo: dict = {}  # node * stride + theta -> cons id
 
     def head(self, i: int) -> int:
         """The node that unfolding node i reaches: a Send, Recv, End or
         unbound Recur.  Raises UnfoldError on a non-contractive loop."""
-        h = self._heads[i]
-        if h is None:
-            nodes, links = self.nodes, self.links
-            h, steps = i, 0
-            while isinstance(nodes[h], Loop) or (
-                isinstance(nodes[h], Recur) and links[h] >= 0
-            ):
-                h = links[h]
-                steps += 1
-                if steps > len(nodes):  # went round a cycle of loops
-                    raise UnfoldError(
-                        "unfolding did not terminate: non-contractive type"
-                    )
-            self._heads[i] = h
+        nodes, links = self.nodes, self.links
+        h, steps = i, 0
+        while isinstance(nodes[h], Loop) or (isinstance(nodes[h], Recur) and links[h] >= 0):
+            h = links[h]
+            steps += 1
+            if steps > len(nodes):  # went round a cycle of loops
+                raise UnfoldError("unfolding did not terminate: non-contractive type")
         return h
 
     def closed(self, n: int) -> int:

@@ -7,7 +7,7 @@ each role on its own thread.  Endpoints are use-once handles: each action
 consumes the handle and returns a fresh successor, so a stale handle can never
 perform a second action (the dynamic half of linearity, kept even though terms
 are also checked statically).  Actions read the type at Endpoint.head, with
-leading loops unrolled; only enter_loop and recur step into a loop.
+leading loops unrolled once; only enter_loop and recur step into a loop.
 
 run_all runs processes on one thread and reports those a deadlock or fault leaves waiting.
 
@@ -172,6 +172,7 @@ class Endpoint:
         self.role = role
         self.session = session
         self.current_type = current_type
+        self._head: Optional[LocalType] = None  # current_type unrolled, on first use
         self._consumed = False
         self._lock = threading.Lock()
 
@@ -197,8 +198,11 @@ class Endpoint:
         return Endpoint(self.role, self.session, t)
 
     def head(self) -> LocalType:
-        """The type of the next action: the current type with leading loops unrolled."""
-        return unfold(self.current_type)
+        """The type of the next action: the current type, which never
+        changes, with leading loops unrolled on first use."""
+        if self._head is None:
+            self._head = unfold(self.current_type)
+        return self._head
 
     def _expect(self, kind: type, peer: Role, doing: str, *args) -> LocalType:
         """Consume this handle for `doing` (see _consume) and return the head,
@@ -414,7 +418,8 @@ def run(endpoints: dict, term: tc.ProcessTerm) -> RunResult:
 def run_all(processes: list, timeout: float) -> tuple:
     """Run processes, each (name, [(session, role, var)], term), on this thread:
     claim every role, then give each process one turn in order until none can
-    go on or `timeout` seconds have passed.  Returns (results by name, [(name, fault)])."""
+    go on or `timeout` seconds have passed.  Returns (results by name, [(name, fault)]),
+    the faults ending with each endpoint that a finished process left short of `end`."""
     results, faults, running, claimed = {}, [], {}, {}  # running: name -> (steps, wait)
     for name, bindings, term in processes:
         try:
@@ -432,7 +437,9 @@ def run_all(processes: list, timeout: float) -> tuple:
     while running and stepped:
         if time.monotonic() > deadline:
             late = RuntimeFault(f"processes did not finish in {timeout} s: {', '.join(running)}")
-            return results, faults + [("timeout", late)]
+            faults.append(("timeout", late))
+            running.clear()
+            break
         stepped = False
         for name, (steps, wait) in list(running.items()):
             if wait is None or not wait[0].would_wait(wait[1]):
@@ -450,4 +457,7 @@ def run_all(processes: list, timeout: float) -> tuple:
         sorts = " or ".join(s.name for s, _ in ep.head().branches)
         reason = why or f"deadlocked: {ep.role} waits for {peer} to send {sorts}"
         faults.append((name, RuntimeFault(f"session {ep.session.name} {reason}")))
+    for name, result in sorted(results.items()):
+        faults += [(name, RuntimeFault(f"role {ep.role} ended with its session unfinished"))
+                   for ep in result.terminals.values() if not ep.is_terminated()]
     return results, faults

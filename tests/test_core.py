@@ -119,6 +119,46 @@ class TestUnfold:
                 continue
             assert unfold(loop) == substitute(body, X, loop)
 
+    def test_six_hundred_directly_nested_loops_unroll(self):
+        # rec X0 . rec X1 . … rec X599 . B -> A ! Ok . X0: contractive, and
+        # each unrolling has one directly nested loop fewer
+        names = [RecVar(f"X{i}") for i in range(600)]
+        t = Send(B, A, ((Ok, Recur(names[0])),))
+        for var in reversed(names):
+            t = Loop(var, t)
+        head = unfold(t)
+        assert isinstance(head, Send)
+        assert struct_eq(head, Send(B, A, ((Ok, t),)))
+
+    @pytest.mark.parametrize("t", [
+        Loop(X, Recur(X)),
+        Loop(X, Loop(Y, Recur(X))),
+        Loop(X, Loop(Y, Recur(Y))),
+    ], ids=str)
+    def test_non_contractive_loops_raise(self, t):
+        with pytest.raises(UnfoldError) as exc:
+            unfold(t)
+        assert str(exc.value) == "unfolding did not terminate: non-contractive type"
+
+    def test_matches_substitution_until_the_head_is_not_a_loop(self):
+        def oracle(t):
+            while isinstance(t, Loop):
+                t = subst_oracle(t.body, t.var, t)
+            return t
+
+        rng = seeded(19)
+        roles = ["A", "B", "C"]
+        z, w = RecVar("Z"), RecVar("W")
+        loops = 0
+        for _ in range(600):
+            for t in (random_local(rng, A, B, depth=5), random_global(rng, roles, depth=5)):
+                # the draw's own loops, and the draw under two more binders
+                for loop in [n for n in postorder(t) if isinstance(n, Loop)] + [
+                        Loop(z, Loop(w, t))]:
+                    assert unfold(loop) == oracle(loop)
+                    loops += 1
+        assert loops > 2000
+
 
 class TestAlphaNormalize:
     def test_single_binder(self):

@@ -10,6 +10,7 @@ from mpstkit.consistency import restrict_to_partner
 from mpstkit.core import (
     Com,
     END,
+    EndpointPayload,
     Loop,
     Recur,
     RecVar,
@@ -224,6 +225,20 @@ class TestMerge:
         assert isinstance(merged, Loop)
         expected = Loop(x, Recv(A, B, ((Ok, Recur(x)), (Quit, Recur(x)))))
         assert struct_eq(merged, expected)
+
+    def test_loop_merge_skips_a_free_binder_name(self):
+        x, y, m0, m1 = RecVar("X"), RecVar("Y"), RecVar("M0"), RecVar("M1")
+        a = Loop(x, Recv(A, B, ((Ok, Recur(x)), (Quit, Recur(m0)))))
+        b = Loop(y, Recv(A, B, ((Ok, Recur(y)),)))
+        assert merge(a, b) == Loop(m1, Recv(A, B, ((Ok, Recur(m1)), (Quit, Recur(m0)))))
+
+    def test_conflicting_delegated_types_fail(self):
+        c = Role("C")
+        d_send = Sort("D", EndpointPayload(c, Send(c, A, ((Ok, END),))))
+        d_recv = Sort("D", EndpointPayload(c, Recv(A, c, ((Ok, END),))))
+        with pytest.raises(MergeError) as exc:
+            merge(Recv(A, B, ((d_send, END),)), Recv(A, B, ((d_recv, END),)))
+        assert exc.value.reason == "sort D has conflicting payloads"
 
     def test_loop_with_non_loop_fails(self):
         a = Loop(RecVar("X"), Recv(A, B, ((Ok, Recur(RecVar("X"))),)))

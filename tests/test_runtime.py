@@ -349,6 +349,9 @@ ENDPOINT_FAULTS = [
     ("recur-away-from-a-loop", OFFER, lambda s, a, b: a.recur(),
      ProtocolFault,
      "A: recur where the protocol is not back at a loop (A -> B ! { M . B -> A ? N . end, Q . end })"),
+    ("payload-off-schema", "global G = A -> B : N . end;\n",
+     lambda s, a, b: a.send("B", SORTS["N"], "x"),
+     ProtocolFault, "payload 'x' does not match the schema of sort N"),
 ]
 
 
@@ -364,6 +367,13 @@ def test_endpoint_fault(protocol, action, fault, text):
     with pytest.raises(RuntimeFault) as exc:
         action(session, a, b)
     assert (type(exc.value), str(exc.value)) == (fault, text)
+
+
+def test_an_endpoint_unrolls_its_head_once():
+    g = load_text("sort M;\nglobal G = rec X . A -> B : M . X;\n").concrete["G"]
+    a = GlobalSession(g, "G").join("A")
+    assert a.head() is a.head()
+    assert str(a.head()) == "A -> B ! M . rec X . A -> B ! M . X"
 
 
 class TestDelegation:
@@ -570,6 +580,21 @@ class TestScheduler:
         sessions, results, faults = run_protocol_file(pf, timeout=30.0)
         assert [(name, str(e)) for name, e in faults] == [("a2", "role A already initialised")]
         assert sorted(results) == ["a1", "b"]
+        assert sessions["G"].trace_lines() == ["seq 1: A -> B : Ping"]
+
+    def test_a_session_left_unfinished_is_a_fault(self):
+        # B ends without receiving A's Ping
+        pf = load_text(
+            "sort Ping;\n"
+            "global G = A -> B : Ping . end;\n"
+            "proc a plays A in G { send B Ping; end }\n"
+            "proc b plays B in G { end }\n"
+        )
+        sessions, results, faults = run_protocol_file(pf, timeout=10.0)
+        assert sorted(results) == ["a", "b"]
+        assert [(name, str(e)) for name, e in faults] == [
+            ("b", "role B ended with its session unfinished"),
+        ]
         assert sessions["G"].trace_lines() == ["seq 1: A -> B : Ping"]
 
     def test_join_claims_a_role_without_waiting(self):

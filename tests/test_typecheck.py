@@ -16,7 +16,7 @@ from mpstkit.core import (
     unfold,
     well_formed,
 )
-from mpstkit.elaborate import load_text
+from mpstkit.elaborate import ProcDecl, ProtocolFile, load_text
 from mpstkit.projection import project
 from mpstkit.typecheck import (
     EndpointType,
@@ -258,7 +258,7 @@ proc a plays A in P as s, A in Q as u {
      ErrorClass.LINEARITY_REUSE, "binding s would shadow a live session", "let s"),
     ("plays-a-generic-protocol", _SORTS + """global G[X: role, Y: role] = X -> Y : Ping . end;
 proc a plays A in G { end }""",
-     ErrorClass.UNBOUND_VARIABLE, "unknown protocol G", "proc a"),
+     ErrorClass.UNBOUND_VARIABLE, "protocol G is generic", "proc a"),
     ("unprojectable-role", _SORTS + """sort L; sort R;
 global P = A -> B : { L . C -> A : Ping . end, R . C -> A : Num . end };
 proc c plays C in P { end }""",
@@ -287,6 +287,16 @@ def test_diagnostic_catalogue(text, cls, message, needle):
     diags = check_session(load_text(text)).all_diagnostics()
     assert [(d.cls, d.message, d.pos[0]) for d in diags] == [
         (cls, message, line_of(text, needle))
+    ]
+
+
+def test_a_file_without_the_protocol_names_it_unknown():
+    # built through the API, with no definition of G at all
+    pf = ProtocolFile(procs=[ProcDecl("a", ((Role("A"), "G", "s"),), EndT())])
+    assert not pf.is_generic("G")
+    diags = check_session(pf).all_diagnostics()
+    assert [(d.cls, d.message) for d in diags] == [
+        (ErrorClass.UNBOUND_VARIABLE, "unknown protocol G")
     ]
 
 

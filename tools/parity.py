@@ -7,15 +7,16 @@ The inputs are the fixtures, every `benchmark/inputs.family` input at the
 given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
 `tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files`,
 the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
-definitions, and the generated `LOOPS` (duplicate texts once).  Each goes
-through `cli.main`, in process, with `check --consistency` (text and
-`--json`), which prints the text, line and column of every syntax or
-elaboration error.  Each fixture, family input and loop then goes through
-`project` (text and `--json`) and `fsm --json` for every role of every
-protocol; `project` and `fsm --json` once without `--protocol`, for the first
-role of the first protocol (or `A` when there is none); and `run`, `run
---json` and `run --unchecked --timeout 1`, except on the ping-pong and `deep`
-texts, whose processes end only by timeout.
+definitions, the generated `LOOPS`, and the `PROCS`, a process that plays a
+generic protocol and a run that leaves a session unfinished (duplicate texts
+once).  Each goes through `cli.main`, in process, with `check --consistency`
+(text and `--json`), which prints the text, line and column of every syntax
+or elaboration error.  Each fixture, family input, loop and process file
+then goes through `project` (text and `--json`) and `fsm --json` for every
+role of every protocol; `project` and `fsm --json` once without
+`--protocol`, for the first role of the first protocol (or `A` when there is
+none); and `run`, `run --json` and `run --unchecked --timeout 1`, except on
+the ping-pong and `deep` texts, whose processes end only by timeout.
 Each call prints one line: the input, the command, the exit code and the
 SHA-256 of stdout and of stderr.  An exception that escapes `cli.main` reads
 as exit `traceback`.  The mpstkit, benchmark inputs and test helpers used are
@@ -55,13 +56,21 @@ global Behind = rec X . A -> B : {
   Go . B -> C : M . C -> B : M . X,
   Stop . B -> C : Stop . end };
 """))
+# a process bound to a generic protocol, which `check` and `run` refuse, and
+# a run whose B ends without reading A's Ping, so only `run --unchecked` runs it
+PROCS = [
+    ("generic", "sort Ping;\nglobal G[X: role, Y: role] = X -> Y : Ping . end;\n"
+                "proc a plays A in G { end }\n"),
+    ("orphan", "sort Ping;\nglobal G = A -> B : Ping . end;\n"
+               "proc a plays A in G { send B Ping; end }\nproc b plays B in G { end }\n"),
+]
 CHECK_ONLY = ("damaged/", "odd/", "chain/")  # labels of inputs that are only checked
 
 
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
     then the damaged copies of the fixtures, the odd files, the reference
-    chains and the loops for each seed."""
+    chains, the loops and the processes for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -78,6 +87,7 @@ def inputs_for(seeds: list) -> list:
                  "\n".join(["sort M; sort Q;", *reference_chain(kind, n)]) + "\n")
                 for seed in seeds for kind, n in CHAINS]
         out += [(f"loops/{label}@{seed}", text) for seed in seeds for label, text in LOOPS]
+        out += [(f"procs/{label}@{seed}", text) for seed in seeds for label, text in PROCS]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
         first.setdefault(text, label)

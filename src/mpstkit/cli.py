@@ -270,7 +270,9 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
     sessions: dict = {}
     for proto, missing in unplayed_roles(pf).items():
         if missing is None:
-            raise RuntimeFault(f"cannot run {proto}: protocol {proto} is generic")
+            why = (f"protocol {proto} is generic" if pf.is_generic(proto)
+                   else f"unknown protocol {proto}")
+            raise RuntimeFault(f"cannot run {proto}: {why}")
         if missing:
             names = ", ".join(r.name for r in missing)
             raise RuntimeFault(f"cannot run {proto}: roles {names} have no process")

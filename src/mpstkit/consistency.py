@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Com, End, GlobalType, LocalType, Recv, Role, Send, postorder
+from .core import Com, End, GlobalType, LocalType, Recv, Role, Send, shared_postorder
 from .fsm import StateGraph
 from .projection import MergeError, ProjectionError, erase, project, result_or_error
 
@@ -135,7 +135,7 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     """
     # who talks to whom in g: a role's projection acts with no other role,
     # and with each partner when g projects onto the role
-    met = {(n.sender, n.receiver) for n in postorder(g) if type(n) is Com}
+    met = {(n.sender, n.receiver) for n in shared_postorder(g) if type(n) is Com}
     if projections is None:
         projections = {r: result_or_error(project, g, r) for r in set().union(*met)}
     roles = sorted(projections, key=lambda r: r.name)

@@ -6,6 +6,14 @@ so substitution, unfolding, alpha-normalization, structural equality and
 well-formedness are written once and work on either family; unfolding and
 well-formedness decide contractiveness by one rule, `is_guarded`.
 
+Elaboration hash-conses a file's types, so one subterm object can sit on
+many paths.  `postorder` (alias `subterms`) still lists it at each path, and
+so do `well_formed`, printing and the JSON encoding.  `shared_postorder`
+lists it once, with a `Repeat` wherever it is met again; `free_rec_vars`,
+`roles_of`, `projection.erase` (projection and partner restriction) and the
+consistency checker's walk for who talks to whom fold over it, reuse the
+value of a repeated object, and so share their results in turn.
+
 Every class here (the type nodes, `Role`, `RecVar`, `Sort`,
 `EndpointPayload` and `Violation`) is a frozen dataclass: values are
 immutable after construction, hashable, and safe to share between threads.
@@ -261,7 +269,7 @@ def struct_eq(a: TypeNode, b: TypeNode) -> bool:
 def free_rec_vars(t: TypeNode) -> set:
     """The recursion variables that occur free in t, built bottom up."""
     out: list = []  # free variables of each pending subterm
-    for node in postorder(t):
+    for node in shared_postorder(t):
         kind = type(node)
         if kind is Recur:
             out.append(frozenset((node.var,)))
@@ -269,6 +277,8 @@ def free_rec_vars(t: TypeNode) -> set:
             out.append(out.pop() - {node.var})
         elif kind is End:
             out.append(frozenset())
+        elif kind is Repeat:
+            node.reuse(out)
         elif len(node.branches) != 1:  # a single continuation's set stays
             start = len(out) - len(node.branches)
             out[start:] = [frozenset().union(*out[start:])]
@@ -287,7 +297,7 @@ def is_guarded(var: RecVar, t: TypeNode) -> bool:
 
 
 def roles_of(t: TypeNode) -> set:
-    comms = (n for n in postorder(t) if isinstance(n, (Com, Send, Recv)))
+    comms = (n for n in shared_postorder(t) if isinstance(n, (Com, Send, Recv)))
     return {r for n in comms for r in (n.sender, n.receiver)}
 
 
@@ -397,6 +407,96 @@ def postorder(t: TypeNode) -> list:
 
 
 subterms = postorder
+
+
+class Repeat:
+    """A subterm object that `shared_postorder` meets on more than one path.
+    A listing holds it just after the object's one expansion and again at
+    each later meeting; `reuse` is how a fold takes the object's value."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self) -> None:
+        self.kept = None
+
+    def reuse(self, *stacks: list) -> None:
+        """At the first meeting, keep the values on top of `stacks` (the
+        object's, just folded); at each later one, push them again."""
+        if self.kept is None:
+            self.kept = [s[-1] for s in stacks]
+        else:
+            for s, v in zip(stacks, self.kept):
+                s.append(v)
+
+
+def shared_postorder(t: TypeNode) -> list:
+    """`postorder`, except that a subterm object met on more than one path
+    is folded once: a fold over this listing treats a `Repeat` as `reuse`
+    says.  One listing serves one fold.
+
+    The walk is `postorder`'s, one visit per node, until it meets a choice
+    object (2+ branches) a second time; only a type that repeats a choice
+    is walked again, expanding each object once.  Any other type repeats
+    only chains, which cost no more than the tree."""
+    order: list = []
+    stack: list = [t]
+    choices: set = set()  # ids of the choice objects met so far
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Loop:
+            stack.append(node.body)
+        elif kind is End or kind is Recur:
+            continue
+        elif len(node.branches) == 1:
+            stack.append(node.branches[0][1])
+        elif id(node) in choices:
+            return _expand_once(t)
+        else:
+            choices.add(id(node))
+            stack += [c for _, c in node.branches]
+    order.reverse()
+    return order
+
+
+def _expand_once(t: TypeNode) -> list:
+    """The `shared_postorder` of a type that repeats a choice object: each
+    Loop and communication object is expanded at its first meeting in
+    post-order, and a `Repeat` follows its expansion and stands for it at
+    each later meeting."""
+    order: list = []
+    repeats: dict = {}  # id of an expanded object -> its Repeat, or None
+    stack: list = [t]  # a node to meet, or a 1-tuple: the node to list after its children
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            order.append(node[0])
+            continue
+        if kind is End or kind is Recur:
+            order.append(node)
+            continue
+        key = id(node)
+        if key in repeats:
+            rep = repeats[key]
+            if rep is None:
+                rep = repeats[key] = Repeat()
+            order.append(rep)
+            continue
+        repeats[key] = None
+        stack.append((node,))
+        if kind is Loop:
+            stack.append(node.body)
+        else:
+            stack += [c for _, c in reversed(node.branches)]
+    listing: list = []
+    for node in order:
+        listing.append(node)
+        rep = repeats.get(id(node))  # None too for leaves and Repeats
+        if rep is not None:
+            listing.append(rep)
+    return listing
 
 
 # ---------------------------------------------------------------------------

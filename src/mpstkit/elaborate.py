@@ -1,13 +1,14 @@
 """Elaboration: resolve a parsed surface file into core ASTs.
 
 Generic global definitions are instantiated by capture-avoiding substitution
-of their role and protocol parameters.  Sort references resolve against the
-file's sort table; an endpoint sort's schema is the projection of a named
-global onto a role, so well-formedness of delegated types falls out of the
-same machinery as everything else.  Process bodies arrive as `typecheck`
-terms already; elaboration only replaces each `surface.SCall` sort
-constructor in them with a `typecheck.NewSort`, and checks each process's
-session bindings.
+of their role and protocol parameters.  Each file's types are hash-consed as
+they are built, so equal subterms are one object.  Sort references resolve
+against the file's sort table; an endpoint sort's schema is the projection
+of a named global onto a role, so well-formedness of delegated types falls
+out of the same machinery as everything else.  Process bodies arrive as
+`typecheck` terms already; elaboration only replaces each `surface.SCall`
+sort constructor in them with a `typecheck.NewSort`, and checks each
+process's session bindings.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class _Elaborator:
         self.sorts: dict = {}
         self._in_progress: set = set()
         self._concrete_memo: dict = {}
+        # hash-cons tables of the file's types: key -> node, and name -> Role
+        self._nodes: dict = {}
+        self._roles: dict = {}
 
         for d in sf.sort_decls():
             if d.name in self.sort_decls:
@@ -187,7 +191,19 @@ class _Elaborator:
             return ctx.roles[name]
         if name in ctx.protos or name in ctx.recvars:
             raise ElabError(f"{name} is not a role here", pos)
-        return Role(name)
+        role = self._roles.get(name)
+        if role is None:
+            role = self._roles[name] = Role(name)
+        return role
+
+    def _cons(self, key: tuple, ctor, *args):
+        """The file's one node `ctor(*args)`.  `key` names it by its kind,
+        role names, the ids of its sorts (one object per name) and the ids
+        of its children, which are this file's nodes too."""
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = ctor(*args)
+        return node
 
     def _fresh_recvar(self, name: str, ctx: _Ctx) -> RecVar:
         # avoid capturing recursion variables that arrive free inside
@@ -209,7 +225,8 @@ class _Elaborator:
         if isinstance(t, surface.STRec):
             var = self._fresh_recvar(t.var, ctx)
             inner = _Ctx(ctx.roles, ctx.protos, {**ctx.recvars, t.var: var}, ctx.local)
-            return Loop(var, self.type_expr(t.body, inner))
+            body = self.type_expr(t.body, inner)
+            return self._cons((Loop, var.name, id(body)), Loop, var, body)
         if isinstance(t, surface.STCom):
             if t.op == ":":
                 ctor = Com
@@ -222,9 +239,11 @@ class _Elaborator:
                 (self.sort(sname, t.pos), self.type_expr(cont, ctx))
                 for sname, cont in t.branches
             )
-            return ctor(sender, receiver, branches)
+            key = (ctor, sender.name, receiver.name, *[id(x) for b in branches for x in b])
+            return self._cons(key, ctor, sender, receiver, branches)
         if not t.args and t.name in ctx.recvars:
-            return Recur(ctx.recvars[t.name])
+            var = ctx.recvars[t.name]
+            return self._cons((Recur, var.name), Recur, var)
         if ctx.local:
             raise ElabError(
                 f"unknown recursion variable in local type: {t.name}", t.pos
@@ -348,6 +367,9 @@ class _Elaborator:
 
 
 def elaborate(sf: surface.SurfaceFile) -> ProtocolFile:
+    """The elaborated file.  Its types are hash-consed in a table that lives
+    for this call only: every equal subterm of the file, in protocols and
+    declared local types, is one object, so later walks can fold it once."""
     return _Elaborator(sf).run()
 
 

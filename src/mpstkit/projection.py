@@ -27,10 +27,11 @@ from .core import (
     free_rec_vars,
     is_guarded,
     path_text,
-    postorder,
     Recv,
+    Repeat,
     Send,
     TypeNode,
+    shared_postorder,
     substitute,
 )
 
@@ -141,12 +142,13 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
     continuations.  Loops close from the free recursion variables kept beside
     each rebuilt subterm, so projections stay well formed.
 
-    Subterms are rebuilt in `postorder`, so a MergeError is the one the
+    Subterms are rebuilt in `shared_postorder`, so a subterm object met on
+    two paths is rebuilt once and shared, and a MergeError is the one the
     recursion would meet first; its `node` is the step that failed."""
     out: list = []  # rebuilt subterms; a node's continuations end it
     free: list = []  # the free recursion variables of each subterm in out
     none: frozenset = frozenset()
-    for node in postorder(t):
+    for node in shared_postorder(t):
         kind = type(node)
         if kind is End or kind is Recur:
             out.append(node)
@@ -157,6 +159,8 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
                 closed = is_guarded(var, out[-1])  # else the role never acts in it
                 out[-1] = Loop(var, out[-1]) if closed else END
                 free[-1] = fv - {var} if closed else none
+        elif kind is Repeat:
+            node.reuse(out, free)
         elif len(node.branches) == 1:  # one continuation keeps its free variables
             ctor = keep(node)
             if ctor is not None:
@@ -180,12 +184,17 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
 
 def _path_to(t: TypeNode, target: TypeNode):
     """Path to the first preorder occurrence of the object `target` in t,
-    also its first in post-order: occurrences of one object are disjoint."""
+    also its first in post-order: occurrences of one object are disjoint.
+    An object met again is not searched again: `target` is not in it."""
     stack = [(t, None)]
+    searched: set = set()
     while stack:
         node, path = stack.pop()
         if node is target:
             return path
+        if id(node) in searched:
+            continue
+        searched.add(id(node))
         if isinstance(node, Loop):
             stack.append((node.body, (path, None)))
         elif isinstance(node, Com):

@@ -708,14 +708,18 @@ class Checker:
                 term.pos,
             )
             return []
-        if g.closed(state.node) != g.closed(entry.node):
+        # the loop node itself, or a Recur bound to it, names the loop-entry
+        # type by `StateGraph.closed`'s own rule, without walking the term
+        node, back = state.node, entry.node
+        at_entry = node == back or (isinstance(g.nodes[node], Recur) and g.links[node] == back)
+        if not at_entry and g.closed(node) != g.closed(back):
             self._err(
                 ErrorClass.WRONG_RECURSIVE_TYPE,
                 "session is not back at the loop-entry type",
                 path,
                 term.pos,
-                expected=str(g.term(entry.node)),
-                found=str(g.term(state.node)),
+                expected=str(g.term(back)),
+                found=str(g.term(node)),
             )
         snapshot = dict(entry.others)
         for v, s in sorted(env.sessions.items()):
@@ -834,7 +838,7 @@ class SessionCheckResult:
 def unplayed_roles(protocol_file) -> dict:
     """For each protocol that a process plays, in the order first played: the
     roles of its definition that no process plays, sorted by name, or None
-    when the protocol has no concrete definition (it is generic)."""
+    when the protocol has no concrete definition (it is generic or unknown)."""
     played: dict = {}
     for proc in protocol_file.procs:
         for role, proto_name, _ in proc.bindings:

@@ -972,6 +972,28 @@ def reference_chain(kind: str, n: int) -> list:
     return lines[::-1] if kind == "reversed" else lines
 
 
+def share(t):
+    """t hash-consed bottom up, as elaboration does a file's types: a node is
+    keyed on its kind, role and variable names, the ids of its sorts and the
+    ids of its already shared children, so equal subterms become one object."""
+    table: dict = {}
+
+    def walk(node):
+        if isinstance(node, End):
+            return END
+        if isinstance(node, Recur):
+            return table.setdefault((Recur, node.var.name), node)
+        if isinstance(node, Loop):
+            body = walk(node.body)
+            return table.setdefault((Loop, node.var.name, id(body)), Loop(node.var, body))
+        branches = tuple((s, walk(c)) for s, c in node.branches)
+        key = (type(node), node.sender.name, node.receiver.name,
+               *[id(x) for branch in branches for x in branch])
+        return table.setdefault(key, type(node)(node.sender, node.receiver, branches))
+
+    return walk(t)
+
+
 def odd_files(count: int, seed: int) -> list:
     """`count` seeded files, each of whole declarations that parse but are
     odd: duplicate branch sorts, self-communication, `rec X . X`, nested

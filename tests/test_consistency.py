@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mpstkit import cli, consistency
+from mpstkit import cli, consistency, projection
 from mpstkit.consistency import consistent, dual, restrict_to_partner
 from mpstkit.core import (
     Com,
@@ -18,12 +18,13 @@ from mpstkit.core import (
     Send,
     Sort,
     UnfoldError,
+    free_rec_vars,
     roles_of,
     struct_eq,
     well_formed,
 )
 from mpstkit.elaborate import load_text
-from mpstkit.projection import MergeError, project, result_or_error
+from mpstkit.projection import MergeError, ProjectionError, project, result_or_error
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
 
 import conftest
@@ -41,6 +42,7 @@ from helpers import (
     oracle_project,
     oracle_restrict,
     random_local,
+    reference_chain,
     seeded,
     synthesize_process,
     token_ring_text,
@@ -356,6 +358,50 @@ class TestSharedWork:
         report = consistent(g, projections=projections)
         assert walked == []
         assert report.to_json() == oracle_consistent(g).to_json()
+
+    # Diamonds: each level is a choice between two references to the level
+    # below, which elaboration shares, so P{n-1} has 2^(n-1) paths and n
+    # distinct levels.  Nothing here walks every path of one.
+
+    @staticmethod
+    def _diamond(n: int, bystander: bool):
+        """The top of an n-level `helpers.reference_chain` diamond, loaded
+        as a file; with `bystander`, `P0 = B -> C : M . end`, so that C
+        merges the branches of every level."""
+        lines = reference_chain("diamond", n)
+        if bystander:
+            lines[0] = "global P0 = B -> C : M . end;"
+        return load_text("\n".join(["sort M; sort Q;", *lines]) + "\n").concrete[f"P{n - 1}"]
+
+    def test_a_diamond_merges_once_per_level(self, monkeypatch):
+        # C's projection and the silent views of A and C merge at each of
+        # the 13 choice levels; a walk of every path merged 2^13 times or more
+        calls = []
+
+        def count_merge_all(ts, *, union_sends=False, fn=projection.merge_all):
+            calls.append(len(ts))
+            return fn(ts, union_sends=union_sends)
+
+        monkeypatch.setattr(projection, "merge_all", count_merge_all)
+        assert consistent(self._diamond(14, bystander=True)).consistent
+        assert len(calls) == 3 * 13
+
+    @pytest.mark.parametrize("bystander", [False, True])
+    def test_a_sixty_level_diamond_is_checked(self, bystander):
+        g = self._diamond(60, bystander)
+        report = consistent(g)
+        assert report.consistent and len(report.pairs) == (6 if bystander else 2)
+        assert roles_of(g) == ({A, B, C} if bystander else {A, B})
+        assert free_rec_vars(g) == set()
+
+    def test_a_failure_past_a_sixty_level_diamond_is_located(self):
+        # the path search passes the diamond before it reaches the failing
+        # choice, which C cannot merge: it sends B M or Q
+        lines = [*reference_chain("diamond", 60), "global G = D -> E : { M . P59,"
+                 " Q . A -> B : { M . C -> B : M . end, Q . C -> B : Q . end } };"]
+        g = load_text("\n".join(["sort M; sort Q;", *lines]) + "\n").concrete["G"]
+        error = result_or_error(project, g, C)
+        assert isinstance(error, ProjectionError) and error.path == "$.branches[1]"
 
     def test_long_loop_is_stack_safe(self):
         report = consistent(long_global(5000))

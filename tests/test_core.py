@@ -24,7 +24,9 @@ from mpstkit.core import (
     branch_lookup_name,
     free_rec_vars,
     postorder,
+    Repeat,
     roles_of,
+    shared_postorder,
     struct_eq,
     substitute,
     subterms,
@@ -393,6 +395,28 @@ class TestPostorder:
         t = Send(A, B, ((Ok, shared), (Propose, shared)))
         assert [x is shared for x in postorder(t)] == [False, True, False, True, False]
         assert type_to_json(t)["branches"][0][1] == type_to_json(t)["branches"][1][1]
+
+    def test_shared_walk_is_postorder_until_a_choice_repeats(self):
+        chain = Send(A, B, ((Ok, END),))  # repeated, but no choice is
+        t = Send(A, B, ((Ok, chain), (Propose, chain)))
+        order = shared_postorder(t)
+        assert len(order) == 5 and all(x is y for x, y in zip(order, postorder(t)))
+
+    def test_shared_walk_expands_a_repeated_object_once(self):
+        back = Recur(X)
+        choice = Send(A, B, ((Ok, END), (Propose, back)))
+        step = Send(A, B, ((Ok, choice),))
+        t = Loop(X, Send(A, B, ((Ok, step), (Propose, choice), (Sort("Quit"), step))))
+        order = shared_postorder(t)
+        # a Repeat follows each repeated object's expansion and stands for
+        # it at each later meeting
+        kept_choice, kept_step = order[3], order[5]
+        assert type(kept_choice) is Repeat and type(kept_step) is Repeat
+        expected = [END, back, choice, kept_choice, step, kept_step,
+                    kept_choice, kept_step, t.body, t]
+        assert len(order) == len(expected)
+        assert all(x is y for x, y in zip(order, expected))
+        assert free_rec_vars(t.body) == {X} and roles_of(t) == {A, B}
 
     @pytest.mark.parametrize("walk", [
         "postorder", "subterms", "free_rec_vars", "roles_of", "type_to_json",

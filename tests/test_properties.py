@@ -20,6 +20,8 @@ from mpstkit.core import (
     Send,
     Sort,
     alpha_normalize,
+    free_rec_vars,
+    postorder,
     roles_of,
     struct_eq,
     subterms,
@@ -54,6 +56,7 @@ from helpers import (
     random_global,
     random_local,
     seeded,
+    share,
     stuck_product_states,
     subst_oracle,
     sync_product_traces,
@@ -317,6 +320,63 @@ def test_projections_act_with_the_partners_met_in_the_global_type(g):
         local = result_or_error(project, g, r)
         if not isinstance(local, ProjectionError):
             assert roles_of(local) - {r} == partners[r], (r, local)
+
+
+# A type and its hash-consed copy (`helpers.share`, which makes equal
+# subterms one object, as elaboration does) are one protocol to every walk,
+# though projection, restriction, `consistent`, `free_rec_vars` and
+# `roles_of` fold a repeated subterm object only once.
+
+def sharing_outcomes(g) -> list:
+    """Every projection and view of g, or the path and text of the error
+    that made it; the consistency report; and the free variables and roles
+    of each subterm, listed at each path."""
+    roles = sorted(roles_of(g), key=lambda r: r.name)
+    out = [consistent(g).to_json()]
+    out += [(free_rec_vars(t), roles_of(t)) for t in postorder(g)]
+    for r in roles:
+        local = result_or_error(project, g, r)
+        if isinstance(local, ProjectionError):
+            out.append((r, local.path, str(local), str(local.cause)))
+            continue
+        out.append((r, local))
+        for p in roles:
+            if p != r:
+                view = result_or_error(restrict_to_partner, local, p)
+                out.append((r, p, str(view) if isinstance(view, MergeError) else view))
+    return out
+
+
+def unmergeable():
+    """A new copy of a choice C cannot merge: C sends B M or N."""
+    return Com(A, B, ((M, Com(C, B, ((M, END),))), (N, Com(C, B, ((N, END),)))))
+
+
+def doubled_global(seed: int, n_roles: int, relay: bool, levels: int):
+    """A `random_global` draw under `levels` nested choices, each between
+    two equal copies, built apart, of what is below it."""
+    roles = ["A", "B", "C", "D"][:n_roles]
+    if levels == 0:
+        return random_global(seeded(seed), roles, depth=4, relay=relay)
+    sender, receiver = seeded(seed + levels).sample(roles, 2)
+    below = [doubled_global(seed, n_roles, relay, levels - 1) for _ in range(2)]
+    return Com(Role(sender), Role(receiver), tuple(zip(SORT_POOL, below)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    doubled_global,
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 4),
+    st.booleans(),
+    st.integers(0, 2),
+))
+@example(Com(A, B, ((M, unmergeable()), (N, Com(A, C, ((M, unmergeable()),))))))
+@example(Loop(X, Com(A, B, ((M, Com(B, C, ((M, Recur(X)),))), (N, Com(B, C, ((M, Recur(X)),)))))))
+def test_a_shared_copy_behaves_like_its_tree(g):
+    shared = share(g)
+    assert shared == g
+    assert sharing_outcomes(shared) == sharing_outcomes(g)
 
 
 # ---------------------------------------------------------------------------

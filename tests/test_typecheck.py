@@ -16,7 +16,9 @@ from mpstkit.core import (
     unfold,
     well_formed,
 )
+from mpstkit.cli import run_protocol_file
 from mpstkit.elaborate import ProcDecl, ProtocolFile, load_text
+from mpstkit.runtime import RuntimeFault
 from mpstkit.projection import project
 from mpstkit.typecheck import (
     EndpointType,
@@ -298,6 +300,12 @@ def test_a_file_without_the_protocol_names_it_unknown():
     assert [(d.cls, d.message) for d in diags] == [
         (ErrorClass.UNBOUND_VARIABLE, "unknown protocol G")
     ]
+
+
+def test_running_a_file_without_the_protocol_names_it_unknown():
+    pf = ProtocolFile(procs=[ProcDecl("a", ((Role("A"), "G", "s"),), EndT())])
+    with pytest.raises(RuntimeFault, match="^cannot run G: unknown protocol G$"):
+        run_protocol_file(pf)
 
 
 class TestSendRecvAsymmetry:

@@ -7,7 +7,8 @@ The inputs are the fixtures, every `benchmark/inputs.family` input at the
 given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
 `tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files`,
 the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
-definitions, the generated `LOOPS`, and the `PROCS`, a process that plays a
+definitions, the generated `LOOPS`, the `SHARED` choices, whose repeated
+subtrees elaboration shares, and the `PROCS`, a process that plays a
 generic protocol and a run that leaves a session unfinished (duplicate texts
 once).  Each goes through `cli.main`, in process, with `check --consistency`
 (text and `--json`), which prints the text, line and column of every syntax
@@ -46,7 +47,9 @@ from mpstkit.core import roles_of  # noqa: E402
 
 DAMAGED = 100  # damaged copies of the fixtures per seed
 ODD = 20  # odd files per seed
-CHAINS = [("diamond", 8), ("in order", 40), ("reversed", 40), ("generic", 40)]
+# "bystander" is the diamond with `P0 = B -> C : M . end`, so that C merges
+# the branches of every level
+CHAINS = [("diamond", 8), ("in order", 40), ("reversed", 40), ("generic", 40), ("bystander", 8)]
 # `tests/helpers.nested_loops` at 50 and 200 levels, under the parser's
 # nesting limit, and a protocol whose roles B and C meet only inside a loop,
 # behind a choice of A's
@@ -56,6 +59,21 @@ global Behind = rec X . A -> B : {
   Go . B -> C : M . C -> B : M . X,
   Stop . B -> C : Stop . end };
 """))
+# one choice repeated under both branches of another: C cannot merge the
+# repeated choice, so projecting onto C fails inside a shared subterm; and
+# one it can merge, which recurs from inside the repeated subterm
+SHARED = [
+    ("unmergeable", """sort L1; sort L2; sort K; sort J; sort X; sort Y;
+global Twice = A -> B : {
+  L1 . A -> B : { K . C -> B : X . end, J . C -> B : Y . end },
+  L2 . A -> B : { K . C -> B : X . end, J . C -> B : Y . end } };
+"""),
+    ("looped", """sort L1; sort L2; sort K; sort J;
+global Twice = rec X . A -> B : {
+  L1 . A -> B : { K . B -> C : K . X, J . B -> C : J . end },
+  L2 . A -> B : { K . B -> C : K . X, J . B -> C : J . end } };
+"""),
+]
 # a process bound to a generic protocol, which `check` and `run` refuse, and
 # a run whose B ends without reading A's Ping, so only `run --unchecked` runs it
 PROCS = [
@@ -67,10 +85,18 @@ PROCS = [
 CHECK_ONLY = ("damaged/", "odd/", "chain/")  # labels of inputs that are only checked
 
 
+def chain_text(kind: str, n: int) -> str:
+    """A file of the `n` declarations of one of `CHAINS`."""
+    lines = reference_chain("diamond" if kind == "bystander" else kind, n)
+    if kind == "bystander":
+        lines[0] = "global P0 = B -> C : M . end;"
+    return "\n".join(["sort M; sort Q;", *lines]) + "\n"
+
+
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
     then the damaged copies of the fixtures, the odd files, the reference
-    chains, the loops and the processes for each seed."""
+    chains, the loops, the shared choices and the processes for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -83,10 +109,10 @@ def inputs_for(seeds: list) -> list:
                 for i, text in enumerate(cut_and_splice(fixtures, DAMAGED, seed))]
         out += [(f"odd/{i}@{seed}", text) for seed in seeds
                 for i, text in enumerate(odd_files(ODD, seed))]
-        out += [(f"chain/{kind} {n}@{seed}",
-                 "\n".join(["sort M; sort Q;", *reference_chain(kind, n)]) + "\n")
+        out += [(f"chain/{kind} {n}@{seed}", chain_text(kind, n))
                 for seed in seeds for kind, n in CHAINS]
         out += [(f"loops/{label}@{seed}", text) for seed in seeds for label, text in LOOPS]
+        out += [(f"shared/{label}@{seed}", text) for seed in seeds for label, text in SHARED]
         out += [(f"procs/{label}@{seed}", text) for seed in seeds for label, text in PROCS]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:

@@ -114,6 +114,11 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
     outcome = CheckOutcome(path)
     for name, g in pf.concrete.items():
         outcome.well_formedness[name] = well_formed(g)
+    # each protocol checked for consistency projects every role in one walk,
+    # before the checks below look its projections up one role at a time
+    checked = [name for name, bad in outcome.well_formedness.items()
+               if with_consistency and not bad]
+    projections = {name: pf.projections(name) for name in checked}
     for la in pf.local_asserts:
         if la.global_name not in pf.concrete:
             outcome.assert_failures.append(
@@ -131,12 +136,8 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
                 f"  projected: {projected}"
             )
     outcome.session_result = check_session(pf)
-    if with_consistency:
-        for name, g in pf.concrete.items():
-            if not outcome.well_formedness.get(name):
-                outcome.consistency[name] = consistent(
-                    g, projections={r: pf.projection(name, r) for r in roles_of(g)}
-                )
+    for name in checked:
+        outcome.consistency[name] = consistent(pf.concrete[name], projections=projections[name])
     return outcome
 
 

@@ -10,12 +10,14 @@ Duality is a relation between behaviours, not terms, so it steps the two
 views' state graphs pair by pair of head nodes and never compares types up
 to renaming.
 
-The check does work in proportion to the role pairs that talk.  Each role is
-projected once, and one walk of the global type finds who talks to whom.
-Each (role, partner) view is restricted at most once, with a MergeError kept
-as the result.  A role's view for a partner it never acts with erases every
-action, so it cannot depend on the partner: one such *silent view* per role
-(always `end` or a MergeError) serves all of them.  Duality does not depend
+The check does work in proportion to the role pairs that talk.  One fold
+of the global type projects every role (`projection.project_all`), and one
+walk finds who talks to whom.  Each (role, partner) view is restricted at
+most once, with a MergeError kept as the result.  A role's view for a
+partner it never acts with erases every action, so it cannot depend on the
+partner: one such *silent view* per role (always `end` or a MergeError)
+serves all of them, and a pair that never talks whose silent views are both
+`end` is dual at the cost of looking up two flags.  Duality does not depend
 on argument order, so it is decided once per unordered pair, and a pair
 whose two views are both `end` is dual without building state graphs.
 
@@ -31,7 +33,7 @@ from typing import Optional
 
 from .core import Com, End, GlobalType, LocalType, Recv, Role, Send, shared_postorder
 from .fsm import StateGraph
-from .projection import MergeError, ProjectionError, erase, project, result_or_error
+from .projection import MergeError, ProjectionError, erase, project_all, result_or_error
 
 
 def restrict_to_partner(l: LocalType, partner: Role) -> LocalType:
@@ -137,25 +139,36 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     # and with each partner when g projects onto the role
     met = {(n.sender, n.receiver) for n in shared_postorder(g) if type(n) is Com}
     if projections is None:
-        projections = {r: result_or_error(project, g, r) for r in set().union(*met)}
+        projections = project_all(g)
     roles = sorted(projections, key=lambda r: r.name)
     # Roles are numbered in name order; the caches below are keyed on those
     # numbers, which hash faster than roles.
     index = {r: i for i, r in enumerate(roles)}
     local = [projections[r] for r in roles]
     errors = [l if isinstance(l, ProjectionError) else None for l in local]
-    talks = {(index[a], index[b]) for a, b in met} | {(index[b], index[a]) for a, b in met}
+    partners: list = [set() for _ in roles]
+    for a, b in met:
+        partners[index[a]].add(index[b])
+        partners[index[b]].add(index[a])
     # (role, partner) -> restricted view or MergeError.  A partner the role
     # never acts with gets the key (role, -1): every action is erased, so
-    # that view is the same for all such partners.
+    # that *silent view* is the same for all such partners.
     views: dict = {}
 
     def view(i: int, j: int):
-        key = (i, j if (i, j) in talks else -1)
+        key = (i, j if j in partners[i] else -1)
         v = views.get(key)
         if v is None:
             v = views[key] = result_or_error(restrict_to_partner, local[i], roles[j])
         return v
+
+    quiet: list = [None] * len(roles)  # whether each role's silent view is `end`
+
+    def is_quiet(i: int, j: int) -> bool:
+        q = quiet[i]
+        if q is None:
+            q = quiet[i] = isinstance(view(i, j), End)
+        return q
 
     duals: dict = {}  # (i, j) with i < j -> dual(view(i, j), view(j, i))
     pairs = []
@@ -166,6 +179,9 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
             bad = errors[i] or errors[j]
             if bad is not None:
                 pairs.append(PairVerdict(r1, r2, False, f"unprojectable: {bad}"))
+                continue
+            if j not in partners[i] and is_quiet(i, j) and is_quiet(j, i):
+                pairs.append(PairVerdict(r1, r2, True))  # two silent `end`s are dual
                 continue
             v1, v2 = view(i, j), view(j, i)
             failed = v1 if isinstance(v1, MergeError) else v2

@@ -32,7 +32,7 @@ from .core import (
     Sort,
     free_rec_vars,
 )
-from .projection import ProjectionError, project, result_or_error
+from .projection import ProjectionError, project, project_all, result_or_error
 
 
 class ElabError(Exception):
@@ -69,6 +69,8 @@ class ProtocolFile:
     procs: list = field(default_factory=list)
     surface: Optional[surface.SurfaceFile] = None
     _projections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # name -> the roles of protocol `name`, once `projections` has projected them all
+    _roles: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def projection(self, name: str, role: Role):
         """The projection of concrete protocol `name` onto `role`, or the
@@ -78,6 +80,18 @@ class ProtocolFile:
         if key not in self._projections:
             self._projections[key] = result_or_error(project, self.concrete[name], role)
         return self._projections[key]
+
+    def projections(self, name: str) -> dict:
+        """Each role of concrete protocol `name` -> `projection(name, role)`.
+        On first use one walk of the type projects every role; a role
+        projected before keeps the value it has."""
+        roles = self._roles.get(name)
+        if roles is None:
+            every = project_all(self.concrete[name])
+            for role, local in every.items():
+                self._projections.setdefault((name, role), local)
+            roles = self._roles[name] = list(every)
+        return {role: self._projections[name, role] for role in roles}
 
     def is_generic(self, name: str) -> bool:
         """Whether the file defines protocol `name` with parameters."""

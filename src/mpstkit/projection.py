@@ -6,13 +6,24 @@ the step is invisible to a bystander, but its branches must collapse into
 one local type the bystander can follow.  `erase` takes that step, for
 projection and for the consistency checker's restriction to one partner.
 
+`project` and `restrict_to_partner` erase for one key (a role, a partner).
+`project_all` projects every role in one fold: each subterm carries its
+*silent erasure*, the erasure with nothing kept (`end`, a bare recursion
+variable, or a failed merge), and a value only for the roles it mentions,
+so a role pays nothing for a run of steps it never appears in.  A role
+whose projection fails reports the same ProjectionError as `project`.
+
 Full merge unions receive branches (distinct sorts are kept side by side,
 shared sorts have their continuations merged) and requires send branches to
 agree exactly.  Restriction merges with `union_sends`: there, an observed
 role's internal choice legitimately widens the sends its partner may see.
+An object merged with itself is itself, so a bystander merging two meetings
+of one shared projection does no work for it.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .core import (
     Com,
@@ -77,7 +88,12 @@ def _align_loops(a: Loop, b: Loop) -> tuple:
 
 
 def merge(a: LocalType, b: LocalType, *, union_sends: bool = False) -> LocalType:
-    """Full merge of two local types.  Raises MergeError when undefined."""
+    """Full merge of two local types.  Raises MergeError when undefined.
+
+    An object merged with itself is itself, so a bystander merging two
+    meetings of one shared projection pays nothing for it."""
+    if a is b:
+        return a
     if isinstance(a, End) and isinstance(b, End):
         return END
     if isinstance(a, Recur) and isinstance(b, Recur):
@@ -136,39 +152,69 @@ def merge_all(ts: list, *, union_sends: bool = False) -> LocalType:
     return acc
 
 
-def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
-    """Rebuild t bottom up, keeping each communication as the constructor
-    `keep(node)` names, or erasing it (None) into the merge of its rebuilt
-    continuations.  Loops close from the free recursion variables kept beside
-    each rebuilt subterm, so projections stay well formed.
+def erase(t: TypeNode, keep, *, union_sends: bool = False, every: bool = False):
+    """Rebuild t bottom up for one key, keeping each communication as the
+    constructor `keep(node)` names, or erasing it (None) into the merge of
+    its rebuilt continuations.  Loops close from the free recursion variables
+    kept beside each subterm, so projections stay well formed; a rebuilt
+    subterm has the same ones as the subterm, since erasure keeps every
+    recursion leaf and turns a loop into `end` only where its body is a bare
+    recursion on it.
+
+    With `every`, one walk rebuilds t for every key at once: `keep(node)`
+    lists a (key, constructor) pair for each key that keeps node.  Each
+    pending subterm carries its *silent erasure*, the erasure with nothing
+    kept (End, a bare Recur, or `_UNMERGED`), and a *lane*, its rebuilt
+    subterm or a MergeError, only for each key it mentions; any other key
+    takes the silent erasure, so a key pays nothing for a subterm that never
+    mentions it.  The result maps each key t mentions to its lane.  A failed
+    lane holds the first failure the key met, which is `_UNMERGED` when that
+    was the silent erasure's: the one-key walk builds that MergeError.
 
     Subterms are rebuilt in `shared_postorder`, so a subterm object met on
     two paths is rebuilt once and shared, and a MergeError is the one the
     recursion would meet first; its `node` is the step that failed."""
-    out: list = []  # rebuilt subterms; a node's continuations end it
+    out: list = []  # rebuilt (with `every`, silent) subterms; a node's continuations end it
     free: list = []  # the free recursion variables of each subterm in out
+    lanes: list = []  # with `every`, each subterm's lanes by key, or None
     none: frozenset = frozenset()
     for node in shared_postorder(t):
         kind = type(node)
         if kind is End or kind is Recur:
             out.append(node)
             free.append(none if kind is End else frozenset((node.var,)))
+            if every:
+                lanes.append(None)
         elif kind is Loop:
             var, fv = node.var, free[-1]
             if var in fv:  # else the unused binder is dropped
-                closed = is_guarded(var, out[-1])  # else the role never acts in it
-                out[-1] = Loop(var, out[-1]) if closed else END
-                free[-1] = fv - {var} if closed else none
+                free[-1] = fv - {var}
+                out[-1] = _close(var, out[-1])
+                if every and lanes[-1]:
+                    for key, lane in lanes[-1].items():
+                        lanes[-1][key] = _close(var, lane)
         elif kind is Repeat:
-            node.reuse(out, free)
+            if every:
+                node.reuse(out, free, lanes)
+                if lanes[-1]:  # the kept lanes stay as they are; these change in place
+                    lanes[-1] = dict(lanes[-1])
+            else:
+                node.reuse(out, free)
         elif len(node.branches) == 1:  # one continuation keeps its free variables
             ctor = keep(node)
-            if ctor is not None:
+            if ctor is None:
+                continue
+            if not every:
                 out[-1] = ctor(node.sender, node.receiver, ((node.branches[0][0], out[-1]),))
+            else:
+                lanes[-1] = _keep_lanes(node, ctor, out[-1], lanes[-1] or {})
         else:
             bs, ctor = node.branches, keep(node)
             start = len(out) - len(bs)
-            if ctor is not None:
+            if every:
+                lanes[start:] = [_merge_lanes(node, ctor, out[start:], lanes[start:], union_sends)]
+                out[start:] = [_merge_silent(out[start:])]
+            elif ctor is not None:
                 sorts = [s for s, _ in bs]
                 out[start:] = [ctor(node.sender, node.receiver, tuple(zip(sorts, out[start:])))]
             else:
@@ -179,7 +225,72 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> TypeNode:
                     raise
             fvs = free[start:]  # usually all empty; a merge's are its operands' together
             free[start:] = fvs[:1] if fvs and fvs.count(fvs[0]) == len(fvs) else [none.union(*fvs)]
-    return out[0]
+    return (lanes[0] or {}) if every else out[0]
+
+
+# The silent erasure of a subterm whose branches do not merge.  It is built
+# once, here: a key that inherits it is erased alone for its MergeError.
+_UNMERGED = MergeError(END, END, "a silent erasure does not merge")
+
+
+def _close(var: RecVar, body):
+    """The loop on `var` over a rebuilt body with `var` free: `end` where
+    the body only recurs on it (the key never acts in the loop)."""
+    if type(body) is MergeError:
+        return body
+    return Loop(var, body) if is_guarded(var, body) else END
+
+
+def _merge_silent(values: list):
+    """`merge_all` of silent erasures, or `_UNMERGED` where it would raise."""
+    head = values[0]
+    kind = type(head)
+    for v in values[1:]:
+        if type(v) is not kind or (kind is Recur and v.var != head.var):
+            return _UNMERGED
+    return head
+
+
+def _keep_lanes(node: TypeNode, kept, silent, lanes: dict) -> dict:
+    """The lanes of node's one continuation, extended in place by node for
+    each (key, constructor) in `kept`."""
+    sort = node.branches[0][0]
+    for key, ctor in kept:
+        lane = lanes.get(key, silent)
+        if type(lane) is not MergeError:
+            lane = ctor(node.sender, node.receiver, ((sort, lane),))
+        lanes[key] = lane
+    return lanes
+
+
+def _merge_lanes(node: TypeNode, kept, silents: list, branch_lanes: list,
+                 union_sends: bool) -> Optional[dict]:
+    """The lanes of a choice node: for each key the node keeps or a branch
+    mentions, the node rebuilt or its branches merged, or the first failure
+    among them (a later one would be met after it)."""
+    merged: dict = {}
+    for key, ctor in kept:
+        merged[key] = _merge_lane(node, ctor, key, silents, branch_lanes, union_sends)
+    for lanes in branch_lanes:
+        for key in lanes or ():
+            if key not in merged:
+                merged[key] = _merge_lane(node, None, key, silents, branch_lanes, union_sends)
+    return merged or None
+
+
+def _merge_lane(node: TypeNode, ctor, key, silents: list, branch_lanes: list, union_sends: bool):
+    """One key's lane of a choice node, from the branches' lanes for it."""
+    ops = [lanes.get(key, v) if lanes else v for lanes, v in zip(branch_lanes, silents)]
+    for op in ops:
+        if type(op) is MergeError:
+            return op
+    if ctor is not None:
+        return ctor(node.sender, node.receiver, tuple(zip([s for s, _ in node.branches], ops)))
+    try:
+        return merge_all(ops, union_sends=union_sends)
+    except MergeError as e:
+        e.node = node
+        return e
 
 
 def _path_to(t: TypeNode, target: TypeNode):
@@ -212,7 +323,35 @@ def project(g: GlobalType, role: Role) -> LocalType:
     try:
         return erase(g, keep)
     except MergeError as e:
-        raise ProjectionError(role, path_text(_path_to(g, e.node)), e) from e
+        raise _projection_error(g, role, e) from e
+
+
+def project_all(g: GlobalType) -> dict:
+    """Each role of g -> its projection, or the ProjectionError `project`
+    raises for it; one walk of g projects every role."""
+    out = {}
+    for name, lane in erase(g, _ends, every=True).items():
+        role = Role(name)
+        if lane is _UNMERGED:
+            out[role] = result_or_error(project, g, role)
+        elif type(lane) is MergeError:
+            out[role] = _projection_error(g, role, lane)
+        else:
+            out[role] = lane
+    return out
+
+
+def _ends(node: Com) -> tuple:
+    """The names of the roles node keeps (a name hashes faster than its
+    role), with the constructor each keeps node as."""
+    sender, receiver = node.sender.name, node.receiver.name
+    if sender == receiver:  # not well formed; `project` keeps a send
+        return ((sender, Send),)
+    return ((sender, Send), (receiver, Recv))
+
+
+def _projection_error(g: GlobalType, role: Role, cause: MergeError) -> ProjectionError:
+    return ProjectionError(role, path_text(_path_to(g, cause.node)), cause)
 
 
 def result_or_error(fn, *args):

@@ -1208,6 +1208,26 @@ def token_ring_text(n_roles: int, with_exit: bool = False) -> str:
     return text
 
 
+def token_ring_global(n_roles: int, with_exit: bool = False, sorts=None):
+    """The global type of `token_ring_text(n_roles, with_exit)`, built with
+    constructors: at 320 roles that text nests deeper than the parser
+    reaches under pytest.  `sorts` maps Go and Stop to a file's sorts."""
+    go, stop = (sorts or {}).get("Go", Sort("Go")), (sorts or {}).get("Stop", Sort("Stop"))
+    roles, x = [Role(f"R{i}") for i in range(n_roles)], RecVar("X")
+
+    def hops(first: int, last: int, sort, cont):
+        for i in reversed(range(first, last)):
+            cont = Com(roles[i], roles[(i + 1) % n_roles], ((sort, cont),))
+        return cont
+
+    if not with_exit:
+        return Loop(x, hops(0, n_roles, go, Recur(x)))
+    return Loop(x, Com(roles[0], roles[1], (
+        (go, hops(1, n_roles, go, Recur(x))),
+        (stop, hops(1, n_roles - 1, stop, END)),
+    )))
+
+
 def mergeable_pair(rng: random.Random, merged):
     """Split a receive-headed local type into two types whose merge is the
     original (up to branch order): each side keeps a subset of branches with

@@ -45,6 +45,7 @@ from helpers import (
     reference_chain,
     seeded,
     synthesize_process,
+    token_ring_global,
     token_ring_text,
 )
 
@@ -248,11 +249,21 @@ class TestSharedWork:
                     g, project, restrict_to_partner
                 ) == erasure_outcomes(g, oracle_project, oracle_restrict), f.name
 
+    @staticmethod
+    def _ring(n: int):
+        """`token_ring_text(n)` loaded; past 40 roles its global type is
+        built with constructors in place of a stand-in `end`."""
+        text = token_ring_text(n)
+        if n <= 40:
+            return load_text(text)
+        pf = load_text("sort Go;\nglobal Ring = end;\n" + text[text.index("proc "):])
+        pf.concrete["Ring"] = token_ring_global(n, sorts=pf.sorts)
+        return pf
+
     def test_ring_work_is_linear_in_roles(self, monkeypatch):
-        n = 40
-        pf = load_text(token_ring_text(n))
         counts = {"restrict": 0, "dual": 0}
-        projected: list = []
+        folded: list = []  # the protocol of each every-role projection
+        projected: list = []  # the role of each one-role projection
         depth = [0]
 
         def count_restrict(fn):
@@ -269,6 +280,10 @@ class TestSharedWork:
             counts["dual"] += 1
             return fn(a, b)
 
+        def count_project_all(g, fn=projection.project_all):
+            folded.append(g)
+            return fn(g)
+
         def count_project(g, role, fn=project):
             projected.append(role)
             return fn(g, role)
@@ -278,14 +293,22 @@ class TestSharedWork:
         )
         monkeypatch.setattr(consistency, "dual", count_dual)
         # the package re-exports the function `elaborate`, so import the module by name
-        for mod in (importlib.import_module("mpstkit.elaborate"), consistency):
-            monkeypatch.setattr(mod, "project", count_project)
-        outcome = cli.check_protocol_file(pf, "ring.mpst", True)
-        assert outcome.ok
-        assert len(outcome.consistency["Ring"].pairs) == n * (n - 1)
-        assert counts["restrict"] <= 3 * n
-        assert counts["dual"] <= n
-        assert sorted(r.name for r in projected) == sorted(f"R{i}" for i in range(n))
+        elaborate = importlib.import_module("mpstkit.elaborate")
+        for mod in (elaborate, consistency):
+            monkeypatch.setattr(mod, "project_all", count_project_all)
+        monkeypatch.setattr(elaborate, "project", count_project)
+        for n in (40, 320):
+            counts.update(restrict=0, dual=0)
+            folded.clear()
+            pf = self._ring(n)
+            outcome = cli.check_protocol_file(pf, "ring.mpst", True)
+            assert outcome.ok
+            assert len(outcome.consistency["Ring"].pairs) == n * (n - 1)
+            assert counts["restrict"] <= 3 * n
+            assert counts["dual"] <= n
+            # one walk projects every role, and the processes reuse its projections
+            assert folded == [pf.concrete["Ring"]]
+            assert projected == []
 
     # Projections passed in are taken as given, which reaches verdicts that
     # projections of one global type rarely or never give.
@@ -393,6 +416,24 @@ class TestSharedWork:
         assert report.consistent and len(report.pairs) == (6 if bystander else 2)
         assert roles_of(g) == ({A, B, C} if bystander else {A, B})
         assert free_rec_vars(g) == set()
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_a_bystander_merges_a_shared_projection_once(self, n):
+        # A, B and C never hear D's choice between two references to one
+        # diamond, so each merges its projection of the diamond with itself
+        top = f"P{n - 1}"
+        lines = reference_chain("diamond", n)
+        lines.append(f"global G = D -> E : {{ M . {top}, Q . {top} }};")
+        pf = load_text("\n".join(["sort M; sort Q;", *lines]) + "\n")
+        g = pf.concrete["G"]
+        report = consistent(g)
+        assert report.consistent and len(report.pairs) == 12
+        assert struct_eq(project(g, A), project(pf.concrete[top], A))
+        if n <= 8:
+            assert report.to_json() == oracle_consistent(g).to_json()
+            assert erasure_outcomes(g, project, restrict_to_partner) == erasure_outcomes(
+                g, oracle_project, oracle_restrict
+            )
 
     def test_a_failure_past_a_sixty_level_diamond_is_located(self):
         # the path search passes the diamond before it reaches the failing

@@ -1,7 +1,9 @@
 """Projection and the full-merge operator, against hand-built reference
 types for the negotiation and purchase protocols."""
 
+import importlib
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,16 @@ from mpstkit.core import (
     Send,
     Sort,
     free_rec_vars,
+    roles_of,
+    shared_postorder,
     struct_eq,
     subterms,
     well_formed,
 )
-from mpstkit.projection import MergeError, ProjectionError, merge, merge_all, project
+from mpstkit.elaborate import load_text
+from mpstkit.projection import (
+    MergeError, ProjectionError, merge, merge_all, project, result_or_error,
+)
 
 import helpers
 from helpers import (
@@ -42,10 +49,12 @@ from helpers import (
     random_local,
     seeded,
     seller_decision_local,
+    token_ring_global,
     two_buyer_decision_global,
     two_buyer_purchase_global,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 Ok = Sort("Ok")
 Quit = Sort("Quit")
 Auth = Sort("Auth")
@@ -184,6 +193,58 @@ class TestNestedLoops:
         start = time.perf_counter()
         project(g, A)
         assert time.perf_counter() - start < 0.25
+
+
+class TestProjectAll:
+    """`project_all` projects every role in one walk of the global type."""
+
+    def test_a_ring_is_walked_once_for_all_roles(self, monkeypatch):
+        walks = []
+
+        def count_walks(t):
+            walks.append(t)
+            return shared_postorder(t)
+
+        g = token_ring_global(320, with_exit=True)
+        monkeypatch.setattr(projection, "shared_postorder", count_walks)
+        every = projection.project_all(g)
+        assert walks == [g]
+        monkeypatch.undo()
+        assert every == {r: project(g, r) for r in roles_of(g)}
+
+    def test_every_input_projects_as_project_does(self):
+        graphs = [nested_loops(2000), long_global(5000)]
+        for path in sorted((ROOT / "fixtures").rglob("*.mpst")):
+            graphs += load_text(path.read_text()).concrete.values()
+        family = helpers.benchmark_inputs().family
+        for workload in ("deep", "wide"):
+            for f in family(workload, 1, ROOT):
+                graphs += load_text(f.text).concrete.values()
+        for g in graphs:
+            every = projection.project_all(g)
+            assert set(every) == roles_of(g)
+            for r, local in every.items():
+                want = result_or_error(project, g, r)
+                if isinstance(want, ProjectionError):
+                    assert (local.role, local.path, str(local)) == (r, want.path, str(want))
+                else:
+                    assert struct_eq(local, want)
+
+    def test_a_file_keeps_one_projection_per_role(self, monkeypatch):
+        pf = load_text((ROOT / "fixtures" / "negotiation.mpst").read_text())
+        elaborate = importlib.import_module("mpstkit.elaborate")
+        folds = []
+
+        def count_folds(g, fn=projection.project_all):
+            folds.append(g)
+            return fn(g)
+
+        monkeypatch.setattr(elaborate, "project_all", count_folds)
+        responder = pf.projection("Negotiation", B)
+        every = pf.projections("Negotiation")
+        assert set(every) == {A, B} and every[B] is responder
+        assert every[A] is pf.projection("Negotiation", A)
+        assert pf.projections("Negotiation") == every and len(folds) == 1
 
 
 class TestMerge:

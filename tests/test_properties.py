@@ -31,7 +31,9 @@ from mpstkit.core import (
 )
 from mpstkit.elaborate import ElabError, load_text
 from mpstkit.fsm import interpret
-from mpstkit.projection import MergeError, ProjectionError, merge, project, result_or_error
+from mpstkit.projection import (
+    MergeError, ProjectionError, merge, project, project_all, result_or_error,
+)
 from mpstkit.runtime import GlobalSession, run_all
 from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
@@ -377,6 +379,31 @@ def test_a_shared_copy_behaves_like_its_tree(g):
     shared = share(g)
     assert shared == g
     assert sharing_outcomes(shared) == sharing_outcomes(g)
+
+
+# `project_all` projects every role in one fold: for each role it gives the
+# recursive oracle's projection, or a ProjectionError with the same role,
+# path and text, on a tree and on its shared copy.  The examples fail inside
+# a repeated subterm, and make C inherit the silent erasure's failure: C
+# never appears in A's choice, whose branches loop and end.
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_globals)
+@example(Com(A, B, ((M, unmergeable()), (N, Com(A, C, ((M, unmergeable()),))))))
+@example(Loop(X, Com(C, A, ((M, Com(A, B, ((M, Recur(X)), (N, END)))),))))
+def test_project_all_matches_the_oracle_for_every_role(g):
+    for t in (g, share(g)):
+        every = project_all(t)
+        assert set(every) == roles_of(t)
+        for r, local in every.items():
+            try:
+                want = oracle_project(t, r)
+            except ProjectionError as e:
+                assert isinstance(local, ProjectionError)
+                assert (local.role, local.path, str(local)) == (e.role, e.path, str(e))
+            else:
+                assert local == want
 
 
 # ---------------------------------------------------------------------------

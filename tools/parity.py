@@ -8,16 +8,17 @@ given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
 `tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files`,
 the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
 definitions, the generated `LOOPS`, the `SHARED` choices, whose repeated
-subtrees elaboration shares, and the `PROCS`, a process that plays a
-generic protocol and a run that leaves a session unfinished (duplicate texts
-once).  Each goes through `cli.main`, in process, with `check --consistency`
-(text and `--json`), which prints the text, line and column of every syntax
-or elaboration error.  Each fixture, family input, loop and process file
-then goes through `project` (text and `--json`) and `fsm --json` for every
-role of every protocol; `project` and `fsm --json` once without
-`--protocol`, for the first role of the first protocol (or `A` when there is
-none); and `run`, `run --json` and `run --unchecked --timeout 1`, except on
-the ping-pong and `deep` texts, whose processes end only by timeout.
+subtrees elaboration shares, the `ROLES` of two 50-role token rings, and the
+`PROCS`, a process that plays a generic protocol and a run that leaves a
+session unfinished (duplicate texts once).  Each goes through `cli.main`, in
+process, with `check --consistency` (text and `--json`), which prints the
+text, line and column of every syntax or elaboration error.  Each fixture,
+family input, loop, shared choice, ring and process file then goes through
+`project` (text and `--json`) and `fsm --json` for every role of every
+protocol; `project` and `fsm --json` once without `--protocol`, for the
+first role of the first protocol (or `A` when there is none); and `run`,
+`run --json` and `run --unchecked --timeout 1`, except on the ping-pong,
+`deep` and ring texts, whose processes end only by timeout.
 Each call prints one line: the input, the command, the exit code and the
 SHA-256 of stdout and of stderr.  An exception that escapes `cli.main` reads
 as exit `traceback`.  The mpstkit, benchmark inputs and test helpers used are
@@ -41,6 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import (  # noqa: E402
     benchmark_inputs, cut_and_splice, nested_loops, odd_files, reference_chain,
+    token_ring_text,
 )
 from mpstkit import cli  # noqa: E402
 from mpstkit.core import roles_of  # noqa: E402
@@ -74,6 +76,14 @@ global Twice = rec X . A -> B : {
   L2 . A -> B : { K . B -> C : K . X, J . B -> C : J . end } };
 """),
 ]
+# four bystanders of a choice between two references to one 12-level
+# diamond: A and B merge their projection of the diamond with itself
+SHARED.append(("bystanders", "\n".join([
+    "sort M; sort Q;", *reference_chain("diamond", 12),
+    "global G = D -> E : { M . P11, Q . P11 };"]) + "\n"))
+# many roles: a token ring of 50 roles, and one that R0 may stop, in which
+# most pairs never talk; their processes pass the token forever
+ROLES = [("ring 50", token_ring_text(50)), ("ring exit 50", token_ring_text(50, with_exit=True))]
 # a process bound to a generic protocol, which `check` and `run` refuse, and
 # a run whose B ends without reading A's Ping, so only `run --unchecked` runs it
 PROCS = [
@@ -96,7 +106,8 @@ def chain_text(kind: str, n: int) -> str:
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
     then the damaged copies of the fixtures, the odd files, the reference
-    chains, the loops, the shared choices and the processes for each seed."""
+    chains, the loops, the shared choices, the rings and the processes for
+    each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -113,6 +124,7 @@ def inputs_for(seeds: list) -> list:
                 for seed in seeds for kind, n in CHAINS]
         out += [(f"loops/{label}@{seed}", text) for seed in seeds for label, text in LOOPS]
         out += [(f"shared/{label}@{seed}", text) for seed in seeds for label, text in SHARED]
+        out += [(f"roles/{label}@{seed}", text) for seed in seeds for label, text in ROLES]
         out += [(f"procs/{label}@{seed}", text) for seed in seeds for label, text in PROCS]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
@@ -138,8 +150,9 @@ def call(argv: list) -> tuple:
 
 
 # Family inputs whose processes end only by timeout, so that what a run
-# prints depends on the machine's speed: the ping-pongs and every deep loop.
-ENDLESS = ("deep/", "run/pingpong")
+# prints depends on the machine's speed: the ping-pongs, every deep loop and
+# the token rings.
+ENDLESS = ("deep/", "run/pingpong", "roles/")
 
 
 def commands(label: str, path: str) -> list:

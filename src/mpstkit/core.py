@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Optional, Union
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class UnfoldError(Exception):
@@ -43,7 +43,7 @@ class Role:
     name: str
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
+        if not _IDENT_RE.fullmatch(self.name):
             raise ValueError(f"invalid role name: {self.name!r}")
 
     def __str__(self) -> str:
@@ -90,7 +90,7 @@ class Sort:
     payload: PayloadSchema = PAYLOAD_NONE
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
+        if not _IDENT_RE.fullmatch(self.name):
             raise ValueError(f"invalid sort name: {self.name!r}")
 
     def __eq__(self, other: object) -> bool:

@@ -16,10 +16,10 @@ declared local types that must match a projection, and process scripts:
       recv A { Propose(v) -> ... }
     }
 
-A token is its lexeme: `tokenize` lexes the text in one regex pass, keeping
-the match each lexeme was read from, and the parser reads each token's kind
-off its text.  Where a lexeme starts, and its `(line, col)`, are computed only
-where a `pos` or a `ParseError` keeps one.
+A token is its lexeme: `tokenize` blanks the `//` comments, splits the text
+around its lexemes with one regex and keeps the offset each lexeme starts at,
+and the parser reads each token's kind off its text.  A lexeme's
+`(line, col)` is computed only where a `pos` or a `ParseError` keeps one.
 
 Parsing is deterministic recursive descent.  Errors carry line/column and
 the expected-token set; the parser resynchronises at the next top-level
@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import accumulate
 from typing import Optional, Union
 
 from . import core, typecheck as tc
@@ -49,24 +49,28 @@ KEYWORDS = {
 }
 # the keywords that start a declaration; the parser resynchronises at them
 _DECL_KEYWORDS = ("sort", "global", "local", "proc")
+# the keywords that start a statement
+_STMT_KEYWORDS = ("send", "recv", "loop", "recur", "end", "if", "let")
 
-# One match per token: the blanks and comments before it, then the lexeme in
-# group 1 or, in group 2, a character no token starts with.  One of these
-# always follows the blanks, so they are never given back.
-_LEXEME_RE = re.compile(
+# A token's lexeme, captured so that `re.split` keeps it between the gaps.  The
+# pattern starts with the class of every character a token starts with, so
+# the search skips blanks without trying each kind of token; a look back at
+# that character then says how the lexeme goes on.
+_TOKEN_RE = re.compile(
     r"""
-    (?:\s+|//[^\n]*)*
-    (?:
-        ( [A-Za-z][A-Za-z0-9_]*|_   # identifier or keyword
-        | \d+
-        | "(?:[^"\\]|\\.)*"
-        | ->|[{}()\[\];:.,=@!?<\-]
-        | \Z )                      # eof: the empty lexeme
-      | (?s:(.))
-    )
+    ( [A-Za-z_\d"{}()\[\];:.,=@!?<\-]
+      (?: (?<![A-Za-z\d"\-])              # punctuation or `_`: one character
+        | (?<=[A-Za-z]) [A-Za-z0-9_]*     # identifier or keyword
+        | (?<=-) >?                       # `->` or `-`
+        | (?<=\d) \d*
+        | (?<=") (?:[^"\\]|\\.)* " ) )     # a string; a lone `"` is no token
     """,
     re.VERBOSE,
 )
+# A `//` comment, to be blanked, or a string literal, kept: scanning from the
+# left finds each where the lexer would.  Both start with a literal, so the
+# search skips to a `/` or a `"`.
+_COMMENT_RE = re.compile(r'//[^\n]*|"((?:[^"\\]|\\.)*)"')
 
 Pos = tuple  # (line, col)
 
@@ -86,34 +90,40 @@ class ParseError(Exception):
 
 
 class Lexemes(list):
-    """The lexemes of a text, ending with "" for eof; `matches` holds the
-    match each was read from, `newlines` -1 and then the offset of each line
-    break."""
+    """The lexemes of a text, ending with "" for eof; `starts` holds the
+    offset each starts at (the text's length for eof), `newlines` -1 and then
+    the offset of each line break."""
 
-    def __init__(self, matches: list, newlines: list):
-        super().__init__(map(itemgetter(1), matches))
-        self.matches, self.newlines = matches, newlines
+    def __init__(self, lexemes: list, starts: list, newlines: list):
+        super().__init__(lexemes)
+        self.starts, self.newlines = starts, newlines
 
     def pos(self, i: int) -> Pos:
         """The (line, col) of the i-th lexeme."""
-        m = self.matches[i]
-        offset = m.start(m.lastindex)
+        offset = self.starts[i]
         line = bisect_right(self.newlines, offset)
         return line, offset - self.newlines[line - 1]
 
 
 def tokenize(text: str) -> Lexemes:
-    """The lexemes of `text`, then "" for eof, with the match each was read
-    from.  Blanks and `//` comments separate lexemes, and a keyword is lexed as
-    an identifier is.  The first character no token starts with (an
-    unterminated string's `"` among them) is a `ParseError`."""
-    matches = list(_LEXEME_RE.finditer(text))
-    if len(matches) > 1 and matches[-2][1] == "":
-        matches.pop()  # after trailing blanks, `\Z` matches once more, empty
-    lexemes = Lexemes(matches, [-1, *(m.start() for m in re.finditer("\n", text))])
-    if None in lexemes:
-        i = lexemes.index(None)
-        raise ParseError(*lexemes.pos(i), f"unexpected character {matches[i][2]!r}")
+    """The lexemes of `text`, then "" for eof, with the offset each starts at.
+    Blanks and `//` comments separate lexemes, and a keyword is lexed as an
+    identifier is.  The first character no token starts with (an unterminated
+    string's `"` among them) is a `ParseError`."""
+    if "//" in text:  # blank each comment, so that no lexeme is read inside it
+        text = _COMMENT_RE.sub(lambda m: m[0] if m.lastindex else " " * len(m[0]), text)
+    # lexemes at odd indices, the gaps around them at even ones
+    parts = _TOKEN_RE.split(text)
+    starts = list(accumulate(map(len, parts)))[0::2]  # where each gap ends
+    newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
+    lexemes = Lexemes(parts[1::2], starts, newlines)
+    lexemes.append("")
+    gaps = parts[0::2]
+    blanks = "".join(gaps)
+    if blanks and not blanks.isspace():
+        k, rest = next((k, rest) for k, gap in enumerate(gaps) if (rest := gap.lstrip()))
+        starts[k] -= len(rest)  # gap k's first character that is not a blank
+        raise ParseError(*lexemes.pos(k), f"unexpected character {rest[0]!r}")
     return lexemes
 
 
@@ -246,8 +256,12 @@ def default_session(bindings) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: Lexemes):
-        self.tokens = tokens
+    def __init__(self, lexemes: Lexemes):
+        self.lexemes = lexemes
+        # CPython indexes an exact `list` faster than a subclass of one
+        self.tokens = list(lexemes)
+        self.names = set(filter(_is_name, set(lexemes)))  # what `ident` takes
+        self.roles: dict = {}  # name -> core.Role, each built once
         self.i = 0
 
     # the lexemes always end with "" for eof, and next() never steps past it
@@ -262,7 +276,7 @@ class _Parser:
 
     def pos(self, back: int = 0) -> Pos:
         """The (line, col) of the next token, or of the one `back` before it."""
-        return self.tokens.pos(self.i - back)
+        return self.lexemes.pos(self.i - back)
 
     def accept(self, text: str) -> Optional[str]:
         if self.tokens[self.i] == text:
@@ -274,14 +288,24 @@ class _Parser:
         raise ParseError(*self.pos(), f"unexpected {self.peek()!r}", expected)
 
     def expect(self, text: str) -> str:
-        return self.accept(text) or self.unexpected(text)
+        if self.tokens[self.i] != text:
+            self.unexpected(text)
+        self.i += 1
+        return text
 
     def ident(self, what: str = "identifier") -> str:
         lexeme = self.tokens[self.i]
-        if not _is_name(lexeme):
+        if lexeme not in self.names:
             self.unexpected(what)
         self.i += 1
         return lexeme
+
+    def role(self) -> core.Role:
+        name = self.ident("role")
+        role = self.roles.get(name)
+        if role is None:
+            role = self.roles[name] = core.Role(name)
+        return role
 
     # -- declarations --------------------------------------------------------
 
@@ -299,7 +323,7 @@ class _Parser:
                 # syncing from just after the keyword always makes progress, and
                 # finds the same place as syncing from where the stack ran out,
                 # since no top-level keyword occurs inside a declaration
-                errors.append(ParseError(*self.tokens.pos(start), "declaration nested too deeply"))
+                errors.append(ParseError(*self.lexemes.pos(start), "declaration nested too deeply"))
                 self.i = start + 1
                 self._sync()
         return ParseResult(SurfaceFile(decls), errors)
@@ -310,15 +334,17 @@ class _Parser:
 
     def decl(self):
         pos = self.pos()  # of the keyword, which each rule is given
-        if self.accept("sort"):
+        keyword = self.tokens[self.i]
+        if keyword not in _DECL_KEYWORDS:
+            self.unexpected(*_DECL_KEYWORDS)
+        self.i += 1
+        if keyword == "sort":
             return self.sort_decl(pos)
-        if self.accept("global"):
+        if keyword == "global":
             return self.global_def(pos)
-        if self.accept("local"):
+        if keyword == "local":
             return self.local_def(pos)
-        if self.accept("proc"):
-            return self.proc_def(pos)
-        self.unexpected(*_DECL_KEYWORDS)
+        return self.proc_def(pos)
 
     def sort_decl(self, pos: Pos) -> SortDecl:
         name = self.ident("sort name")
@@ -375,9 +401,12 @@ class _Parser:
         """A global type (`A -> B : …`, with protocol references `N[…]`) or,
         when `local`, a declared local type (`A -> B ! …` / `A -> B ? …`)."""
         pos = self.pos()
-        if self.accept("end"):
+        head = self.tokens[self.i]
+        if head == "end":
+            self.i += 1
             return STEnd(pos)
-        if self.accept("rec"):
+        if head == "rec":
+            self.i += 1
             var = self.ident("recursion variable")
             self.expect(".")
             return STRec(var, self.type_expr(local), pos)
@@ -435,7 +464,8 @@ class _Parser:
         return ProcDef(name, tuple(bindings), body, pos)
 
     def _session_sel(self) -> str:
-        if self.accept("["):
+        if self.tokens[self.i] == "[":
+            self.i += 1
             var = self.ident("session variable")
             self.expect("]")
             return var
@@ -443,9 +473,13 @@ class _Parser:
 
     def stmt(self) -> tc.ProcessTerm:
         pos = self.pos()
-        if self.accept("send"):
+        keyword = self.tokens[self.i]
+        if keyword not in _STMT_KEYWORDS:
+            self.unexpected(*_STMT_KEYWORDS)
+        self.i += 1
+        if keyword == "send":
             sel = self._session_sel()
-            to = self.ident("role")
+            to = self.role()
             sort = self.ident("sort name")
             args: tuple = ()
             if self.accept("("):
@@ -453,28 +487,28 @@ class _Parser:
                 self.expect(")")
             self.expect(";")
             cont = self.stmt()
-            return tc.SendT(sel, core.Role(to), SCall(sort, args, pos), cont, pos)
-        if self.accept("recv"):
+            return tc.SendT(sel, to, SCall(sort, args, pos), cont, pos)
+        if keyword == "recv":
             sel = self._session_sel()
-            frm = self.ident("role")
+            frm = self.role()
             self.expect("{")
             arms = [self.arm()]
             while self.accept(","):
                 arms.append(self.arm())
             self.expect("}")
-            return tc.RecvT(sel, core.Role(frm), tuple(arms), pos)
-        if self.accept("loop"):
+            return tc.RecvT(sel, frm, tuple(arms), pos)
+        if keyword == "loop":
             sel = self._session_sel()
             var = self.ident("loop label")
             self.expect("{")
             body = self.stmt()
             self.expect("}")
             return tc.LoopT(sel, var, body, pos)
-        if self.accept("recur"):
+        if keyword == "recur":
             sel = self._session_sel()
             var = self.ident("loop label")
             return tc.RecurT(var, sel, pos)
-        if self.accept("end"):
+        if keyword == "end":
             results: list = []
             if self.accept("("):
                 results.append(self.ident("variable"))
@@ -482,7 +516,7 @@ class _Parser:
                     results.append(self.ident("variable"))
                 self.expect(")")
             return tc.EndT(tuple(results), pos)
-        if self.accept("if"):
+        if keyword == "if":
             cond = self.expr()
             self.expect("then")
             self.expect("{")
@@ -493,22 +527,22 @@ class _Parser:
             els = self.stmt()
             self.expect("}")
             return tc.IfT(cond, then, els, pos)
-        if self.accept("let"):
-            name = self.ident("variable")
-            self.expect("=")
-            value = self.expr()
-            self.expect(";")
-            cont = self.stmt()
-            return tc.LetT(name, value, cont, pos)
-        self.unexpected("send", "recv", "loop", "recur", "end", "if", "let")
+        # let
+        name = self.ident("variable")
+        self.expect("=")
+        value = self.expr()
+        self.expect(";")
+        cont = self.stmt()
+        return tc.LetT(name, value, cont, pos)
 
     def arm(self) -> tc.RecvArm:
         pos = self.pos()
         sort = self.ident("sort name")
         self.expect("(")
-        if not (self.peek() == "_" or _is_name(self.peek())):
+        var = self.tokens[self.i]
+        if var != "_" and var not in self.names:
             self.unexpected("variable", "_")
-        var = self.next()
+        self.i += 1
         self.expect(")")
         self.expect("->")
         return tc.RecvArm(sort, var, self.stmt(), pos)
@@ -546,7 +580,7 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if _is_name(lexeme):
+        if lexeme in self.names:
             self.next()
             if self.accept("("):
                 arg = self.expr()

@@ -57,6 +57,14 @@ Ok = Sort("Ok")
 Propose = Sort("Propose", "int")
 
 
+@pytest.mark.parametrize("name", ["A\n", "", "1x", "a b"])
+@pytest.mark.parametrize("kind", [Role, Sort])
+def test_a_name_that_is_not_an_identifier_is_rejected(kind, name):
+    # the whole name must be an identifier: `$` would let a final newline through
+    with pytest.raises(ValueError):
+        kind(name)
+
+
 class TestSubstitute:
     def test_direct_replacement(self):
         assert substitute(Recur(X), X, END) == END

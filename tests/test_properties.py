@@ -538,8 +538,9 @@ def test_dual_matches_substitution_oracle(l, other, data):
 # The surface lexer and the local-type renderer against their references.
 
 # every character class the lexer treats differently, plus characters it
-# rejects; keywords are drawn whole, since random letters rarely spell one
-LEX_ALPHABET = "abzAQZ09_{}()[];:.,=@!?<->\"\\/$ \t\n\r"
+# rejects, non-ASCII blanks and a non-ASCII digit; keywords are drawn whole,
+# since random letters rarely spell one
+LEX_ALPHABET = "abzAQZ09_{}()[];:.,=@!?<->\"\\/$ \t\n\r\x0b\x0c\x1c\u00a0\u2028\u3000\u0663"
 lex_inputs = st.lists(
     st.one_of(st.text(LEX_ALPHABET, max_size=4), st.sampled_from(sorted(KEYWORDS))),
     max_size=25,

@@ -81,10 +81,19 @@ class TestTokenize:
         ("", None),
         (" \n\t \r\n ", None),
         ("sort A;\nglobal G = end;\nproc p $", "3:8: unexpected character '$'"),
+        ('let s = "a//b"; x', None),
+        ("end\u00a0->\u2028end\u3000", None),
+        ("end// c\nend", None),
+        ("a--b ->- <-", None),
+        ("// only a comment", None),
+        ("x\x0b\x0cy\x1cz", None),
+        ('sort A;\r\n// c "\n"x"', None),
     ], ids=[
         "crlf and tabs", "escaped quote and newline in a string",
         "unterminated string at eof", "lone slash", "comment ending the file",
         "e acute", "empty", "whitespace only", "bad character on line 3",
+        "comment marker in a string", "unicode blanks", "comment glued to a token",
+        "minus and arrow", "comment only", "control blanks", "quote in a comment",
     ])
     def test_edge_case_matches_oracle(self, text, error):
         if error is not None:
@@ -96,6 +105,20 @@ class TestTokenize:
         expected = oracle_tokenize(text)
         assert lexemes(text) == expected
         assert len(tokenize(text)) == len(expected)
+
+
+    def test_benchmark_texts_match_oracle(self):
+        # the dense, comment-free texts of every family, at three seeds
+        inputs = benchmark_inputs()
+        texts = [
+            f.text
+            for workload in inputs.WORKLOADS
+            for seed in (1, 4242, 9101)
+            for f in inputs.family(workload, seed, ROOT)
+        ]
+        assert len(texts) == 102
+        for text in texts:
+            assert lexemes(text) == oracle_tokenize(text)
 
 
 class TestParse:

@@ -8,9 +8,10 @@ given seeds and, at each seed, `DAMAGED` copies of the fixtures made by
 `tests/helpers.cut_and_splice`, `ODD` files of `tests/helpers.odd_files`,
 the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
 definitions, the generated `LOOPS`, the `SHARED` choices, whose repeated
-subtrees elaboration shares, the `ROLES` of two 50-role token rings, and the
+subtrees elaboration shares, the `ROLES` of two 50-role token rings, the
 `PROCS`, a process that plays a generic protocol and a run that leaves a
-session unfinished (duplicate texts once).  Each goes through `cli.main`, in
+session unfinished, and the `LEXED` texts that test the lexer (duplicate
+texts once).  Each goes through `cli.main`, in
 process, with `check --consistency` (text and `--json`), which prints the
 text, line and column of every syntax or elaboration error.  Each fixture,
 family input, loop, shared choice, ring and process file then goes through
@@ -92,7 +93,20 @@ PROCS = [
     ("orphan", "sort Ping;\nglobal G = A -> B : Ping . end;\n"
                "proc a plays A in G { send B Ping; end }\nproc b plays B in G { end }\n"),
 ]
-CHECK_ONLY = ("damaged/", "odd/", "chain/")  # labels of inputs that are only checked
+# what the lexer must agree on: comments glued to tokens or inside a string,
+# non-ASCII blanks, CRLF line ends, and characters no token starts with
+TWO_BUYER = (ROOT / "fixtures" / "two_buyer.mpst").read_text()
+LEXED = [
+    ("glued comments", TWO_BUYER.replace(";\n", ";//;\n")),
+    ("comment marker in a string", TWO_BUYER.replace("war-and-peace", "war//and//peace")),
+    ("unicode blanks", TWO_BUYER.replace(" -> ", "\u00a0->\u2028")),
+    ("crlf", TWO_BUYER.replace("\n", "\r\n")),
+    ("lone slash", "sort M;\nglobal G = A -> B : M / end;\n"),
+    ("unterminated string", TWO_BUYER + 'proc x plays B1 in Purchase { send S String("open'),
+    ("e acute", "sort M\u00e9;\nglobal G = A -> B : M . end;\n"),
+    ("dollar after a comment", "sort M; // note\n$ global G = A -> B : M . end;\n"),
+]
+CHECK_ONLY = ("damaged/", "odd/", "chain/", "lexed/")  # labels of inputs that are only checked
 
 
 def chain_text(kind: str, n: int) -> str:
@@ -106,8 +120,8 @@ def chain_text(kind: str, n: int) -> str:
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
     then the damaged copies of the fixtures, the odd files, the reference
-    chains, the loops, the shared choices, the rings and the processes for
-    each seed."""
+    chains, the loops, the shared choices, the rings, the processes and the
+    lexer's texts for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -126,6 +140,7 @@ def inputs_for(seeds: list) -> list:
         out += [(f"shared/{label}@{seed}", text) for seed in seeds for label, text in SHARED]
         out += [(f"roles/{label}@{seed}", text) for seed in seeds for label, text in ROLES]
         out += [(f"procs/{label}@{seed}", text) for seed in seeds for label, text in PROCS]
+        out += [(f"lexed/{label}@{seed}", text) for seed in seeds for label, text in LEXED]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
         first.setdefault(text, label)

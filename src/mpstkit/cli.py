@@ -47,7 +47,9 @@ def load_file(path: str):
     errors is a non-empty list of strings when the file does not parse or
     elaborate; the ProtocolFile is None in that case."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
+        # decoded as it is: a byte-order mark is dropped, and a `\r` stays
+        # what the lexer sees, so line and column are the library's
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as e:
         return None, [str(e)]
     except UnicodeDecodeError as e:
@@ -113,7 +115,7 @@ class CheckOutcome:
 def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> CheckOutcome:
     outcome = CheckOutcome(path)
     for name, g in pf.concrete.items():
-        outcome.well_formedness[name] = well_formed(g)
+        outcome.well_formedness[name] = well_formed(g, memo=pf.verdicts)
     # each protocol checked for consistency projects every role in one walk,
     # before the checks below look its projections up one role at a time
     checked = [name for name, bad in outcome.well_formedness.items()

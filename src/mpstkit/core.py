@@ -8,11 +8,13 @@ well-formedness decide contractiveness by one rule, `is_guarded`.
 
 Elaboration hash-conses a file's types, so one subterm object can sit on
 many paths.  `postorder` (alias `subterms`) still lists it at each path, and
-so do `well_formed`, printing and the JSON encoding.  `shared_postorder`
-lists it once, with a `Repeat` wherever it is met again; `free_rec_vars`,
-`roles_of`, `projection.erase` (projection and partner restriction) and the
-consistency checker's walk for who talks to whom fold over it, reuse the
-value of a repeated object, and so share their results in turn.
+so do printing and the JSON encoding.  `shared_postorder` lists it once,
+with a `Repeat` wherever it is met again; `free_rec_vars`, `roles_of`,
+`projection.erase` (projection and partner restriction) and the consistency
+checker's walk for who talks to whom fold over it, reuse the value of a
+repeated object, and so share their results in turn.  `well_formed` keeps a
+verdict per repeated object, in a memo that can outlive one call, and walks
+an object again only where it was not found clean under the binders there.
 
 Every class here (the type nodes, `Role`, `RecVar`, `Sort`,
 `EndpointPayload` and `Violation`) is a frozen dataclass: values are
@@ -320,52 +322,86 @@ def path_text(path) -> str:
     return "$" + "".join(reversed(steps))
 
 
-def well_formed(t: TypeNode) -> list:
+def well_formed(t: TypeNode, *, memo: Optional[dict] = None) -> list:
     """Collect well-formedness violations: self-communication, empty or
     duplicated branches, unbound recursion variables, non-contractive loops.
 
     An empty list means the type is well formed.  Works on global and local
     types alike.  Violations come in preorder, a duplicated sort just before
-    its branch; paths are rendered only for violations."""
+    its branch; paths are rendered only for violations.
+
+    A subterm object met on many paths is decided once.  `memo` maps the id
+    of t, of each choice object (2+ branches) met and of what the caller
+    put in to `[object, bound]`: `bound` is None until a walk of the object
+    finds it clean, then the recursion variables it was found clean under
+    (their intersection, if found clean more than once).  A clean object is
+    skipped wherever those variables are bound; any other object in the
+    memo is walked again, and decided, at each meeting, so a violation is
+    reported at every path.  Holding each object it keys, the memo never
+    sees an id reused; a file's memo (`ProtocolFile.verdicts`) carries
+    verdicts from one call to the next, and without one it lives for this
+    call."""
     violations: list = []
-    # items are (node, bound, path) to check, or a Violation to report
+    if memo is None:
+        memo = {}
+    memo.setdefault(id(t), [t, None])
+    # items are (node, bound, path) to check, a Violation to report, or the
+    # [memo entry, bound, violations before it] that ends an object's walk
     stack: list = [(t, frozenset(), None)]
     while stack:
         item = stack.pop()
-        if isinstance(item, Violation):
+        kind = type(item)
+        if kind is Violation:
             violations.append(item)
             continue
+        if kind is list:
+            entry, bound, before = item
+            if len(violations) == before:
+                entry[1] = bound if entry[1] is None else entry[1] & bound
+            continue
         node, bound, path = item
-        if isinstance(node, (Com, Send, Recv)):
-            if node.sender == node.receiver:
-                violations.append(
-                    Violation(path_text(path), f"sender equals receiver: {node.sender}")
-                )
-            if not node.branches:
-                violations.append(
-                    Violation(path_text(path), "communication with no branches")
-                )
-            seen: set = set()
-            todo = []
-            for i, (s, c) in enumerate(node.branches):
-                if s.name in seen:
-                    todo.append(
-                        Violation(path_text(path), f"duplicate branch sort: {s.name}")
-                    )
-                seen.add(s.name)
-                todo.append((c, bound, (path, i)))
-            stack += reversed(todo)
-        elif isinstance(node, Loop):
+        kind = type(node)
+        if kind is Recur:
+            if node.var not in bound:
+                violations.append(Violation(
+                    path_text(path), f"unbound recursion variable: {node.var}"
+                ))
+            continue
+        if kind is End:
+            continue
+        key = id(node)
+        entry = memo.get(key)
+        if entry is not None:
+            if entry[1] is not None and entry[1] <= bound:
+                continue
+            stack.append([entry, bound, len(violations)])
+        elif kind is not Loop and len(node.branches) > 1:
+            memo[key] = [node, None]
+        if kind is Loop:
             if not is_guarded(node.var, node.body):
                 violations.append(Violation(
                     path_text(path), f"non-contractive recursion: rec {node.var}"
                 ))
             stack.append((node.body, bound | {node.var}, (path, None)))
-        elif isinstance(node, Recur):
-            if node.var not in bound:
-                violations.append(Violation(
-                    path_text(path), f"unbound recursion variable: {node.var}"
-                ))
+            continue
+        if node.sender.name == node.receiver.name:
+            violations.append(
+                Violation(path_text(path), f"sender equals receiver: {node.sender}")
+            )
+        branches = node.branches
+        if len(branches) == 1:  # the common case, kept cheap
+            stack.append((branches[0][1], bound, (path, 0)))
+            continue
+        if not branches:
+            violations.append(Violation(path_text(path), "communication with no branches"))
+        seen: set = set()
+        todo = []
+        for i, (s, c) in enumerate(branches):
+            if s.name in seen:
+                todo.append(Violation(path_text(path), f"duplicate branch sort: {s.name}"))
+            seen.add(s.name)
+            todo.append((c, bound, (path, i)))
+        stack += reversed(todo)
     return violations
 
 

@@ -71,6 +71,7 @@ class ProtocolFile:
     _projections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # name -> the roles of protocol `name`, once `projections` has projected them all
     _roles: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _verdicts: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def projection(self, name: str, role: Role):
         """The projection of concrete protocol `name` onto `role`, or the
@@ -92,6 +93,16 @@ class ProtocolFile:
                 self._projections.setdefault((name, role), local)
             roles = self._roles[name] = list(every)
         return {role: self._projections[name, role] for role in roles}
+
+    @property
+    def verdicts(self) -> dict:
+        """The memo in which `core.well_formed` keeps this file's verdicts,
+        made on first use.  Each concrete protocol's body starts in it, so a
+        protocol that contains another's body reuses that body's verdict in
+        either declaration order, and so does every check of one projection."""
+        if self._verdicts is None:
+            self._verdicts = {id(g): [g, None] for g in self.concrete.values()}
+        return self._verdicts
 
     def is_generic(self, name: str) -> bool:
         """Whether the file defines protocol `name` with parameters."""

@@ -70,12 +70,13 @@ class ProjectionError(Exception):
 
 
 def _align_loops(a: Loop, b: Loop) -> tuple:
-    """Give both loop bodies the same binder so they can be merged positionally."""
+    """Give both loop bodies the same binder so they can be merged positionally.
+    The binder is a variable neither loop has free or binds, so that putting
+    it in for a loop's own variable captures nothing."""
     if a.var == b.var:
         return a.var, a.body, b.body
     taken = {v.name for v in free_rec_vars(a.body) | free_rec_vars(b.body)}
-    taken.add(a.var.name)
-    taken.add(b.var.name)
+    taken |= {n.var.name for loop in (a, b) for n in shared_postorder(loop) if type(n) is Loop}
     i = 0
     while f"M{i}" in taken:
         i += 1

@@ -550,7 +550,10 @@ class Checker:
         if state.graph is not None:
             h = self._head(state, Send, term.to, path, term.pos, f"send to {term.to}")
             child = None if h is None else self._match_payload(env, term, state, h, path)
-            state = state._replace(graph=None) if child is None else state._replace(node=child)
+            if child is None:
+                state = _Live(state.role, None, state.node, state.loops)
+            else:
+                state = _Live(state.role, state.graph, child, state.loops)
         env.sessions[term.session] = state
         return [(env, term.cont, f"{path}.cont")]
 
@@ -643,7 +646,7 @@ class Checker:
                         arm.pos,
                     )
                 )
-            arm_env.sessions[term.session] = state._replace(node=child)
+            arm_env.sessions[term.session] = _Live(state.role, g, child, state.loops)
             out.append((arm_env, arm.cont, arm_path))
         return out
 
@@ -661,7 +664,7 @@ class Checker:
                     if v != term.session and s.graph is not None
                 )
                 entry = LoopEntry(term.recur_var, i, others)
-                state = state._replace(node=g.links[i], loops=state.loops + (entry,))
+                state = _Live(state.role, g, g.links[i], state.loops + (entry,))
             else:
                 self._err(
                     ErrorClass.WRONG_ACTION_KIND,
@@ -671,7 +674,7 @@ class Checker:
                     expected=str(g.term(i)),
                     found=f"loop {term.recur_var}",
                 )
-                state = state._replace(graph=None)
+                state = _Live(state.role, None, state.node, state.loops)
         env.sessions[term.session] = state
         return [(env, term.body, f"{path}.loop({term.recur_var})")]
 
@@ -858,7 +861,8 @@ def _session_type(protocol_file, proto_name: str, role: Role, pos: Pos):
                    else f"unknown protocol {proto_name}")
         return Diagnostic(ErrorClass.UNBOUND_VARIABLE, message, "$", pos)
     local = protocol_file.projection(proto_name, role)
-    bad = [] if isinstance(local, ProjectionError) else well_formed(local)
+    bad = ([] if isinstance(local, ProjectionError)
+           else well_formed(local, memo=protocol_file.verdicts))
     if isinstance(local, ProjectionError) or bad:
         why = f"the projection is not well formed ({bad[0]})" if bad else local
         message = f"cannot project {proto_name} onto {role}: {why}"

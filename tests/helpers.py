@@ -1143,6 +1143,77 @@ def random_global(rng: random.Random, roles: list, depth: int = 4, bound=(),
     return Com(Role(sender), Role(receiver), tuple(branches))
 
 
+def break_somewhere(rng: random.Random, t):
+    """t with one random subterm replaced by an ill-formed variant of it."""
+    if isinstance(t, Loop) and rng.random() < 0.7:
+        return Loop(t.var, break_somewhere(rng, t.body))
+    if isinstance(t, Com) and t.branches and rng.random() < 0.7:
+        i = rng.randrange(len(t.branches))
+        s, c = t.branches[i]
+        branches = list(t.branches)
+        branches[i] = (s, break_somewhere(rng, c))
+        return Com(t.sender, t.receiver, tuple(branches))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Com(A, A, ((OK, t),))
+    if kind == 1:
+        return Com(A, B, ((OK, t), (OK, END)))
+    if kind == 2:
+        return Com(B, A, ((OK, t), (PROPOSE, Recur(RecVar("Zfree")))))
+    if kind == 3:
+        return Loop(RecVar("Y"), Loop(X, Recur(RecVar("Y"))))
+    return Com(A, B, ())
+
+
+def repeating_global(seed: int, levels: int = 5):
+    """A global type, built as a tree, that repeats a few `random_global`s,
+    some broken by `break_somewhere` and some with recursion variables R0 or
+    R1 free, at many paths: under both branches of a choice and under loops
+    on R0 or R1.  Its `share` copy meets one object on many paths, and often
+    under different sets of binders."""
+    rng = seeded(seed)
+    r0, r1 = RecVar("R0"), RecVar("R1")
+    pieces = []
+    for _ in range(3):
+        g = random_global(rng, ["A", "B", "C"], depth=3, bound=(r0, r1)[:rng.randrange(3)])
+        for _ in range(rng.randrange(3)):
+            g = break_somewhere(rng, g)
+        pieces.append(g)
+
+    def build(level: int):
+        if level == 0 or rng.random() < 0.2:
+            return rng.choice(pieces)
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Loop(rng.choice((r0, r1)), Com(A, B, ((SORT_POOL[0], build(level - 1)),)))
+        left = build(level - 1)
+        right = left if rng.random() < 0.5 else build(level - 1)
+        return Com(A, B, ((SORT_POOL[0], left), (SORT_POOL[1], right)))
+
+    return build(levels)
+
+
+def rename_binders(rng: random.Random, t, names: list):
+    """t with each loop's variable renamed to one drawn from `names[d]`,
+    where d is the loop's nesting depth (the last list for deeper loops);
+    `D<depth>` when each drawn name would capture a free variable of its
+    body.  Alpha-equivalent to t: a fresh recursion, not `alpha_normalize`."""
+    def walk(node, env: dict, depth: int):
+        if isinstance(node, Recur):
+            return Recur(env.get(node.var, node.var))
+        if isinstance(node, Loop):
+            clash = {env.get(v, v) for v in free_rec_vars(node.body) - {node.var}}
+            pool = names[min(depth, len(names) - 1)]
+            new = rng.choice([v for v in pool if v not in clash] or [RecVar(f"D{depth}")])
+            return Loop(new, walk(node.body, {**env, node.var: new}, depth + 1))
+        if isinstance(node, (Com, Send, Recv)):
+            branches = tuple((s, walk(c, env, depth)) for s, c in node.branches)
+            return type(node)(node.sender, node.receiver, branches)
+        return node
+
+    return walk(t, {}, 0)
+
+
 def long_chain(steps: int) -> tuple:
     """A loop of `steps` sends from A to B, each with its own sort, and its
     mirrored loop of receives; built with constructors, not the parser."""

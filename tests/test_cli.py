@@ -12,7 +12,8 @@ import pytest
 
 import conftest
 from helpers import ROOT, benchmark_inputs, cut_and_splice, odd_files, reference_chain
-from mpstkit import cli
+from mpstkit import cli, core, surface
+from mpstkit.elaborate import load_text
 
 SRC = str(conftest.FIXTURES.parent / "src")
 # the CLI runs in a child interpreter, which must find mpstkit without an install
@@ -449,6 +450,39 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, text, code, command):
     assert outcomes[0][0] == code
 
 
+def test_a_lone_carriage_return_is_not_a_line_break(tmp_path, capsys):
+    # the file is read as it is, so the CLI places an error where
+    # parse_protocol_file does
+    path = tmp_path / "input.mpst"
+    path.write_bytes(b"sort A;\r  $")
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}:1:11: unexpected character '$'\n")
+    errors = surface.parse_protocol_file("sort A;\r  $").errors
+    assert [(e.line, e.col) for e in errors] == [(1, 11)]
+
+
+@pytest.mark.parametrize("command", [
+    ("check", "--consistency"), ("check", "--consistency", "--json"), ("project", "--role", "B"),
+])
+@pytest.mark.parametrize("text", [
+    conftest.fixture_path("mutations/negotiation_wrong_sort.mpst").read_text(),
+    "sort M;\nglobal G = A -> B : M . end;\n\n  global H = A -> : M . end;\n",
+], ids=["diagnostics", "syntax error"])
+def test_crlf_line_ends_print_what_lf_ones_do(tmp_path, capsys, text, command):
+    path = tmp_path / "input.mpst"
+    outcomes = []
+    for data in (text, text.replace("\n", "\r\n")):
+        path.write_bytes(data.encode())
+        try:
+            code = cli.main([command[0], str(path), *command[1:]])
+        except SystemExit as e:  # project exits on a file that does not load
+            code = e.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[1] == outcomes[0]
+    if command == ("check", "--consistency"):  # each input fails with a located message
+        assert outcomes[0][0] in (1, 2) and f"{path}:" in outcomes[0][1] + outcomes[0][2]
+
+
 @pytest.mark.parametrize("command", [
     ("check", "--consistency"), ("project", "--role", "B"), ("fsm", "--role", "B", "--json"),
     ("run",),
@@ -585,6 +619,7 @@ CHAINS = [
     ("reversed", 1000, ["check"], 2, "2:1"),
     ("generic", 1000, ["check"], 2, "1002:1"),
     ("in order", 1000, ["project", "--json", "--protocol", "P999", "--role", "B"], 0, None),
+    ("diamond", 40, ["check"], 0, None),
 ]
 
 
@@ -601,6 +636,38 @@ def test_reference_chain(tmp_path, capsys, kind, n, command, code, where):
         assert err == ""
     else:
         assert err == f"{path}:{where}: protocol references nested too deeply\n"
+
+
+@pytest.mark.parametrize("kind, n, limit", [
+    ("diamond", 18, 0.05), ("diamond", 40, 0.5), ("in order", 800, 0.06), ("reversed", 200, 0.06),
+])
+def test_check_decides_each_shared_protocol_once(kind, n, limit):
+    """Well-formedness is decided once per shared object: a diamond's 2^n
+    paths and a chain's nested bodies cost about as much as their objects
+    (best of three, in process)."""
+    text = "\n".join(["sort M; sort Q;", *reference_chain(kind, n)]) + "\n"
+    times = []
+    for _ in range(3):
+        pf = load_text(text)
+        start = time.perf_counter()
+        outcome = cli.check_protocol_file(pf, "chain.mpst", False)
+        times.append(time.perf_counter() - start)
+        assert outcome.ok and len(outcome.well_formedness) == n
+    assert min(times) < limit
+
+
+@pytest.mark.parametrize("order", ["in order", "reversed"])
+def test_a_protocol_reuses_the_verdict_on_the_body_it_names(monkeypatch, order):
+    # each `Pi = rec X . A -> B : M . P(i-1)` holds P(i-1)'s body, which is
+    # decided once where X is bound and once where nothing is
+    n = 100
+    lines = ["global P0 = end;"]
+    lines += [f"global P{i} = rec X . A -> B : M . P{i - 1};" for i in range(1, n)]
+    pf = load_text("\n".join(["sort M;", *(lines if order == "in order" else lines[::-1])]))
+    guarded = []
+    monkeypatch.setattr(core, "is_guarded", lambda v, b: guarded.append(v) or True)
+    assert cli.check_protocol_file(pf, "chain.mpst", False).ok
+    assert len(guarded) < 2 * n
 
 
 class TestDamagedInputs:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mpstkit import core
 from mpstkit.core import (
     Com,
     END,
@@ -42,6 +43,7 @@ from mpstkit.runtime import Message, TraceEvent
 
 import helpers
 from helpers import (
+    break_somewhere,
     long_chain,
     negotiation_global,
     negotiation_local_b,
@@ -245,28 +247,6 @@ class TestStructEq:
         assert struct_eq(free, Loop(X, Recur(RecVar("X0"))))
 
 
-def _break_somewhere(rng, t):
-    """t with one random subterm replaced by an ill-formed variant of it."""
-    if isinstance(t, Loop) and rng.random() < 0.7:
-        return Loop(t.var, _break_somewhere(rng, t.body))
-    if isinstance(t, Com) and t.branches and rng.random() < 0.7:
-        i = rng.randrange(len(t.branches))
-        s, c = t.branches[i]
-        branches = list(t.branches)
-        branches[i] = (s, _break_somewhere(rng, c))
-        return Com(t.sender, t.receiver, tuple(branches))
-    kind = rng.randrange(5)
-    if kind == 0:
-        return Com(A, A, ((Ok, t),))
-    if kind == 1:
-        return Com(A, B, ((Ok, t), (Ok, END)))
-    if kind == 2:
-        return Com(B, A, ((Ok, t), (Propose, Recur(RecVar("Zfree")))))
-    if kind == 3:
-        return Loop(Y, Loop(X, Recur(Y)))
-    return Com(A, B, ())
-
-
 class TestWellFormed:
     def test_negotiation_ok(self):
         assert well_formed(negotiation_global()) == []
@@ -317,9 +297,57 @@ class TestWellFormed:
         while checked < 300:
             g = random_global(rng, ["A", "B", "C"], depth=5)
             for _ in range(rng.randint(1, 4)):
-                g = _break_somewhere(rng, g)
+                g = break_somewhere(rng, g)
             assert well_formed(g) == helpers.oracle_well_formed(g)
             checked += bool(well_formed(g))
+
+    def test_a_repeated_clean_object_is_decided_once(self, monkeypatch):
+        # 2^40 paths over 40 choice objects: each is walked at its first two
+        # meetings, then skipped (the objects are not compared: their
+        # dataclass repr would list every path)
+        t = END
+        for _ in range(40):
+            t = Com(A, B, ((Ok, t), (Propose, t)))
+        guarded = []
+        monkeypatch.setattr(core, "is_guarded", lambda v, b: guarded.append(v) or True)
+        memo: dict = {}
+        assert well_formed(Loop(X, t), memo=memo) == []
+        assert guarded == [X]
+        below = t.branches[0][1]  # met twice
+        assert memo[id(below)][0] is below and memo[id(below)][1] == {X}
+        assert memo[id(t)][1] is None  # met once
+
+    def test_a_repeated_object_reports_its_violations_at_every_path(self):
+        bad = Com(B, B, ((Ok, END),))
+        t = Com(A, B, ((Ok, bad), (Propose, Com(A, B, ((Ok, bad), (Propose, bad))))))
+        assert [str(v) for v in well_formed(t)] == [
+            "$.branches[0]: sender equals receiver: B",
+            "$.branches[1].branches[0]: sender equals receiver: B",
+            "$.branches[1].branches[1]: sender equals receiver: B",
+        ]
+
+    @pytest.mark.parametrize("bound_first", [True, False])
+    def test_a_repeated_object_is_decided_under_its_binders(self, bound_first):
+        # one choice with X free, met inside a loop on X and outside it
+        x = Com(A, B, ((Ok, Recur(X)), (Propose, END)))
+        looped = Loop(X, Com(B, A, ((Ok, x),)))
+        branches = [(Ok, looped), (Propose, x)]
+        t = Com(A, B, tuple(branches if bound_first else branches[::-1]))
+        assert well_formed(t) == helpers.oracle_well_formed(t)
+        assert [v.message for v in well_formed(t)] == ["unbound recursion variable: X"]
+
+    def test_a_memo_carries_verdicts_between_calls(self):
+        shared = Com(A, B, ((Ok, Recur(X)), (Propose, END)))
+        memo: dict = {}
+        assert well_formed(Loop(X, shared), memo=memo) == []
+        assert memo[id(shared)] == [shared, None]  # met once
+        assert well_formed(Loop(X, Send(A, B, ((Ok, shared),))), memo=memo) == []
+        assert memo[id(shared)] == [shared, frozenset({X})]
+        # clean where X is bound, walked again where it is not
+        assert [str(v) for v in well_formed(shared, memo=memo)] == [
+            "$.branches[0]: unbound recursion variable: X"
+        ]
+        assert memo[id(shared)] == [shared, frozenset({X})]
 
     def test_mutations_always_rejected(self):
         rng = seeded(29)

@@ -293,6 +293,17 @@ class TestMerge:
         b = Loop(y, Recv(A, B, ((Ok, Recur(y)),)))
         assert merge(a, b) == Loop(m1, Recv(A, B, ((Ok, Recur(m1)), (Quit, Recur(m0)))))
 
+    def test_loop_merge_skips_a_binder_name_bound_inside(self):
+        # M0 is bound inside both bodies: putting M0 in for X and Y would
+        # send Ok back to the inner loop instead of the outer one
+        x, y, m0, m1 = RecVar("X"), RecVar("Y"), RecVar("M0"), RecVar("M1")
+
+        def looped(v):
+            inner = Loop(m0, Recv(A, B, ((Ok, Recur(v)), (Quit, Recur(m0)))))
+            return Loop(v, Recv(A, B, ((Auth, inner),)))
+
+        assert merge(looped(x), looped(y)) == looped(m1)
+
     def test_conflicting_delegated_types_fail(self):
         c = Role("C")
         d_send = Sort("D", EndpointPayload(c, Send(c, A, ((Ok, END),))))
@@ -338,6 +349,68 @@ class TestMerge:
                 continue
             done += 1
             assert eq_modulo_branch_order(left, right)
+
+
+# one loop under each branch of A's choice, which C merges; both bind M0
+# inside, and the second binds the variable `{0}`
+CAPTURED = """sort a; sort b; sort c; sort d; sort e;
+global G = A -> B : {{
+  a . rec X . B -> C : e . rec M0 . B -> C : {{ c . X, d . M0 }},
+  b . rec {0} . B -> C : e . rec M0 . B -> C : {{ c . {0}, d . M0 }} }};
+"""
+
+
+class TestBinderNames:
+    """Projection and restriction do not depend on the names of binders."""
+
+    @staticmethod
+    def outcomes(g) -> dict:
+        """(role, partner or None) -> the projection onto role, restricted
+        to partner, or None when projecting or restricting fails."""
+        out, failed = {}, (MergeError, ProjectionError)
+        roles = sorted(roles_of(g), key=lambda r: r.name)
+        for r in roles:
+            local = result_or_error(project, g, r)
+            out[r, None] = None if isinstance(local, failed) else local
+            for p in roles:
+                if p != r and out[r, None] is not None:
+                    view = result_or_error(restrict_to_partner, local, p)
+                    out[r, p] = None if isinstance(view, failed) else view
+        return out
+
+    def assert_alike(self, a, b):
+        left, right = self.outcomes(a), self.outcomes(b)
+        assert left.keys() == right.keys()
+        for key, want in left.items():
+            got = right[key]
+            assert (want is None) == (got is None), key
+            assert want is None or struct_eq(want, got), (key, str(want), str(got))
+
+    def test_merged_loops_capture_no_variable(self):
+        renamed, same = (load_text(CAPTURED.format(v)).concrete["G"] for v in ("Y", "X"))
+        self.assert_alike(renamed, same)
+        assert str(project(renamed, Role("C"))) == (
+            "rec M1 . B -> C ? e . rec M0 . B -> C ? { c . M1, d . M0 }"
+        )
+
+    def test_renamed_binders_project_alike(self):
+        # A chooses between two copies of a random loop nest over B, C and D,
+        # which C and D merge.  The copies' binders are renamed apart, the
+        # inner ones to the names a merge makes up.  oracle_project merges
+        # with the library's merge_all, so the renamed type is compared with
+        # the choice between two copies as drawn, not with the oracle.
+        rng = seeded(59)
+        r0, r1 = RecVar("R0"), RecVar("R1")
+        names = [[RecVar("X"), RecVar("Y")], [RecVar("M0"), RecVar("M1")]]
+        sorts = helpers.SORT_POOL
+        for _ in range(400):
+            inner = random_global(rng, ["B", "C", "D"], depth=4, bound=(r0, r1),
+                                  must_act=True, relay=rng.random() < 0.5)
+            g = Loop(r0, Com(B, Role("C"), ((sorts[2], Loop(r1, inner)),)))
+            same = Com(A, B, ((sorts[0], g), (sorts[1], g)))
+            renamed = Com(A, B, tuple((s, helpers.rename_binders(rng, g, names))
+                                      for s in sorts[:2]))
+            self.assert_alike(same, renamed)
 
 
 class TestMergeAll:

@@ -54,9 +54,11 @@ from helpers import (
     oracle_restrict,
     oracle_struct_eq,
     oracle_tokenize,
+    oracle_well_formed,
     positioned,
     random_global,
     random_local,
+    repeating_global,
     seeded,
     share,
     stuck_product_states,
@@ -379,6 +381,19 @@ def test_a_shared_copy_behaves_like_its_tree(g):
     shared = share(g)
     assert shared == g
     assert sharing_outcomes(shared) == sharing_outcomes(g)
+
+
+# `well_formed` decides a repeated object once; on a shared copy it reports
+# what the recursive oracle reports on the tree, every violation at every
+# path, though the objects repeated hold violations or recursion variables
+# that some of their meetings bind and others do not.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_well_formed_on_a_shared_copy_matches_the_oracle(seed):
+    t = repeating_global(seed)
+    assert well_formed(share(t)) == oracle_well_formed(t)
 
 
 # `project_all` projects every role in one fold: for each role it gives the

@@ -3,6 +3,7 @@ linear session discipline."""
 
 import pytest
 
+from mpstkit import core
 from mpstkit.core import (
     END,
     EndpointPayload,
@@ -300,6 +301,20 @@ def test_a_file_without_the_protocol_names_it_unknown():
     assert [(d.cls, d.message) for d in diags] == [
         (ErrorClass.UNBOUND_VARIABLE, "unknown protocol G")
     ]
+
+
+def test_a_projection_is_decided_once_for_every_process_that_plays_it(monkeypatch):
+    proc = "proc {} plays A in G {{ loop X {{ send B M; recur X }} }}\n"
+    text = "sort M;\nglobal G = rec X . A -> B : M . X;\n"
+    guarded = []
+    monkeypatch.setattr(core, "is_guarded", lambda v, b: guarded.append(v) or True)
+    for procs in (["a"], ["a", "b", "c"]):
+        pf = load_text(text + "".join(proc.format(name) for name in procs))
+        guarded.clear()
+        assert check_session(pf).ok
+        assert guarded == [RecVar("X")]  # the one loop of A's projection
+        local = pf.projection("G", Role("A"))
+        assert pf.verdicts[id(local)] == [local, frozenset()]
 
 
 def test_running_a_file_without_the_protocol_names_it_unknown():

@@ -51,8 +51,10 @@ from mpstkit.core import roles_of  # noqa: E402
 DAMAGED = 100  # damaged copies of the fixtures per seed
 ODD = 20  # odd files per seed
 # "bystander" is the diamond with `P0 = B -> C : M . end`, so that C merges
-# the branches of every level
-CHAINS = [("diamond", 8), ("in order", 40), ("reversed", 40), ("generic", 40), ("bystander", 8)]
+# the branches of every level; a 16-level diamond and an 800-protocol chain
+# are checked once per shared object
+CHAINS = [("diamond", 8), ("in order", 40), ("reversed", 40), ("generic", 40), ("bystander", 8),
+          ("diamond", 16), ("in order", 800)]
 # `tests/helpers.nested_loops` at 50 and 200 levels, under the parser's
 # nesting limit, and a protocol whose roles B and C meet only inside a loop,
 # behind a choice of A's

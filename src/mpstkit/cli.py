@@ -194,8 +194,7 @@ def _project_or_exit(args) -> tuple:
         raise SystemExit(_bad(f"file defines several protocols ({names}); use --protocol"))
     name = args.protocol or next(iter(pf.concrete))
     if name not in pf.concrete:
-        raise SystemExit(_bad(f"protocol {name} is generic" if pf.is_generic(name)
-                              else f"unknown protocol {name}"))
+        raise SystemExit(_bad(pf.unusable(name)))
     roles = sorted(r.name for r in roles_of(pf.concrete[name]))
     # a protocol without roles (just `end`) projects to `end` onto any role
     if roles and args.role not in roles:
@@ -273,9 +272,7 @@ def run_protocol_file(pf: ProtocolFile, timeout: float = 30.0):
     sessions: dict = {}
     for proto, missing in unplayed_roles(pf).items():
         if missing is None:
-            why = (f"protocol {proto} is generic" if pf.is_generic(proto)
-                   else f"unknown protocol {proto}")
-            raise RuntimeFault(f"cannot run {proto}: {why}")
+            raise RuntimeFault(f"cannot run {proto}: {pf.unusable(proto)}")
         if missing:
             names = ", ".join(r.name for r in missing)
             raise RuntimeFault(f"cannot run {proto}: roles {names} have no process")

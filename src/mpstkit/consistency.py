@@ -10,16 +10,14 @@ Duality is a relation between behaviours, not terms, so it steps the two
 views' state graphs pair by pair of head nodes and never compares types up
 to renaming.
 
-The check does work in proportion to the role pairs that talk.  One fold
-of the global type projects every role (`projection.project_all`), and one
-walk finds who talks to whom.  Each (role, partner) view is restricted at
-most once, with a MergeError kept as the result.  A role's view for a
-partner it never acts with erases every action, so it cannot depend on the
-partner: one such *silent view* per role (always `end` or a MergeError)
-serves all of them, and a pair that never talks whose silent views are both
-`end` is dual at the cost of looking up two flags.  Duality does not depend
-on argument order, so it is decided once per unordered pair, and a pair
-whose two views are both `end` is dual without building state graphs.
+One fold of the global type projects every role (`projection.project_all`),
+and one fold of each role's projection restricts it to every partner at
+once: keyed on each action's peer, it gives the view of each partner the
+role acts with, and the role's *silent view*, with every action erased
+(always `end` or a MergeError), which is its view of every other partner.
+Duality does not depend on argument order, so it is decided once per
+unordered pair, and a pair whose two views are both `end` is dual without
+building state graphs.
 
 Consistency is a separate, explicitly invoked verdict.  Projection and
 process checking never depend on it: inconsistent-but-projectable protocols
@@ -31,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Com, End, GlobalType, LocalType, Recv, Role, Send, shared_postorder
+from .core import End, GlobalType, LocalType, Recv, Role, Send
 from .fsm import StateGraph
-from .projection import MergeError, ProjectionError, erase, project_all, result_or_error
+from .projection import MergeError, ProjectionError, erase, project_all
 
 
 def restrict_to_partner(l: LocalType, partner: Role) -> LocalType:
@@ -45,12 +43,25 @@ def restrict_to_partner(l: LocalType, partner: Role) -> LocalType:
     when the branches do not collapse, which is exactly what makes a role
     pair inconsistent.
     """
+    silent, views = _restrictions(l)
+    view = views.get(partner.name, silent)
+    if type(view) is MergeError:
+        raise view
+    return view
 
-    def keep(node):
-        peer = node.receiver if isinstance(node, Send) else node.sender
-        return type(node) if peer == partner else None
 
-    return erase(l, keep, union_sends=True)
+def _restrictions(l: LocalType) -> tuple:
+    """One fold of l that restricts it to every partner: its silent view,
+    the restriction to a partner it never acts with, and each partner's
+    name -> its view (a local type or a MergeError)."""
+    return erase(l, _peer, union_sends=True)
+
+
+def _peer(node) -> tuple:
+    """The one key an action keeps: its peer's name, as the action's own
+    constructor."""
+    kind = type(node)
+    return (((node.receiver if kind is Send else node.sender).name, kind),)
 
 
 def dual(a: LocalType, b: LocalType) -> bool:
@@ -135,40 +146,17 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     projection or to the ProjectionError projecting it raised, so a caller
     that has already projected g need not project it again or list its roles.
     """
-    # who talks to whom in g: a role's projection acts with no other role,
-    # and with each partner when g projects onto the role
-    met = {(n.sender, n.receiver) for n in shared_postorder(g) if type(n) is Com}
     if projections is None:
         projections = project_all(g)
     roles = sorted(projections, key=lambda r: r.name)
-    # Roles are numbered in name order; the caches below are keyed on those
-    # numbers, which hash faster than roles.
-    index = {r: i for i, r in enumerate(roles)}
     local = [projections[r] for r in roles]
     errors = [l if isinstance(l, ProjectionError) else None for l in local]
-    partners: list = [set() for _ in roles]
-    for a, b in met:
-        partners[index[a]].add(index[b])
-        partners[index[b]].add(index[a])
-    # (role, partner) -> restricted view or MergeError.  A partner the role
-    # never acts with gets the key (role, -1): every action is erased, so
-    # that *silent view* is the same for all such partners.
-    views: dict = {}
+    # one fold per projected role: its silent view and each partner's view
+    folds = [None if e else _restrictions(l) for l, e in zip(local, errors)]
 
     def view(i: int, j: int):
-        key = (i, j if j in partners[i] else -1)
-        v = views.get(key)
-        if v is None:
-            v = views[key] = result_or_error(restrict_to_partner, local[i], roles[j])
-        return v
-
-    quiet: list = [None] * len(roles)  # whether each role's silent view is `end`
-
-    def is_quiet(i: int, j: int) -> bool:
-        q = quiet[i]
-        if q is None:
-            q = quiet[i] = isinstance(view(i, j), End)
-        return q
+        silent, views = folds[i]
+        return views.get(roles[j].name, silent)
 
     duals: dict = {}  # (i, j) with i < j -> dual(view(i, j), view(j, i))
     pairs = []
@@ -179,9 +167,6 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
             bad = errors[i] or errors[j]
             if bad is not None:
                 pairs.append(PairVerdict(r1, r2, False, f"unprojectable: {bad}"))
-                continue
-            if j not in partners[i] and is_quiet(i, j) and is_quiet(j, i):
-                pairs.append(PairVerdict(r1, r2, True))  # two silent `end`s are dual
                 continue
             v1, v2 = view(i, j), view(j, i)
             failed = v1 if isinstance(v1, MergeError) else v2

@@ -109,6 +109,13 @@ class ProtocolFile:
         defs = self.surface.global_defs() if self.surface else ()
         return any(d.name == name and d.params for d in defs)
 
+    def unusable(self, name: str) -> str:
+        """Why `name`, which is not a concrete protocol of this file, cannot
+        be projected, checked or run: it is generic, or it is unknown."""
+        if self.is_generic(name):
+            return f"protocol {name} is generic"
+        return f"unknown protocol {name}"
+
 
 @dataclass
 class _Ctx:

@@ -4,14 +4,14 @@ Projecting a communication yields a send for the sender, a receive for the
 receiver, and for everyone else the merge of the projected continuations:
 the step is invisible to a bystander, but its branches must collapse into
 one local type the bystander can follow.  `erase` takes that step, for
-projection and for the consistency checker's restriction to one partner.
+projection and for the consistency checker's restriction to its partners.
 
-`project` and `restrict_to_partner` erase for one key (a role, a partner).
-`project_all` projects every role in one fold: each subterm carries its
-*silent erasure*, the erasure with nothing kept (`end`, a bare recursion
-variable, or a failed merge), and a value only for the roles it mentions,
-so a role pays nothing for a run of steps it never appears in.  A role
-whose projection fails reports the same ProjectionError as `project`.
+`erase` rebuilds a type for every key at once (a role, or a partner): each
+subterm carries its *silent erasure*, the erasure with nothing kept (`end`,
+a bare recursion variable, or a failed merge), and a value only for the
+keys it mentions, so a key pays nothing for a run of steps it never appears
+in.  `project` reads one role's value from a fold that keeps only that
+role, `project_all` every role's from one fold that keeps them all.
 
 Full merge unions receive branches (distinct sorts are kept side by side,
 shared sorts have their continuations merged) and requires send branches to
@@ -54,7 +54,10 @@ class MergeError(Exception):
         self.left = left
         self.right = right
         self.reason = reason
-        super().__init__(f"cannot merge: {reason}\n  left:  {left}\n  right: {right}")
+
+    def __str__(self) -> str:
+        # written out only when shown: a fold meets failures it never reports
+        return f"cannot merge: {self.reason}\n  left:  {self.left}\n  right: {self.right}"
 
 
 class ProjectionError(Exception):
@@ -153,85 +156,68 @@ def merge_all(ts: list, *, union_sends: bool = False) -> LocalType:
     return acc
 
 
-def erase(t: TypeNode, keep, *, union_sends: bool = False, every: bool = False):
-    """Rebuild t bottom up for one key, keeping each communication as the
-    constructor `keep(node)` names, or erasing it (None) into the merge of
-    its rebuilt continuations.  Loops close from the free recursion variables
-    kept beside each subterm, so projections stay well formed; a rebuilt
-    subterm has the same ones as the subterm, since erasure keeps every
-    recursion leaf and turns a loop into `end` only where its body is a bare
-    recursion on it.
+def erase(t: TypeNode, keep, *, union_sends: bool = False) -> tuple:
+    """Rebuild t bottom up for every key at once, keeping each communication
+    for the keys `keep(node)` names, as the constructor each is paired with,
+    and erasing it for every other key into the merge of its rebuilt
+    continuations.  Returns `(silent, lanes)`.
 
-    With `every`, one walk rebuilds t for every key at once: `keep(node)`
-    lists a (key, constructor) pair for each key that keeps node.  Each
-    pending subterm carries its *silent erasure*, the erasure with nothing
-    kept (End, a bare Recur, or `_UNMERGED`), and a *lane*, its rebuilt
-    subterm or a MergeError, only for each key it mentions; any other key
-    takes the silent erasure, so a key pays nothing for a subterm that never
-    mentions it.  The result maps each key t mentions to its lane.  A failed
-    lane holds the first failure the key met, which is `_UNMERGED` when that
-    was the silent erasure's: the one-key walk builds that MergeError.
+    Each pending subterm carries its *silent erasure*, the erasure with
+    nothing kept (End, a bare Recur, or a MergeError), and a *lane*, its
+    rebuilt subterm or a MergeError, only for each key it mentions; any other
+    key takes the silent erasure, so a key pays nothing for a subterm that
+    never mentions it.  `silent` is t's silent erasure and `lanes` maps each
+    key t mentions to its lane, so a key's erasure of t is
+    `lanes.get(key, silent)`.  A failed lane holds the first failure the key
+    met.
 
-    Subterms are rebuilt in `shared_postorder`, so a subterm object met on
-    two paths is rebuilt once and shared, and a MergeError is the one the
-    recursion would meet first; its `node` is the step that failed."""
-    out: list = []  # rebuilt (with `every`, silent) subterms; a node's continuations end it
-    free: list = []  # the free recursion variables of each subterm in out
-    lanes: list = []  # with `every`, each subterm's lanes by key, or None
+    Loops close from the free recursion variables kept beside each subterm,
+    so the rebuilt types stay well formed; a rebuilt subterm has the same
+    ones as the subterm, since erasure keeps every recursion leaf and turns a
+    loop into `end` only where its body is a bare recursion on it.  Subterms
+    are rebuilt in `shared_postorder`, so a subterm object met on two paths
+    is rebuilt once and shared, and a MergeError is the one the recursion
+    would meet first; its `node` is the step that failed."""
+    silent: list = []  # the silent erasure of each pending subterm; a node's continuations end it
+    free: list = []  # the free recursion variables of each pending subterm
+    lanes: list = []  # each pending subterm's lanes by key, or None
     none: frozenset = frozenset()
     for node in shared_postorder(t):
         kind = type(node)
         if kind is End or kind is Recur:
-            out.append(node)
+            silent.append(node)
             free.append(none if kind is End else frozenset((node.var,)))
-            if every:
-                lanes.append(None)
+            lanes.append(None)
         elif kind is Loop:
             var, fv = node.var, free[-1]
             if var in fv:  # else the unused binder is dropped
                 free[-1] = fv - {var}
-                out[-1] = _close(var, out[-1])
-                if every and lanes[-1]:
+                silent[-1] = _close(var, silent[-1])
+                if lanes[-1]:
                     for key, lane in lanes[-1].items():
                         lanes[-1][key] = _close(var, lane)
         elif kind is Repeat:
-            if every:
-                node.reuse(out, free, lanes)
-                if lanes[-1]:  # the kept lanes stay as they are; these change in place
-                    lanes[-1] = dict(lanes[-1])
-            else:
-                node.reuse(out, free)
+            node.reuse(silent, free, lanes)
+            if lanes[-1]:  # the kept lanes stay as they are; these change in place
+                lanes[-1] = dict(lanes[-1])
         elif len(node.branches) == 1:  # one continuation keeps its free variables
-            ctor = keep(node)
-            if ctor is None:
-                continue
-            if not every:
-                out[-1] = ctor(node.sender, node.receiver, ((node.branches[0][0], out[-1]),))
-            else:
-                lanes[-1] = _keep_lanes(node, ctor, out[-1], lanes[-1] or {})
+            kept = keep(node)
+            if kept:
+                below = lanes[-1] or {}
+                for key, ctor in kept:
+                    lane = below.get(key, silent[-1])
+                    if type(lane) is not MergeError:
+                        lane = ctor(node.sender, node.receiver, ((node.branches[0][0], lane),))
+                    below[key] = lane
+                lanes[-1] = below
         else:
-            bs, ctor = node.branches, keep(node)
-            start = len(out) - len(bs)
-            if every:
-                lanes[start:] = [_merge_lanes(node, ctor, out[start:], lanes[start:], union_sends)]
-                out[start:] = [_merge_silent(out[start:])]
-            elif ctor is not None:
-                sorts = [s for s, _ in bs]
-                out[start:] = [ctor(node.sender, node.receiver, tuple(zip(sorts, out[start:])))]
-            else:
-                try:
-                    out[start:] = [merge_all(out[start:], union_sends=union_sends)]
-                except MergeError as e:
-                    e.node = node
-                    raise
+            start = len(silent) - len(node.branches)
+            lanes[start:] = [_merge_lanes(node, keep(node), silent[start:], lanes[start:],
+                                          union_sends)]
+            silent[start:] = [_merge_silent(node, silent[start:])]
             fvs = free[start:]  # usually all empty; a merge's are its operands' together
             free[start:] = fvs[:1] if fvs and fvs.count(fvs[0]) == len(fvs) else [none.union(*fvs)]
-    return (lanes[0] or {}) if every else out[0]
-
-
-# The silent erasure of a subterm whose branches do not merge.  It is built
-# once, here: a key that inherits it is erased alone for its MergeError.
-_UNMERGED = MergeError(END, END, "a silent erasure does not merge")
+    return silent[0], lanes[0] or {}
 
 
 def _close(var: RecVar, body):
@@ -242,26 +228,17 @@ def _close(var: RecVar, body):
     return Loop(var, body) if is_guarded(var, body) else END
 
 
-def _merge_silent(values: list):
-    """`merge_all` of silent erasures, or `_UNMERGED` where it would raise."""
+def _merge_silent(node: TypeNode, values: list):
+    """The silent erasure of a choice node from its branches': `merge_all`
+    of them, or the first failure among them or of that merge.  Each is End,
+    a bare Recur or a failure, so a type test decides every merge that
+    succeeds."""
     head = values[0]
     kind = type(head)
     for v in values[1:]:
         if type(v) is not kind or (kind is Recur and v.var != head.var):
-            return _UNMERGED
+            return _merge_ops(node, None, values, False)
     return head
-
-
-def _keep_lanes(node: TypeNode, kept, silent, lanes: dict) -> dict:
-    """The lanes of node's one continuation, extended in place by node for
-    each (key, constructor) in `kept`."""
-    sort = node.branches[0][0]
-    for key, ctor in kept:
-        lane = lanes.get(key, silent)
-        if type(lane) is not MergeError:
-            lane = ctor(node.sender, node.receiver, ((sort, lane),))
-        lanes[key] = lane
-    return lanes
 
 
 def _merge_lanes(node: TypeNode, kept, silents: list, branch_lanes: list,
@@ -270,18 +247,16 @@ def _merge_lanes(node: TypeNode, kept, silents: list, branch_lanes: list,
     mentions, the node rebuilt or its branches merged, or the first failure
     among them (a later one would be met after it)."""
     merged: dict = {}
-    for key, ctor in kept:
-        merged[key] = _merge_lane(node, ctor, key, silents, branch_lanes, union_sends)
-    for lanes in branch_lanes:
-        for key in lanes or ():
-            if key not in merged:
-                merged[key] = _merge_lane(node, None, key, silents, branch_lanes, union_sends)
+    for key, ctor in [*kept, *((key, None) for lanes in branch_lanes if lanes for key in lanes)]:
+        if key not in merged:
+            ops = [lanes.get(key, v) if lanes else v for lanes, v in zip(branch_lanes, silents)]
+            merged[key] = _merge_ops(node, ctor, ops, union_sends)
     return merged or None
 
 
-def _merge_lane(node: TypeNode, ctor, key, silents: list, branch_lanes: list, union_sends: bool):
-    """One key's lane of a choice node, from the branches' lanes for it."""
-    ops = [lanes.get(key, v) if lanes else v for lanes, v in zip(branch_lanes, silents)]
+def _merge_ops(node: TypeNode, ctor, ops: list, union_sends: bool):
+    """The first failure among a choice node's rebuilt branches, or else
+    the node rebuilt over them by `ctor`, or with no `ctor` their merge."""
     for op in ops:
         if type(op) is MergeError:
             return op
@@ -291,7 +266,7 @@ def _merge_lane(node: TypeNode, ctor, key, silents: list, branch_lanes: list, un
         return merge_all(ops, union_sends=union_sends)
     except MergeError as e:
         e.node = node
-        return e
+        return e.with_traceback(None)  # kept as a value, not with the frames it left
 
 
 def _path_to(t: TypeNode, target: TypeNode):
@@ -314,31 +289,30 @@ def _path_to(t: TypeNode, target: TypeNode):
 
 
 def project(g: GlobalType, role: Role) -> LocalType:
-    """Project a global type onto one role (raises ProjectionError)."""
+    """Project a global type onto one role (raises ProjectionError): the
+    role's lane of a fold that keeps only it."""
+    name = role.name
+    send, recv = ((name, Send),), ((name, Recv),)
 
-    def keep(node: Com):
-        if node.sender == role:
-            return Send
-        return Recv if node.receiver == role else None
+    def keep(node: Com) -> tuple:
+        if node.sender.name == name:
+            return send
+        return recv if node.receiver.name == name else ()
 
-    try:
-        return erase(g, keep)
-    except MergeError as e:
-        raise _projection_error(g, role, e) from e
+    silent, lanes = erase(g, keep)
+    local = lanes.get(name, silent)
+    if type(local) is MergeError:
+        raise _projection_error(g, role, local) from local
+    return local
 
 
 def project_all(g: GlobalType) -> dict:
     """Each role of g -> its projection, or the ProjectionError `project`
     raises for it; one walk of g projects every role."""
     out = {}
-    for name, lane in erase(g, _ends, every=True).items():
+    for name, lane in erase(g, _ends)[1].items():
         role = Role(name)
-        if lane is _UNMERGED:
-            out[role] = result_or_error(project, g, role)
-        elif type(lane) is MergeError:
-            out[role] = _projection_error(g, role, lane)
-        else:
-            out[role] = lane
+        out[role] = _projection_error(g, role, lane) if type(lane) is MergeError else lane
     return out
 
 

@@ -857,8 +857,7 @@ def _session_type(protocol_file, proto_name: str, role: Role, pos: Pos):
     """The well-formed local type of `role` in protocol `proto_name`, or the
     Diagnostic, located at `pos`, that says why there is none."""
     if proto_name not in protocol_file.concrete:
-        message = (f"protocol {proto_name} is generic" if protocol_file.is_generic(proto_name)
-                   else f"unknown protocol {proto_name}")
+        message = protocol_file.unusable(proto_name)
         return Diagnostic(ErrorClass.UNBOUND_VARIABLE, message, "$", pos)
     local = protocol_file.projection(proto_name, role)
     bad = ([] if isinstance(local, ProjectionError)

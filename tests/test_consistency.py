@@ -261,20 +261,14 @@ class TestSharedWork:
         return pf
 
     def test_ring_work_is_linear_in_roles(self, monkeypatch):
-        counts = {"restrict": 0, "dual": 0}
+        counts = {"dual": 0}
+        restricted: list = []  # the projection of each restriction fold
         folded: list = []  # the protocol of each every-role projection
         projected: list = []  # the role of each one-role projection
-        depth = [0]
 
-        def count_restrict(fn):
-            def wrapper(l, partner):
-                counts["restrict"] += depth[0] == 0
-                depth[0] += 1
-                try:
-                    return fn(l, partner)
-                finally:
-                    depth[0] -= 1
-            return wrapper
+        def count_erase(t, keep, *, union_sends=False, fn=projection.erase):
+            restricted.append(t)
+            return fn(t, keep, union_sends=union_sends)
 
         def count_dual(a, b, fn=dual):
             counts["dual"] += 1
@@ -288,9 +282,7 @@ class TestSharedWork:
             projected.append(role)
             return fn(g, role)
 
-        monkeypatch.setattr(
-            consistency, "restrict_to_partner", count_restrict(restrict_to_partner)
-        )
+        monkeypatch.setattr(consistency, "erase", count_erase)
         monkeypatch.setattr(consistency, "dual", count_dual)
         # the package re-exports the function `elaborate`, so import the module by name
         elaborate = importlib.import_module("mpstkit.elaborate")
@@ -298,13 +290,17 @@ class TestSharedWork:
             monkeypatch.setattr(mod, "project_all", count_project_all)
         monkeypatch.setattr(elaborate, "project", count_project)
         for n in (40, 320):
-            counts.update(restrict=0, dual=0)
+            counts.update(dual=0)
+            restricted.clear()
             folded.clear()
             pf = self._ring(n)
             outcome = cli.check_protocol_file(pf, "ring.mpst", True)
             assert outcome.ok
             assert len(outcome.consistency["Ring"].pairs) == n * (n - 1)
-            assert counts["restrict"] <= 3 * n
+            # one restriction fold per role, of that role's projection
+            projections = pf.projections("Ring")
+            assert len(restricted) == n
+            assert {id(l) for l in restricted} == {id(l) for l in projections.values()}
             assert counts["dual"] <= n
             # one walk projects every role, and the processes reuse its projections
             assert folded == [pf.concrete["Ring"]]
@@ -366,8 +362,9 @@ class TestSharedWork:
         ]
 
     def test_partners_come_from_the_global_type(self, monkeypatch):
-        # R0 may stop a token ring, so most pairs never talk and share a
-        # silent view; no projection is walked to find who talks to whom
+        # R0 may stop a token ring, so most pairs never talk: their views are
+        # the silent views of the one restriction fold of each projection,
+        # and nothing walks g or a projection to find who talks to whom
         g = load_text(token_ring_text(5, with_exit=True)).concrete["Ring"]
         projections = {r: result_or_error(project, g, r) for r in roles_of(g)}
         walked = []
@@ -397,8 +394,9 @@ class TestSharedWork:
         return load_text("\n".join(["sort M; sort Q;", *lines]) + "\n").concrete[f"P{n - 1}"]
 
     def test_a_diamond_merges_once_per_level(self, monkeypatch):
-        # C's projection and the silent views of A and C merge at each of
-        # the 13 choice levels; a walk of every path merged 2^13 times or more
+        # C's projection and B's view of C merge at each of the 13 choice
+        # levels; a silent view is decided by a type test, without a merge,
+        # and a walk of every path merged 2^13 times or more
         calls = []
 
         def count_merge_all(ts, *, union_sends=False, fn=projection.merge_all):
@@ -407,7 +405,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(projection, "merge_all", count_merge_all)
         assert consistent(self._diamond(14, bystander=True)).consistent
-        assert len(calls) == 3 * 13
+        assert len(calls) == 2 * 13
 
     @pytest.mark.parametrize("bystander", [False, True])
     def test_a_sixty_level_diamond_is_checked(self, bystander):

@@ -421,6 +421,43 @@ def test_project_all_matches_the_oracle_for_every_role(g):
                 assert local == want
 
 
+# Failures in full: each role's projection, or the text and operand pair of
+# the MergeError that stopped it, and then its view of every other role of
+# g, met or not, or the text and operand pair of the view's MergeError, are
+# the recursive oracles', on a tree and on its shared copy.  The examples
+# fail on a silent erasure, a loop met in one branch and `end` in the
+# other: C never acts in A's choice in the first, and in the second A's
+# projection never acts with C.
+
+def merge_outcome(fn, *args):
+    """fn(*args), or the text and operand pair of the MergeError it raised,
+    itself or as the cause of a ProjectionError."""
+    try:
+        return fn(*args)
+    except ProjectionError as e:
+        return str(e.cause), e.cause.index_pair
+    except MergeError as e:
+        return str(e), e.index_pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_globals)
+@example(Loop(X, Com(C, A, ((M, Com(A, B, ((M, Recur(X)), (N, END)))),))))
+@example(Loop(X, Com(A, B, ((M, Com(B, C, ((M, Recur(X)),))), (N, Com(B, C, ((N, END),)))))))
+def test_erasure_failures_match_the_oracles_in_full(g):
+    roles = sorted(roles_of(g), key=lambda r: r.name)
+    for t in (g, share(g)):
+        for r in roles:
+            local = merge_outcome(project, t, r)
+            assert local == merge_outcome(oracle_project, t, r), r
+            if isinstance(local, tuple):
+                continue
+            for p in roles:
+                if p != r:
+                    got = merge_outcome(restrict_to_partner, local, p)
+                    assert got == merge_outcome(oracle_restrict, local, p), (r, p)
+
+
 # ---------------------------------------------------------------------------
 # Projection semantics: run together synchronously, the projections of a
 # consistent global type make exactly its traces, and never get stuck short

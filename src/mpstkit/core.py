@@ -9,12 +9,12 @@ well-formedness decide contractiveness by one rule, `is_guarded`.
 Elaboration hash-conses a file's types, so one subterm object can sit on
 many paths.  `postorder` (alias `subterms`) still lists it at each path, and
 so do printing and the JSON encoding.  `shared_postorder` lists it once,
-with a `Repeat` wherever it is met again; `free_rec_vars`, `roles_of`,
-`projection.erase` (projection and partner restriction) and the consistency
-checker's walk for who talks to whom fold over it, reuse the value of a
-repeated object, and so share their results in turn.  `well_formed` keeps a
-verdict per repeated object, in a memo that can outlive one call, and walks
-an object again only where it was not found clean under the binders there.
+with a `Repeat` wherever it is met again; `free_rec_vars`, `roles_of` and
+`projection.erase` (projection and partner restriction) fold over it, reuse
+the value of a repeated object, and so share their results in turn.
+`well_formed` keeps a verdict per repeated object, in a memo that can
+outlive one call, and walks an object again only where it was not found
+clean under the binders there.
 
 Every class here (the type nodes, `Role`, `RecVar`, `Sort`,
 `EndpointPayload` and `Violation`) is a frozen dataclass: values are

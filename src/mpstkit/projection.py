@@ -18,7 +18,9 @@ shared sorts have their continuations merged) and requires send branches to
 agree exactly.  Restriction merges with `union_sends`: there, an observed
 role's internal choice legitimately widens the sends its partner may see.
 An object merged with itself is itself, so a bystander merging two meetings
-of one shared projection does no work for it.
+of one shared projection does no work for it.  A failed merge is a value, a
+MergeError, until a public entry point raises it: `merge` and `merge_all`
+raise it as is, `project` as the cause of a ProjectionError.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .core import (
     Recur,
     RecVar,
     Role,
-    free_rec_vars,
     is_guarded,
     path_text,
     Recv,
@@ -78,8 +79,7 @@ def _align_loops(a: Loop, b: Loop) -> tuple:
     it in for a loop's own variable captures nothing."""
     if a.var == b.var:
         return a.var, a.body, b.body
-    taken = {v.name for v in free_rec_vars(a.body) | free_rec_vars(b.body)}
-    taken |= {n.var.name for loop in (a, b) for n in shared_postorder(loop) if type(n) is Loop}
+    taken = {n.var.name for loop in (a, b) for n in shared_postorder(loop) if type(n) in (Loop, Recur)}
     i = 0
     while f"M{i}" in taken:
         i += 1
@@ -92,67 +92,78 @@ def _align_loops(a: Loop, b: Loop) -> tuple:
 
 
 def merge(a: LocalType, b: LocalType, *, union_sends: bool = False) -> LocalType:
-    """Full merge of two local types.  Raises MergeError when undefined.
+    """Full merge of two local types.  Raises MergeError when undefined:
+    the failure `_merge` returns, the first its recursion met.
 
     An object merged with itself is itself, so a bystander merging two
     meetings of one shared projection pays nothing for it."""
+    merged = _merge(a, b, union_sends)
+    if type(merged) is MergeError:
+        raise merged
+    return merged
+
+
+def _merge(a: LocalType, b: LocalType, union_sends: bool):
+    """The full merge of a and b, or the first MergeError its recursion meets."""
     if a is b:
         return a
     if isinstance(a, End) and isinstance(b, End):
         return END
     if isinstance(a, Recur) and isinstance(b, Recur):
-        if a.var == b.var:
-            return a
-        raise MergeError(a, b, "different recursion variables")
+        return a if a.var == b.var else MergeError(a, b, "different recursion variables")
     if isinstance(a, Loop) and isinstance(b, Loop):
         var, body_a, body_b = _align_loops(a, b)
-        return Loop(var, merge(body_a, body_b, union_sends=union_sends))
+        body = _merge(body_a, body_b, union_sends)
+        return body if type(body) is MergeError else Loop(var, body)
     if isinstance(a, (Send, Recv)) and type(a) is type(b):
         if (a.sender, a.receiver) != (b.sender, b.receiver):
             peers = "sends to" if isinstance(a, Send) else "receives from"
-            raise MergeError(a, b, f"{peers} different peers")
-        if isinstance(a, Recv) or union_sends:
-            return type(a)(a.sender, a.receiver, _union(a, b, union_sends))
-        names_a = [s.name for s, _ in a.branches]
-        names_b = [s.name for s, _ in b.branches]
-        if names_a != names_b:
-            raise MergeError(a, b, "sends offer different sorts")
-        merged = tuple(
-            (sa, merge(ca, cb, union_sends=union_sends))
-            for (sa, ca), (_, cb) in zip(a.branches, b.branches)
-        )
-        return Send(a.sender, a.receiver, merged)
-    raise MergeError(a, b, "incompatible constructors")
-
-
-def _union(a, b, union_sends: bool) -> tuple:
-    """Ordered branch union: left branches first, right-only sorts appended."""
-    out = list(a.branches)
-    index = {s.name: i for i, (s, _) in enumerate(out)}
-    for s, cont in b.branches:
-        i = index.get(s.name)
-        if i is None:
-            index[s.name] = len(out)
-            out.append((s, cont))
-        else:
+            return MergeError(a, b, f"{peers} different peers")
+        out = list(a.branches)
+        if isinstance(a, Send) and not union_sends:  # paired by position
+            if [s.name for s, _ in a.branches] != [s.name for s, _ in b.branches]:
+                return MergeError(a, b, "sends offer different sorts")
+            shared = [(i, out[i][0], cont) for i, (_, cont) in enumerate(b.branches)]
+        else:  # the ordered union: left branches first, right-only sorts appended
+            index = {s.name: i for i, (s, _) in enumerate(out)}
+            shared = []
+            for s, cont in b.branches:
+                if s.name in index:
+                    shared.append((index[s.name], s, cont))
+                else:
+                    index[s.name] = len(out)
+                    out.append((s, cont))
+        for i, s, cont in shared:  # in the right operand's order
             s0, cont0 = out[i]
             if s0 != s:
-                raise MergeError(a, b, f"sort {s.name} has conflicting payloads")
-            out[i] = (s0, merge(cont0, cont, union_sends=union_sends))
-    return tuple(out)
+                return MergeError(a, b, f"sort {s.name} has conflicting payloads")
+            cont = _merge(cont0, cont, union_sends)
+            if type(cont) is MergeError:
+                return cont
+            out[i] = (s0, cont)
+        return type(a)(a.sender, a.receiver, tuple(out))
+    return MergeError(a, b, "incompatible constructors")
 
 
 def merge_all(ts: list, *, union_sends: bool = False) -> LocalType:
     """Left fold of merge; reports which pair of operands failed."""
     if not ts:
         raise ValueError("merge_all of an empty list")
+    merged = _merge_all(ts, union_sends)
+    if type(merged) is MergeError:
+        raise merged
+    return merged
+
+
+def _merge_all(ts: list, union_sends: bool):
+    """The left fold of `_merge` over ts, or the first MergeError it meets,
+    whose `index_pair` names the accumulated prefix and the operand after it."""
     acc = ts[0]
-    for i, t in enumerate(ts[1:], start=1):
-        try:
-            acc = merge(acc, t, union_sends=union_sends)
-        except MergeError as e:
-            e.index_pair = (i - 1, i)  # accumulated prefix vs operand i
-            raise
+    for i in range(1, len(ts)):
+        acc = _merge(acc, ts[i], union_sends)
+        if type(acc) is MergeError:
+            acc.index_pair = (i - 1, i)
+            break
     return acc
 
 
@@ -177,7 +188,9 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> tuple:
     loop into `end` only where its body is a bare recursion on it.  Subterms
     are rebuilt in `shared_postorder`, so a subterm object met on two paths
     is rebuilt once and shared, and a MergeError is the one the recursion
-    would meet first; its `node` is the step that failed."""
+    would meet first; its `node` is the step that failed.  Every merge here,
+    silent or kept, is `_merge_all`, which returns its failure: nothing in
+    the fold raises."""
     silent: list = []  # the silent erasure of each pending subterm; a node's continuations end it
     free: list = []  # the free recursion variables of each pending subterm
     lanes: list = []  # each pending subterm's lanes by key, or None
@@ -214,7 +227,7 @@ def erase(t: TypeNode, keep, *, union_sends: bool = False) -> tuple:
             start = len(silent) - len(node.branches)
             lanes[start:] = [_merge_lanes(node, keep(node), silent[start:], lanes[start:],
                                           union_sends)]
-            silent[start:] = [_merge_silent(node, silent[start:])]
+            silent[start:] = [_merge_ops(node, None, silent[start:], False)]
             fvs = free[start:]  # usually all empty; a merge's are its operands' together
             free[start:] = fvs[:1] if fvs and fvs.count(fvs[0]) == len(fvs) else [none.union(*fvs)]
     return silent[0], lanes[0] or {}
@@ -226,19 +239,6 @@ def _close(var: RecVar, body):
     if type(body) is MergeError:
         return body
     return Loop(var, body) if is_guarded(var, body) else END
-
-
-def _merge_silent(node: TypeNode, values: list):
-    """The silent erasure of a choice node from its branches': `merge_all`
-    of them, or the first failure among them or of that merge.  Each is End,
-    a bare Recur or a failure, so a type test decides every merge that
-    succeeds."""
-    head = values[0]
-    kind = type(head)
-    for v in values[1:]:
-        if type(v) is not kind or (kind is Recur and v.var != head.var):
-            return _merge_ops(node, None, values, False)
-    return head
 
 
 def _merge_lanes(node: TypeNode, kept, silents: list, branch_lanes: list,
@@ -262,11 +262,10 @@ def _merge_ops(node: TypeNode, ctor, ops: list, union_sends: bool):
             return op
     if ctor is not None:
         return ctor(node.sender, node.receiver, tuple(zip([s for s, _ in node.branches], ops)))
-    try:
-        return merge_all(ops, union_sends=union_sends)
-    except MergeError as e:
-        e.node = node
-        return e.with_traceback(None)  # kept as a value, not with the frames it left
+    merged = _merge_all(ops, union_sends)
+    if type(merged) is MergeError:
+        merged.node = node
+    return merged
 
 
 def _path_to(t: TypeNode, target: TypeNode):

@@ -5,7 +5,8 @@ under test never certifies itself: the substitution oracle is a fresh
 structural recursion, the duality oracle flips constructors syntactically,
 the reference `dual` and `interpret` unfold by substitution instead of
 walking a state graph, the reference projection and partner restriction
-recurse instead of running on an explicit stack, the reference lexer
+recurse instead of running on an explicit stack and merge with the
+recursive merge that raises its failure, the reference lexer
 matches one token at a time, the reference local-type printer does not use
 core's `__str__`, the reference type rules parse and elaborate global and
 declared local types with a rule each, the reference process rules parse to
@@ -46,10 +47,11 @@ from mpstkit.core import (
     is_guarded,
     roles_of,
     struct_eq,
+    subterms,
     unfold,
 )
 from mpstkit.consistency import ConsistencyReport, PairVerdict, dual
-from mpstkit.projection import MergeError, ProjectionError, merge_all, project
+from mpstkit.projection import MergeError, ProjectionError, project
 from mpstkit import typecheck as tc
 from mpstkit.elaborate import ElabError, _Ctx, _Elaborator, load_text
 from mpstkit.fsm import RECV, SEND, Action, Fsm
@@ -188,9 +190,96 @@ def oracle_interpret(l) -> Fsm:
 
 
 # ---------------------------------------------------------------------------
+# The reference merge: the recursive merge that raises its failure, as
+# `projection` had it before failures became values there.  Only the
+# MergeError class is shared with the code under test.
+
+def _oracle_align_loops(a, b) -> tuple:
+    """Give both loop bodies the same binder so they can be merged positionally.
+    The binder is a variable neither loop has free or binds, so that putting
+    it in for a loop's own variable captures nothing."""
+    if a.var == b.var:
+        return a.var, a.body, b.body
+    taken = {v.name for v in free_rec_vars(a.body) | free_rec_vars(b.body)}
+    taken |= {n.var.name for loop in (a, b) for n in subterms(loop) if type(n) is Loop}
+    i = 0
+    while f"M{i}" in taken:
+        i += 1
+    common = RecVar(f"M{i}")
+    return (
+        common,
+        subst_oracle(a.body, a.var, Recur(common)),
+        subst_oracle(b.body, b.var, Recur(common)),
+    )
+
+
+def oracle_merge(a, b, *, union_sends: bool = False):
+    """Full merge of two local types.  Raises MergeError when undefined."""
+    if a is b:
+        return a
+    if isinstance(a, End) and isinstance(b, End):
+        return END
+    if isinstance(a, Recur) and isinstance(b, Recur):
+        if a.var == b.var:
+            return a
+        raise MergeError(a, b, "different recursion variables")
+    if isinstance(a, Loop) and isinstance(b, Loop):
+        var, body_a, body_b = _oracle_align_loops(a, b)
+        return Loop(var, oracle_merge(body_a, body_b, union_sends=union_sends))
+    if isinstance(a, (Send, Recv)) and type(a) is type(b):
+        if (a.sender, a.receiver) != (b.sender, b.receiver):
+            peers = "sends to" if isinstance(a, Send) else "receives from"
+            raise MergeError(a, b, f"{peers} different peers")
+        if isinstance(a, Recv) or union_sends:
+            return type(a)(a.sender, a.receiver, _oracle_union(a, b, union_sends))
+        names_a = [s.name for s, _ in a.branches]
+        names_b = [s.name for s, _ in b.branches]
+        if names_a != names_b:
+            raise MergeError(a, b, "sends offer different sorts")
+        merged = tuple(
+            (sa, oracle_merge(ca, cb, union_sends=union_sends))
+            for (sa, ca), (_, cb) in zip(a.branches, b.branches)
+        )
+        return Send(a.sender, a.receiver, merged)
+    raise MergeError(a, b, "incompatible constructors")
+
+
+def _oracle_union(a, b, union_sends: bool) -> tuple:
+    """Ordered branch union: left branches first, right-only sorts appended."""
+    out = list(a.branches)
+    index = {s.name: i for i, (s, _) in enumerate(out)}
+    for s, cont in b.branches:
+        i = index.get(s.name)
+        if i is None:
+            index[s.name] = len(out)
+            out.append((s, cont))
+        else:
+            s0, cont0 = out[i]
+            if s0 != s:
+                raise MergeError(a, b, f"sort {s.name} has conflicting payloads")
+            out[i] = (s0, oracle_merge(cont0, cont, union_sends=union_sends))
+    return tuple(out)
+
+
+def oracle_merge_all(ts: list, *, union_sends: bool = False):
+    """Left fold of merge; reports which pair of operands failed."""
+    if not ts:
+        raise ValueError("merge_all of an empty list")
+    acc = ts[0]
+    for i, t in enumerate(ts[1:], start=1):
+        try:
+            acc = oracle_merge(acc, t, union_sends=union_sends)
+        except MergeError as e:
+            e.index_pair = (i - 1, i)  # accumulated prefix vs operand i
+            raise
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Recursive projection and partner restriction, the references for the
 # explicit-stack `projection.erase` that both now run on.  The projection
-# oracle builds its path string at every node instead of using path_text.
+# oracle builds its path string at every node instead of using path_text,
+# and both merge with `oracle_merge_all`.
 
 def close_loop(var, body):
     """The recursive rule `erase` folds: a loop the role never acts in
@@ -219,7 +308,7 @@ def oracle_project(g, role):
         if node.receiver == role:
             return Recv(node.sender, node.receiver, tuple(conts))
         try:
-            return merge_all([c for _, c in conts])
+            return oracle_merge_all([c for _, c in conts])
         except MergeError as e:
             raise ProjectionError(role, path, e) from e
 
@@ -235,7 +324,7 @@ def oracle_restrict(l, partner):
     restricted = tuple((s, oracle_restrict(c, partner)) for s, c in l.branches)
     if peer == partner:
         return type(l)(l.sender, l.receiver, restricted)
-    return merge_all([c for _, c in restricted], union_sends=True)
+    return oracle_merge_all([c for _, c in restricted], union_sends=True)
 
 
 def erasure_outcomes(g, project_fn, restrict_fn) -> list:

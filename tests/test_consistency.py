@@ -394,18 +394,19 @@ class TestSharedWork:
         return load_text("\n".join(["sort M; sort Q;", *lines]) + "\n").concrete[f"P{n - 1}"]
 
     def test_a_diamond_merges_once_per_level(self, monkeypatch):
-        # C's projection and B's view of C merge at each of the 13 choice
-        # levels; a silent view is decided by a type test, without a merge,
-        # and a walk of every path merged 2^13 times or more
+        # at each of the 13 choice levels, C's projection and B's view of C
+        # merge, and so do the silent erasures of the global type and of A's
+        # and B's projections: five merges a level, where a walk of every
+        # path merged 2^13 times or more
         calls = []
 
-        def count_merge_all(ts, *, union_sends=False, fn=projection.merge_all):
+        def count_merge_all(ts, union_sends, fn=projection._merge_all):
             calls.append(len(ts))
-            return fn(ts, union_sends=union_sends)
+            return fn(ts, union_sends)
 
-        monkeypatch.setattr(projection, "merge_all", count_merge_all)
+        monkeypatch.setattr(projection, "_merge_all", count_merge_all)
         assert consistent(self._diamond(14, bystander=True)).consistent
-        assert len(calls) == 2 * 13
+        assert len(calls) == 5 * 13
 
     @pytest.mark.parametrize("bystander", [False, True])
     def test_a_sixty_level_diamond_is_checked(self, bystander):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpstkit import projection
+from mpstkit import core, projection
 from mpstkit.consistency import restrict_to_partner
 from mpstkit.core import (
     Com,
@@ -176,7 +176,9 @@ class TestNestedLoops:
             walked.append(t)
             return free_rec_vars(t)
 
-        monkeypatch.setattr(projection, "free_rec_vars", count_free_rec_vars)
+        # projection does not import free_rec_vars; a walk from it, or from a
+        # core routine it calls, would go through core's name
+        monkeypatch.setattr(core, "free_rec_vars", count_free_rec_vars)
         g = nested_loops(2000)
         local = project(g, A)
         view = restrict_to_partner(local, B)
@@ -397,8 +399,9 @@ class TestBinderNames:
         # A chooses between two copies of a random loop nest over B, C and D,
         # which C and D merge.  The copies' binders are renamed apart, the
         # inner ones to the names a merge makes up.  oracle_project merges
-        # with the library's merge_all, so the renamed type is compared with
-        # the choice between two copies as drawn, not with the oracle.
+        # as the library does and makes up the same names, so the renamed
+        # type is compared with the choice between two copies as drawn, not
+        # with the oracle.
         rng = seeded(59)
         r0, r1 = RecVar("R0"), RecVar("R1")
         names = [[RecVar("X"), RecVar("Y")], [RecVar("M0"), RecVar("M1")]]

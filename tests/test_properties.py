@@ -32,7 +32,7 @@ from mpstkit.core import (
 from mpstkit.elaborate import ElabError, load_text
 from mpstkit.fsm import interpret
 from mpstkit.projection import (
-    MergeError, ProjectionError, merge, project, project_all, result_or_error,
+    MergeError, ProjectionError, merge, merge_all, project, project_all, result_or_error,
 )
 from mpstkit.runtime import GlobalSession, run_all
 from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
@@ -46,9 +46,12 @@ from helpers import (
     erasure_outcomes,
     global_traces,
     manual_dual,
+    mergeable_pair,
     oracle_consistent,
     oracle_dual,
     oracle_interpret,
+    oracle_merge,
+    oracle_merge_all,
     oracle_project,
     oracle_render_local,
     oracle_restrict,
@@ -429,15 +432,15 @@ def test_project_all_matches_the_oracle_for_every_role(g):
 # other: C never acts in A's choice in the first, and in the second A's
 # projection never acts with C.
 
-def merge_outcome(fn, *args):
-    """fn(*args), or the text and operand pair of the MergeError it raised,
-    itself or as the cause of a ProjectionError."""
+def merge_outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the text and operand pair (None from `merge`)
+    of the MergeError it raised, itself or as the cause of a ProjectionError."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ProjectionError as e:
         return str(e.cause), e.cause.index_pair
     except MergeError as e:
-        return str(e), e.index_pair
+        return str(e), getattr(e, "index_pair", None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -456,6 +459,30 @@ def test_erasure_failures_match_the_oracles_in_full(g):
                 if p != r:
                     got = merge_outcome(restrict_to_partner, local, p)
                     assert got == merge_outcome(oracle_restrict, local, p), (r, p)
+
+
+# The merge against the recursive merge that raises (`helpers.oracle_merge`):
+# the same value, or a MergeError with the same text and operand pair.  The
+# operands are two sides of a split receive, which merge back, and a random
+# type against others with the same and with another peer, which mostly fail;
+# each pair also as one hash-consed copy, where equal subterms are one object.
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+@example(19, 4, True)  # two shared sorts whose continuations fail to merge differently
+@example(102, 5, False)
+def test_merge_matches_the_oracle(seed, depth, union_sends):
+    rng = seeded(seed)
+    t = random_local(rng, B, A, depth=depth)
+    others = [random_local(rng, B, A, depth=depth), random_local(rng, B, C, depth=depth)]
+    for a, b in [mergeable_pair(rng, t), *((t, other) for other in others)]:
+        both = share(Recv(A, B, ((SORT_POOL[0], a), (SORT_POOL[1], b))))
+        for x, y in [(a, b), tuple(c for _, c in both.branches)]:
+            for ts in ([x, y], [x, y, others[0]], [y, x, x]):
+                assert merge_outcome(merge_all, ts, union_sends=union_sends) == merge_outcome(
+                    oracle_merge_all, ts, union_sends=union_sends)
+            assert merge_outcome(merge, x, y, union_sends=union_sends) == merge_outcome(
+                oracle_merge, x, y, union_sends=union_sends)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ the `CHAINS` of `tests/helpers.reference_chain`, whose protocols share
 definitions, the generated `LOOPS`, the `SHARED` choices, whose repeated
 subtrees elaboration shares, the `ROLES` of two 50-role token rings, the
 `PROCS`, a process that plays a generic protocol and a run that leaves a
-session unfinished, and the `LEXED` texts that test the lexer (duplicate
-texts once).  Each goes through `cli.main`, in
-process, with `check --consistency` (text and `--json`), which prints the
-text, line and column of every syntax or elaboration error.  Each fixture,
-family input, loop, shared choice, ring and process file then goes through
+session unfinished, the `LEXED` texts that test the lexer, and the `MERGES`,
+one file for each reason a merge fails and one whose merge aligns two loops
+(duplicate texts once).  Each goes through `cli.main`, in process, with
+`check --consistency` (text and `--json`), which prints the text, line and
+column of every syntax or elaboration error.  Each fixture, family input,
+loop, shared choice, ring, process and merge file then goes through
 `project` (text and `--json`) and `fsm --json` for every role of every
 protocol; `project` and `fsm --json` once without `--protocol`, for the
 first role of the first protocol (or `A` when there is none); and `run`,
@@ -95,6 +96,31 @@ PROCS = [
     ("orphan", "sort Ping;\nglobal G = A -> B : Ping . end;\n"
                "proc a plays A in G { send B Ping; end }\nproc b plays B in G { end }\n"),
 ]
+# one file for each reason a merge can fail from source text, and a merge
+# of two loops that names the common binder M0.  In "union order", C merges
+# two receives of P and Q that list them in opposite orders; merging P's
+# continuations would fail on other grounds than Q's, so which is reported
+# shows the order in which the union merges shared sorts
+MERGES = [
+    ("incompatible constructors", "sort M; sort N;\n"
+     "global G = A -> B : { M . B -> C : M . end, N . end };\n"),
+    ("different recursion variables", "sort a; sort b; sort m;\n"
+     "global G = rec X1 . rec Y1 . A -> B : { a . C -> A : m . X1, b . C -> A : m . Y1 };\n"),
+    ("different peers", "sort M; sort N;\n"
+     "global G = A -> B : { M . A -> C : M . end, N . B -> C : M . end };\n"),
+    ("different sorts", "sort M; sort N;\n"
+     "global G = A -> B : { M . C -> B : M . end, N . C -> B : N . end };\n"),
+    ("union order", """sort L; sort R; sort P; sort Q; sort M; sort N;
+global G = A -> B : {
+  L . A -> D : L . D -> C : { P . C -> D : M . end, Q . C -> D : M . end },
+  R . A -> D : R . D -> C : { Q . C -> D : N . end, P . end } };
+"""),
+    ("aligned loops", """sort L; sort R; sort c; sort d; sort e;
+global G = A -> B : {
+  L . rec X . B -> C : { c . C -> A : c . X, d . C -> A : d . end },
+  R . rec Y . B -> C : { c . C -> A : c . Y, e . C -> A : e . end } };
+"""),
+]
 # what the lexer must agree on: comments glued to tokens or inside a string,
 # non-ASCII blanks, CRLF line ends, and characters no token starts with
 TWO_BUYER = (ROOT / "fixtures" / "two_buyer.mpst").read_text()
@@ -122,8 +148,8 @@ def chain_text(kind: str, n: int) -> str:
 def inputs_for(seeds: list) -> list:
     """(label, text) for each fixture, then each family input at each seed,
     then the damaged copies of the fixtures, the odd files, the reference
-    chains, the loops, the shared choices, the rings, the processes and the
-    lexer's texts for each seed."""
+    chains, the loops, the shared choices, the rings, the processes, the
+    lexer's texts and the merges for each seed."""
     out = [(p.relative_to(ROOT).as_posix(), p.read_text())
            for p in sorted((ROOT / "fixtures").rglob("*.mpst"))]
     fixtures = [text for _, text in out]
@@ -143,6 +169,7 @@ def inputs_for(seeds: list) -> list:
         out += [(f"roles/{label}@{seed}", text) for seed in seeds for label, text in ROLES]
         out += [(f"procs/{label}@{seed}", text) for seed in seeds for label, text in PROCS]
         out += [(f"lexed/{label}@{seed}", text) for seed in seeds for label, text in LEXED]
+        out += [(f"merges/{label}@{seed}", text) for seed in seeds for label, text in MERGES]
     first: dict = {}  # text -> the label it first came with
     for label, text in out:
         first.setdefault(text, label)

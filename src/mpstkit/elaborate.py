@@ -6,9 +6,11 @@ they are built, so equal subterms are one object.  Sort references resolve
 against the file's sort table; an endpoint sort's schema is the projection
 of a named global onto a role, so well-formedness of delegated types falls
 out of the same machinery as everything else.  Process bodies arrive as
-`typecheck` terms already; elaboration only replaces each `surface.SCall`
-sort constructor in them with a `typecheck.NewSort`, and checks each
-process's session bindings.
+`typecheck` terms already, each sort constructor a `typecheck.NewSort`
+holding a bare `Sort(name)`; elaboration walks no process term, but sets the
+sort of each constructor the parser listed to the file's in place, and
+checks each process's session bindings.  The elaborated process is the
+parsed one.
 """
 
 from __future__ import annotations
@@ -309,43 +311,13 @@ class _Elaborator:
 
     # -- processes -------------------------------------------------------------
 
-    def expr(self, e) -> typecheck.Expr:
-        spine = []  # the left spine of `-` and `<`: a long chain must not recurse per term
-        while isinstance(e, (typecheck.Sub, typecheck.Lt)):
-            spine.append(e)
-            e = e.a
-        if isinstance(e, surface.SCall):
-            sort = self.sort(e.name, e.pos)
-            e = typecheck.NewSort(sort, tuple(map(self.expr, e.args)), e.pos)
-        elif isinstance(e, typecheck.Field):
-            e = typecheck.Field(self.expr(e.target), e.pos)
-        for node in reversed(spine):
-            e = type(node)(e, self.expr(node.b), node.pos)
-        return e
-
-    def proc_term(self, p) -> typecheck.ProcessTerm:
-        """The parsed term `p` with each `SCall` resolved to a `NewSort`.
-        Subterms resolve in source order (a send's sort, its argument, then
-        the continuation), so the first error raised is the first in the text."""
-        if isinstance(p, typecheck.SendT):
-            return typecheck.SendT(
-                p.session, p.to, self.expr(p.payload), self.proc_term(p.cont), p.pos
-            )
-        if isinstance(p, typecheck.RecvT):
-            arms = tuple(
-                typecheck.RecvArm(a.sort_name, a.payload_var, self.proc_term(a.cont), a.pos)
-                for a in p.branches
-            )
-            return typecheck.RecvT(p.session, p.frm, arms, p.pos)
-        if isinstance(p, typecheck.LoopT):
-            return typecheck.LoopT(p.session, p.recur_var, self.proc_term(p.body), p.pos)
-        if isinstance(p, typecheck.IfT):
-            return typecheck.IfT(
-                self.expr(p.cond), self.proc_term(p.then), self.proc_term(p.els), p.pos
-            )
-        if isinstance(p, typecheck.LetT):
-            return typecheck.LetT(p.name, self.expr(p.value), self.proc_term(p.cont), p.pos)
-        return p  # RecurT and EndT hold no expression
+    def proc_body(self, d: surface.ProcDef) -> typecheck.ProcessTerm:
+        """The body of process `d`, with the sort of each of its constructors
+        set to the file's in place.  They resolve in source order, so the
+        first error raised is the first in the text."""
+        for node in d.constructors:
+            node.sort = self.sort(node.sort.name, node.pos)
+        return d.body
 
     # -- whole file --------------------------------------------------------------
 
@@ -394,7 +366,7 @@ class _Elaborator:
                         f"process {d.name} plays unknown protocol {proto}", d.pos
                     )
                 bindings.append((Role(role), proto, var))
-            pf.procs.append(ProcDecl(d.name, tuple(bindings), self.proc_term(d.body), d.pos))
+            pf.procs.append(ProcDecl(d.name, tuple(bindings), self.proc_body(d), d.pos))
         return pf
 
 

@@ -334,10 +334,16 @@ class _Interp:
                 raise RuntimeFault(f"unbound variable {e.name}")
             return self.env[e.name]
         if isinstance(e, tc.Field):
-            msg = self.eval(e.target)
-            if not isinstance(msg, Message):
-                raise RuntimeFault(f"field access on {msg!r}, which is not a message")
-            return msg.payload
+            depth = 0  # a `.value` chain: a long one must not recurse per step
+            while isinstance(e, tc.Field):
+                depth += 1
+                e = e.target
+            value = self.eval(e)
+            for _ in range(depth):
+                if not isinstance(value, Message):
+                    raise RuntimeFault(f"field access on {value!r}, which is not a message")
+                value = value.payload
+            return value
         if isinstance(e, tc.NewSort):
             return Message(e.sort, self.eval(e.args[0]) if e.args else None)
         raise RuntimeFault(f"cannot evaluate {e!r}")

@@ -28,8 +28,10 @@ keyword so several errors can be reported in one pass.
 Types parse to the surface AST below, which elaboration resolves.  A process
 body parses straight to the `typecheck` terms the checker and the runtime
 use, with an action's omitted `[var]` filled in with the default session.
-The one node left open is the sort constructor `SCall`: only the whole file
-says what a sort name means.
+Only the whole file says what a sort name means, so each sort constructor is
+a `typecheck.NewSort` holding a bare `Sort(name)`; the `ProcDef` lists these
+nodes in source order, and elaboration sets each one's sort to the file's in
+place.
 """
 
 from __future__ import annotations
@@ -200,22 +202,14 @@ class LocalDef:
 
 
 @dataclass(unsafe_hash=True)
-class SCall:
-    """A sort constructor `Name(arg)`, or a send's sort and argument: what the
-    name means is known only once the whole file is read, so elaboration
-    replaces it with a `typecheck.NewSort`."""
-
-    name: str
-    args: tuple
-    pos: Pos = field(default=None, compare=False)
-
-
-@dataclass(unsafe_hash=True)
 class ProcDef:
     name: str
     bindings: tuple  # ((role, protocolName, var|None), ...)
-    body: tc.ProcessTerm  # its sort constructors are still `SCall`s
+    body: tc.ProcessTerm
     pos: Pos = field(default=None, compare=False)
+    # the body's `NewSort` nodes in source order, each holding a bare
+    # `Sort(name)` until elaboration resolves it
+    constructors: list = field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass
@@ -262,6 +256,7 @@ class _Parser:
         self.tokens = list(lexemes)
         self.names = set(filter(_is_name, set(lexemes)))  # what `ident` takes
         self.roles: dict = {}  # name -> core.Role, each built once
+        self.sorts: dict = {}  # name -> bare core.Sort, each built once
         self.i = 0
 
     # the lexemes always end with "" for eof, and next() never steps past it
@@ -306,6 +301,16 @@ class _Parser:
         if role is None:
             role = self.roles[name] = core.Role(name)
         return role
+
+    def new_sort(self, name: str, pos: Pos) -> tc.NewSort:
+        """A constructor of sort `name` with no arguments yet, listed for
+        elaboration to resolve."""
+        sort = self.sorts.get(name)
+        if sort is None:
+            sort = self.sorts[name] = core.Sort(name)
+        node = tc.NewSort(sort, (), pos)
+        self.constructors.append(node)
+        return node
 
     # -- declarations --------------------------------------------------------
 
@@ -458,10 +463,11 @@ class _Parser:
             if not self.accept(","):
                 break
         self.default_session = default_session(bindings)
+        self.constructors = constructors = []
         self.expect("{")
         body = self.stmt()
         self.expect("}")
-        return ProcDef(name, tuple(bindings), body, pos)
+        return ProcDef(name, tuple(bindings), body, pos, constructors)
 
     def _session_sel(self) -> str:
         if self.tokens[self.i] == "[":
@@ -480,14 +486,13 @@ class _Parser:
         if keyword == "send":
             sel = self._session_sel()
             to = self.role()
-            sort = self.ident("sort name")
-            args: tuple = ()
+            payload = self.new_sort(self.ident("sort name"), pos)
             if self.accept("("):
-                args = (self.expr(),)
+                payload.args = (self.expr(),)
                 self.expect(")")
             self.expect(";")
             cont = self.stmt()
-            return tc.SendT(sel, to, SCall(sort, args, pos), cont, pos)
+            return tc.SendT(sel, to, payload, cont, pos)
         if keyword == "recv":
             sel = self._session_sel()
             frm = self.role()
@@ -583,9 +588,10 @@ class _Parser:
         if lexeme in self.names:
             self.next()
             if self.accept("("):
-                arg = self.expr()
+                node = self.new_sort(lexeme, pos)
+                node.args = (self.expr(),)
                 self.expect(")")
-                return SCall(lexeme, (arg,), pos)
+                return node
             e: object = tc.VarRef(lexeme, pos)
             while self.accept("."):
                 dot = self.pos(back=1)
@@ -652,10 +658,14 @@ def _render_expr(e) -> str:
         return f'"{escaped}"'
     if isinstance(e, tc.VarRef):
         return e.name
-    if isinstance(e, SCall):  # a send's payload may have no argument
-        return e.name + "".join(f"({_render_expr(a)})" for a in e.args)
+    if isinstance(e, tc.NewSort):  # a send's payload may have no argument
+        return e.sort.name + "".join(f"({_render_expr(a)})" for a in e.args)
     if isinstance(e, tc.Field):
-        return f"{_render_atom(e.target)}.value"
+        depth = 0  # a `.value` chain: a long one must not recurse per step
+        while isinstance(e, tc.Field):
+            depth += 1
+            e = e.target
+        return _render_atom(e) + ".value" * depth
     if isinstance(e, tc.Lt):
         # a comparison takes one `<`: parenthesise a nested one
         a, b = (_render_atom(x) if isinstance(x, tc.Lt) else _render_expr(x) for x in (e.a, e.b))

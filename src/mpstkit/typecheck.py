@@ -344,30 +344,37 @@ class Checker:
                 return None
             return env.data[name]
         if isinstance(e, Field):
-            t = self.expr_type(env, e.target, path)
-            if t is None:
-                return None
-            if not isinstance(t, Sort):
-                self._err(
-                    ErrorClass.EXPR_TYPE,
-                    "field access on a non-message value",
-                    path,
-                    e.pos,
-                    expected="a received message",
-                    found=str(t),
-                )
-                return None
-            if t.payload == PAYLOAD_INT:
-                return T_INT
-            if t.payload == PAYLOAD_STRING:
-                return T_STRING
-            self._err(
-                ErrorClass.EXPR_TYPE,
-                f"message sort {t.name} carries no data payload",
-                path,
-                e.pos,
-            )
-            return None
+            dots = []  # a `.value` chain, innermost last: a long one must not recurse per step
+            while isinstance(e, Field):
+                dots.append(e.pos)
+                e = e.target
+            t = self.expr_type(env, e, path)
+            for pos in reversed(dots):
+                if t is None:
+                    return None
+                if not isinstance(t, Sort):
+                    self._err(
+                        ErrorClass.EXPR_TYPE,
+                        "field access on a non-message value",
+                        path,
+                        pos,
+                        expected="a received message",
+                        found=str(t),
+                    )
+                    return None
+                if t.payload == PAYLOAD_INT:
+                    t = T_INT
+                elif t.payload == PAYLOAD_STRING:
+                    t = T_STRING
+                else:
+                    self._err(
+                        ErrorClass.EXPR_TYPE,
+                        f"message sort {t.name} carries no data payload",
+                        path,
+                        pos,
+                    )
+                    return None
+            return t
         if isinstance(e, NewSort):
             self._check_sort_args(env, e, path)
             return e.sort

@@ -890,10 +890,9 @@ class OracleElaborator(_Elaborator):
         ctor = Send if t.op == "!" else Recv
         return ctor(Role(t.sender), Role(t.receiver), branches)
 
-    def run(self):
+    def proc_body(self, d: ProcDef) -> tc.ProcessTerm:
         # an action without `[var]` acts on the first binding's session, or on `s`
-        self._defaults = {id(d.body): d.bindings[0][2] or "s" for d in self.sf.proc_defs()}
-        return super().run()
+        return self.proc_term(d.body, d.bindings[0][2] or "s")
 
     def expr(self, e) -> tc.Expr:
         spine = []
@@ -918,8 +917,7 @@ class OracleElaborator(_Elaborator):
             out = op(out, self.expr(node.b), node.pos)
         return out
 
-    def proc_term(self, p, default_session=None) -> tc.ProcessTerm:
-        default_session = default_session or self._defaults[id(p)]
+    def proc_term(self, p, default_session: str) -> tc.ProcessTerm:
         if isinstance(p, SSend):
             session = p.session or default_session
             sort = self.sort(p.sort_name, p.pos)

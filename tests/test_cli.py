@@ -608,6 +608,32 @@ class TestStress:
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"# session P\nseq 1: A -> B : Num({2 - terms})\n"
 
+    @pytest.mark.parametrize("command, line", [
+        (["check"], "chain.mpst:3:44: expr-type-mismatch: field access on a non-message value"),
+        (["check", "--json"], '"class": "expr-type-mismatch"'),
+        (["run"], "chain.mpst:3:44: expr-type-mismatch: field access on a non-message value"),
+        (["run", "--unchecked"], "fault in p: field access on 1, which is not a message"),
+    ], ids=["check", "check-json", "run", "run-unchecked"])
+    def test_long_value_chain(self, tmp_path, capsys, command, line):
+        # a 5,000-step `.value` chain reports what a 3-step one does: the
+        # checker, the runtime and the renderer peel the chain with a loop
+        outcomes = []
+        for steps in (3, 5000):
+            path = tmp_path / str(steps) / "chain.mpst"
+            path.parent.mkdir()
+            path.write_text(
+                "sort M(int);\nglobal G = A -> B : M . end;\n"
+                f"proc p plays A in G {{ let x = 1; send B M(x{'.value' * steps}); end }}\n"
+                "proc q plays B in G { recv A { M(_) -> end } }\n"
+            )
+            code = cli.main([command[0], str(path), *command[1:]])
+            out, err = capsys.readouterr()
+            outcomes.append((code, (out + err).replace(str(path), "chain.mpst")))
+        assert outcomes[0] == outcomes[1]
+        code, output = outcomes[1]
+        assert code == 1 and output.count(line) == 1, output
+        assert output.count("field access") == 1 and "Traceback" not in output
+
 
 # (kind, declarations, command, exit code, where the one error line points)
 CHAINS = [

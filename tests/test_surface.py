@@ -270,6 +270,17 @@ class TestRoundTrip:
         assert second.ok, second.errors
         assert render_file(second.file) == rendered
 
+    def test_long_value_chain_round_trips(self):
+        # rendering peels a 5,000-step `.value` chain without recursing
+        chain = "x" + ".value" * 5000
+        first = parse_protocol_file(f"proc a plays A in P {{ send B M({chain}); end }}")
+        assert first.ok, first.errors
+        rendered = render_file(first.file)
+        assert f"send B M({chain});" in rendered
+        second = parse_protocol_file(rendered)
+        assert second.ok, second.errors
+        assert render_file(second.file) == rendered
+
     def test_long_process_renders_under_a_deep_stack(self):
         # rendering walks a `;`-chain of sends and lets without recursing
         body = "send B M; let x = 1; " * 450
@@ -518,6 +529,24 @@ class TestPlainRecords:
         a, b = (parse_protocol_file(text).file.decls for _ in range(2))
         assert a == b and a is not b
         assert [hash(d) for d in a] == [hash(d) for d in b]
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(list(conftest.CONSISTENT_FIXTURES) + list(conftest.INCONSISTENT_FIXTURES)),
+    )
+    def test_elaboration_resolves_the_parsed_process_in_place(self, name):
+        # an elaborated process is its parsed body, with each sort set in place
+        text = conftest.fixture_path(name).read_text()
+        sf = parse_protocol_file(text).file
+        hashes, rendered = [hash(d) for d in sf.proc_defs()], render_file(sf)
+        first = elaborate(sf)
+        assert all(p.term is d.body for p, d in zip(first.procs, sf.proc_defs(), strict=True))
+        assert [hash(d) for d in sf.proc_defs()] == hashes
+        assert render_file(sf) == rendered
+        before = repr(first.procs)
+        second = elaborate(sf)
+        assert repr(second.procs) == before
+        assert second.procs == elaborate(parse_protocol_file(text).file).procs
 
     def test_records_differing_only_in_pos_are_equal(self):
         text = "sort M;\nglobal G = A -> B : M . end;\nproc p plays A in G { send B M; end }\n"

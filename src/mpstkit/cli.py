@@ -116,11 +116,6 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
     outcome = CheckOutcome(path)
     for name, g in pf.concrete.items():
         outcome.well_formedness[name] = well_formed(g, memo=pf.verdicts)
-    # each protocol checked for consistency projects every role in one walk,
-    # before the checks below look its projections up one role at a time
-    checked = [name for name, bad in outcome.well_formedness.items()
-               if with_consistency and not bad]
-    projections = {name: pf.projections(name) for name in checked}
     for la in pf.local_asserts:
         if la.global_name not in pf.concrete:
             outcome.assert_failures.append(
@@ -138,8 +133,10 @@ def check_protocol_file(pf: ProtocolFile, path: str, with_consistency: bool) -> 
                 f"  projected: {projected}"
             )
     outcome.session_result = check_session(pf)
-    for name in checked:
-        outcome.consistency[name] = consistent(pf.concrete[name], projections=projections[name])
+    for name, bad in outcome.well_formedness.items():
+        if with_consistency and not bad:
+            outcome.consistency[name] = consistent(pf.concrete[name],
+                                                   projections=pf.projections(name))
     return outcome
 
 

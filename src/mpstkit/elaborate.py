@@ -70,31 +70,26 @@ class ProtocolFile:
     local_asserts: list = field(default_factory=list)
     procs: list = field(default_factory=list)
     surface: Optional[surface.SurfaceFile] = None
+    # name -> each role protocol `name` names -> what `projection` gives it
     _projections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # name -> the roles of protocol `name`, once `projections` has projected them all
-    _roles: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _verdicts: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def projection(self, name: str, role: Role):
         """The projection of concrete protocol `name` onto `role`, or the
-        ProjectionError projecting it raised; projected on first use, so
-        every check of this file shares one projection per (name, role)."""
-        key = (name, role)
-        if key not in self._projections:
-            self._projections[key] = result_or_error(project, self.concrete[name], role)
-        return self._projections[key]
+        ProjectionError projecting it raised: its entry in
+        `projections(name)`.  A role the protocol never names gets what
+        `project` gives it, the protocol with every step erased."""
+        local = self.projections(name).get(role)
+        return result_or_error(project, self.concrete[name], role) if local is None else local
 
     def projections(self, name: str) -> dict:
-        """Each role of concrete protocol `name` -> `projection(name, role)`.
-        On first use one walk of the type projects every role; a role
-        projected before keeps the value it has."""
-        roles = self._roles.get(name)
-        if roles is None:
-            every = project_all(self.concrete[name])
-            for role, local in every.items():
-                self._projections.setdefault((name, role), local)
-            roles = self._roles[name] = list(every)
-        return {role: self._projections[name, role] for role in roles}
+        """Each role concrete protocol `name` names -> its projection, or the
+        ProjectionError projecting it raised.  One `project_all` on first use
+        fills the table, and every check of this file reads it."""
+        every = self._projections.get(name)
+        if every is None:
+            every = self._projections[name] = project_all(self.concrete[name])
+        return every
 
     @property
     def verdicts(self) -> dict:

@@ -18,9 +18,10 @@ shared sorts have their continuations merged) and requires send branches to
 agree exactly.  Restriction merges with `union_sends`: there, an observed
 role's internal choice legitimately widens the sends its partner may see.
 An object merged with itself is itself, so a bystander merging two meetings
-of one shared projection does no work for it.  A failed merge is a value, a
-MergeError, until a public entry point raises it: `merge` and `merge_all`
-raise it as is, `project` as the cause of a ProjectionError.
+of one shared projection does no work for it.  The merge walks its operand
+pairs on an explicit stack, so types of any depth merge.  A failed merge is a
+value, a MergeError, until a public entry point raises it: `merge` and
+`merge_all` raise it as is, `project` as the cause of a ProjectionError.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _align_loops(a: Loop, b: Loop) -> tuple:
 
 def merge(a: LocalType, b: LocalType, *, union_sends: bool = False) -> LocalType:
     """Full merge of two local types.  Raises MergeError when undefined:
-    the failure `_merge` returns, the first its recursion met.
+    the failure `_merge` returns, the first a recursive merge would meet.
 
     An object merged with itself is itself, so a bystander merging two
     meetings of one shared projection pays nothing for it."""
@@ -104,45 +105,79 @@ def merge(a: LocalType, b: LocalType, *, union_sends: bool = False) -> LocalType
 
 
 def _merge(a: LocalType, b: LocalType, union_sends: bool):
-    """The full merge of a and b, or the first MergeError its recursion meets."""
-    if a is b:
-        return a
-    if isinstance(a, End) and isinstance(b, End):
-        return END
-    if isinstance(a, Recur) and isinstance(b, Recur):
-        return a if a.var == b.var else MergeError(a, b, "different recursion variables")
-    if isinstance(a, Loop) and isinstance(b, Loop):
-        var, body_a, body_b = _align_loops(a, b)
-        body = _merge(body_a, body_b, union_sends)
-        return body if type(body) is MergeError else Loop(var, body)
-    if isinstance(a, (Send, Recv)) and type(a) is type(b):
-        if (a.sender, a.receiver) != (b.sender, b.receiver):
-            peers = "sends to" if isinstance(a, Send) else "receives from"
-            return MergeError(a, b, f"{peers} different peers")
-        out = list(a.branches)
-        if isinstance(a, Send) and not union_sends:  # paired by position
-            if [s.name for s, _ in a.branches] != [s.name for s, _ in b.branches]:
-                return MergeError(a, b, "sends offer different sorts")
-            shared = [(i, out[i][0], cont) for i, (_, cont) in enumerate(b.branches)]
-        else:  # the ordered union: left branches first, right-only sorts appended
-            index = {s.name: i for i, (s, _) in enumerate(out)}
-            shared = []
-            for s, cont in b.branches:
-                if s.name in index:
-                    shared.append((index[s.name], s, cont))
-                else:
-                    index[s.name] = len(out)
-                    out.append((s, cont))
-        for i, s, cont in shared:  # in the right operand's order
-            s0, cont0 = out[i]
-            if s0 != s:
-                return MergeError(a, b, f"sort {s.name} has conflicting payloads")
-            cont = _merge(cont0, cont, union_sends)
-            if type(cont) is MergeError:
-                return cont
-            out[i] = (s0, cont)
-        return type(a)(a.sender, a.receiver, tuple(out))
-    return MergeError(a, b, "incompatible constructors")
+    """The full merge of a and b, or the first MergeError its recursion
+    would meet.
+
+    The walk keeps a frame on its own stack for each node whose branches it
+    is merging, and takes that node's shared branches one at a time, in the
+    right operand's order: a pair's payloads are compared, and its
+    continuations merged, once the pair before it is merged, as the
+    recursion did.  A loop's frame is its binder."""
+    frames = []  # loop binders, and [left node, right node, branches, shared, next shared]
+    while True:
+        kind = type(a)
+        if a is b:
+            merged = a
+        elif kind is not type(b):
+            return MergeError(a, b, "incompatible constructors")
+        elif kind is End:
+            merged = END
+        elif kind is Recur:
+            if a.var != b.var:
+                return MergeError(a, b, "different recursion variables")
+            merged = a
+        elif kind is Loop:
+            var, a, b = _align_loops(a, b)
+            frames.append(var)
+            continue
+        elif kind is Send or kind is Recv:
+            if (a.sender, a.receiver) != (b.sender, b.receiver):
+                peers = "sends to" if kind is Send else "receives from"
+                return MergeError(a, b, f"{peers} different peers")
+            out = list(a.branches)
+            if kind is Send and not union_sends:  # paired by position
+                if [s.name for s, _ in out] != [s.name for s, _ in b.branches]:
+                    return MergeError(a, b, "sends offer different sorts")
+                shared = [(i, out[i][0], c) for i, (_, c) in enumerate(b.branches)]
+            else:  # the ordered union: left branches first, right-only sorts appended
+                index = {s.name: i for i, (s, _) in enumerate(out)}
+                shared = []
+                for s, c in b.branches:
+                    if s.name in index:
+                        shared.append((index[s.name], s, c))
+                    else:
+                        index[s.name] = len(out)
+                        out.append((s, c))
+            frames.append([a, b, out, shared, 0])
+            merged = None
+        else:
+            return MergeError(a, b, "incompatible constructors")
+        while True:  # place what was merged, up to a frame with a pair left
+            if not frames:
+                return merged
+            frame = frames[-1]
+            if type(frame) is RecVar:
+                frames.pop()
+                merged = Loop(frame, merged)
+                continue
+            node, other, out, shared, k = frame
+            if merged is not None:  # the continuations of shared[k - 1]
+                i = shared[k - 1][0]
+                out[i] = (out[i][0], merged)
+            while k < len(shared):
+                i, s, b = shared[k]
+                s0, a = out[i]
+                k += 1
+                if s0 is not s and s0 != s:
+                    return MergeError(node, other, f"sort {s.name} has conflicting payloads")
+                if a is not b:  # else the branch merges to itself
+                    break
+            else:
+                frames.pop()
+                merged = type(node)(node.sender, node.receiver, tuple(out))
+                continue
+            frame[4] = k
+            break
 
 
 def merge_all(ts: list, *, union_sends: bool = False) -> LocalType:

@@ -1059,6 +1059,20 @@ def reference_chain(kind: str, n: int) -> list:
     return lines[::-1] if kind == "reversed" else lines
 
 
+def bystander_chains(levels: int, steps: int = 100) -> str:
+    """Declarations in which C chooses between two chains of protocols, and
+    B, a bystander of that choice, must merge them step by step: `P0` is
+    `A -> B : M . end` and `Q0` the same with `N`, each `Pi` (and `Qi`) is
+    `steps` messages `M` from A to B and then `P(i-1)` (or `Q(i-1)`), and
+    `G = A -> C : { x . P{levels}, y . Q{levels} }`.  B's merge is
+    `levels * steps + 1` steps deep, and so is each chain."""
+    lines = ["sort M; sort N; sort x; sort y;",
+             "global P0 = A -> B : M . end;", "global Q0 = A -> B : N . end;"]
+    lines += [f"global {p}{i} = " + "A -> B : M . " * steps + f"{p}{i - 1};"
+              for i in range(1, levels + 1) for p in "PQ"]
+    return "\n".join([*lines, f"global G = A -> C : {{ x . P{levels}, y . Q{levels} }};"]) + "\n"
+
+
 def share(t):
     """t hash-consed bottom up, as elaboration does a file's types: a node is
     keyed on its kind, role and variable names, the ids of its sorts and the

@@ -26,9 +26,6 @@ ALLOWED = {
     "elaborate": {
         ("concrete", "instantiate", "sort", "type_expr"): "item 3",
     },
-    "projection": {
-        ("_merge",): "item 11",
-    },
     "runtime": {
         ("_atom", "eval"): "item 3",
     },

@@ -11,7 +11,9 @@ import time
 import pytest
 
 import conftest
-from helpers import ROOT, benchmark_inputs, cut_and_splice, odd_files, reference_chain
+from helpers import (
+    ROOT, benchmark_inputs, bystander_chains, cut_and_splice, odd_files, reference_chain,
+)
 from mpstkit import cli, core, surface
 from mpstkit.elaborate import load_text
 
@@ -607,6 +609,21 @@ class TestStress:
         result = mpstkit("run", str(path))
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"# session P\nseq 1: A -> B : Num({2 - terms})\n"
+
+    @pytest.mark.parametrize("command", [
+        ["check"], ["check", "--consistency"], ["project", "--protocol", "G", "--role", "B"],
+    ], ids=["check", "check-consistency", "project"])
+    def test_deep_bystander_merge(self, tmp_path, capsys, command):
+        # B merges C's two branches 1,201 steps deep: the merge keeps its own stack
+        path = tmp_path / "merge.mpst"
+        path.write_text(bystander_chains(12)
+                        + "proc c plays C in G { recv A { x(_) -> end, y(_) -> end } }\n")
+        assert cli.main([command[0], str(path), *command[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if command[0] == "project":
+            assert out.count("A -> B ? M .") == 1200
+            assert out.endswith("A -> B ? { M . end, N . end }\n")
 
     @pytest.mark.parametrize("command, line", [
         (["check"], "chain.mpst:3:44: expr-type-mismatch: field access on a non-message value"),

@@ -305,6 +305,15 @@ class TestSharedWork:
             # one walk projects every role, and the processes reuse its projections
             assert folded == [pf.concrete["Ring"]]
             assert projected == []
+            # plain `check` projects through the same one walk, and restricts nothing
+            counts.update(dual=0)
+            restricted.clear()
+            folded.clear()
+            pf = self._ring(n)
+            outcome = cli.check_protocol_file(pf, "ring.mpst", False)
+            assert outcome.ok and outcome.consistency == {}
+            assert folded == [pf.concrete["Ring"]]
+            assert projected == [] and restricted == [] and counts["dual"] == 0
 
     # Projections passed in are taken as given, which reaches verdicts that
     # projections of one global type rarely or never give.

@@ -248,6 +248,16 @@ class TestProjectAll:
         assert every[A] is pf.projection("Negotiation", A)
         assert pf.projections("Negotiation") == every and len(folds) == 1
 
+    def test_a_role_the_protocol_never_names_is_projected_as_project_does(self):
+        # not in the table: every step of the protocol is erased for it
+        pf = load_text("sort L; sort R;\nglobal P = A -> B : L . end;\n"
+                       "global Q = rec X . A -> B : { L . X, R . end };\n")
+        d = Role("D")
+        assert d not in pf.projections("P") and pf.projection("P", d) == END
+        got, want = pf.projection("Q", d), result_or_error(project, pf.concrete["Q"], d)
+        assert d not in pf.projections("Q") and isinstance(want, ProjectionError)
+        assert (type(got), got.path, str(got)) == (ProjectionError, want.path, str(want))
+
 
 class TestMerge:
     def test_union_of_distinct_receive_branches(self):
@@ -255,6 +265,21 @@ class TestMerge:
         left = Recv(B2, S, ((Ok, k1),))
         right = Recv(B2, S, ((Quit, END),))
         assert merge(left, right) == Recv(B2, S, ((Ok, k1), (Quit, END)))
+
+    def test_separately_built_long_chains_merge(self):
+        # the two 5,000-step chains share no object, so the merge meets every step
+        a, b = helpers.long_chain(5000)[1], helpers.long_chain(5000)[1]
+        merged = merge(a, b)
+        assert struct_eq(merged, a) and struct_eq(merged, b)
+
+    def test_a_sort_named_twice_on_the_right_merges_into_the_first_merge(self):
+        # an ill-formed receive can name a sort twice: its second branch merges
+        # with what the first made, as the recursive merge did
+        z = Sort("Z")
+        left = Recv(A, B, ((Ok, Recv(A, B, ((Quit, END),))),))
+        right = Recv(A, B, ((Ok, Recv(A, B, ((Auth, END),))), (Ok, Recv(A, B, ((z, END),)))))
+        merged = Recv(A, B, ((Ok, Recv(A, B, ((Quit, END), (Auth, END), (z, END)))),))
+        assert merge(left, right) == merged == helpers.oracle_merge(left, right)
 
     def test_idempotent_on_closed_types(self):
         rng = seeded(41)

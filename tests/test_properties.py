@@ -5,6 +5,8 @@ guard their recursion variable behind a communication), so every drawn value
 is a legal input for the operations under test.
 """
 
+import re
+
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
@@ -12,6 +14,7 @@ from mpstkit.consistency import consistent, dual, restrict_to_partner
 from mpstkit.core import (
     Com,
     END,
+    EndpointPayload,
     Loop,
     Recur,
     RecVar,
@@ -61,6 +64,7 @@ from helpers import (
     positioned,
     random_global,
     random_local,
+    rename_binders,
     repeating_global,
     seeded,
     share,
@@ -465,24 +469,108 @@ def test_erasure_failures_match_the_oracles_in_full(g):
 # the same value, or a MergeError with the same text and operand pair.  The
 # operands are two sides of a split receive, which merge back, and a random
 # type against others with the same and with another peer, which mostly fail;
-# each pair also as one hash-consed copy, where equal subterms are one object.
+# then against three copies of it: one whose sort on one branch is declared
+# again under its name with another payload, one with its loop binders
+# renamed, and one whose recursions on its loops `R0` and `R1` are crossed.
+# Each pair also goes as one hash-consed copy, where equal subterms are one
+# object.  A tally over fixed seeds shows that these operands reach every
+# reason a merge can fail for.
+
+MERGE_REASONS = {
+    "incompatible constructors", "different recursion variables", "sends to different peers",
+    "receives from different peers", "sends offer different sorts",
+    "sort _ has conflicting payloads",
+}
+
+
+def redeclared(rng, t):
+    """t with the sort of one branch of one of its communications, drawn by
+    rng, declared again under its name with another payload (an endpoint
+    one, or none for an endpoint); what does not contain it stays shared."""
+    coms = [n for n in subterms(t) if isinstance(n, (Send, Recv))]
+    if not coms:
+        return t
+    target = rng.choice(coms)
+    j = rng.randrange(len(target.branches))
+
+    def walk(node):
+        if node is target:
+            s, c = node.branches[j]
+            payload = "none" if isinstance(s.payload, EndpointPayload) else EndpointPayload(C, END)
+            branches = (*node.branches[:j], (Sort(s.name, payload), c), *node.branches[j + 1:])
+        elif isinstance(node, Loop):
+            body = walk(node.body)
+            return node if body is node.body else Loop(node.var, body)
+        elif isinstance(node, (Send, Recv)):
+            branches = tuple((s, walk(c)) for s, c in node.branches)
+            if all(new is old for (_, new), (_, old) in zip(branches, node.branches)):
+                return node
+        else:
+            return node
+        return type(node)(node.sender, node.receiver, branches)
+
+    return walk(t)
+
+
+def crossed(t):
+    """t with each recursion on `R0` made one on `R1` and back where both
+    loops are open: still closed, but a merge with t that aligns their loops
+    meets different recursion variables."""
+    r0, r1 = RecVar("R0"), RecVar("R1")
+
+    def walk(node, bound):
+        if isinstance(node, Recur):
+            return Recur({r0: r1, r1: r0}.get(node.var, node.var)) if len(bound) > 1 else node
+        if isinstance(node, Loop):
+            return Loop(node.var, walk(node.body, bound | ({node.var} & {r0, r1})))
+        if isinstance(node, (Send, Recv)):
+            branches = tuple((s, walk(c, bound)) for s, c in node.branches)
+            return type(node)(node.sender, node.receiver, branches)
+        return node
+
+    return walk(t, frozenset())
+
+
+def merge_reasons(seed: int, depth: int, union_sends: bool) -> set:
+    """Assert that `merge` and `merge_all` agree with the oracles on the
+    operands drawn from seed; the reasons the merges failed for, with the
+    sort name left out."""
+    rng = seeded(seed)
+    t = random_local(rng, B, A, depth=depth)
+    others = [random_local(rng, B, A, depth=depth), random_local(rng, B, C, depth=depth)]
+    pairs = [mergeable_pair(rng, t), *((t, other) for other in others)]
+    names = [[RecVar("X"), RecVar("Y")], [RecVar("M0"), RecVar("M1")]]
+    pairs += [(t, redeclared(rng, t)), (t, rename_binders(rng, t, names)), (t, crossed(t))]
+    reasons = set()
+    for a, b in pairs:
+        both = share(Recv(A, B, ((SORT_POOL[0], a), (SORT_POOL[1], b))))
+        for x, y in [(a, b), tuple(c for _, c in both.branches)]:
+            outcomes = []
+            for ts in ([x, y], [x, y, others[0]], [y, x, x]):
+                outcomes.append(merge_outcome(merge_all, ts, union_sends=union_sends))
+                assert outcomes[-1] == merge_outcome(oracle_merge_all, ts, union_sends=union_sends)
+            outcomes.append(merge_outcome(merge, x, y, union_sends=union_sends))
+            assert outcomes[-1] == merge_outcome(oracle_merge, x, y, union_sends=union_sends)
+            for outcome in outcomes:
+                if isinstance(outcome, tuple):
+                    reason = outcome[0].split("\n")[0].removeprefix("cannot merge: ")
+                    reasons.add(re.sub(r"^sort \w+ ", "sort _ ", reason))
+    return reasons
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
 @example(19, 4, True)  # two shared sorts whose continuations fail to merge differently
 @example(102, 5, False)
 def test_merge_matches_the_oracle(seed, depth, union_sends):
-    rng = seeded(seed)
-    t = random_local(rng, B, A, depth=depth)
-    others = [random_local(rng, B, A, depth=depth), random_local(rng, B, C, depth=depth)]
-    for a, b in [mergeable_pair(rng, t), *((t, other) for other in others)]:
-        both = share(Recv(A, B, ((SORT_POOL[0], a), (SORT_POOL[1], b))))
-        for x, y in [(a, b), tuple(c for _, c in both.branches)]:
-            for ts in ([x, y], [x, y, others[0]], [y, x, x]):
-                assert merge_outcome(merge_all, ts, union_sends=union_sends) == merge_outcome(
-                    oracle_merge_all, ts, union_sends=union_sends)
-            assert merge_outcome(merge, x, y, union_sends=union_sends) == merge_outcome(
-                oracle_merge, x, y, union_sends=union_sends)
+    merge_reasons(seed, depth, union_sends)
+
+
+def test_merge_operands_reach_every_failure_reason():
+    seen = set()
+    for seed in range(200):
+        seen |= merge_reasons(seed, 1 + seed % 5, seed % 2 == 1)
+    assert seen == MERGE_REASONS
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ definitions, the generated `LOOPS`, the `SHARED` choices, whose repeated
 subtrees elaboration shares, the `ROLES` of two 50-role token rings, the
 `PROCS`, a process that plays a generic protocol and a run that leaves a
 session unfinished, the `LEXED` texts that test the lexer, and the `MERGES`,
-one file for each reason a merge fails and one whose merge aligns two loops
-(duplicate texts once).  Each goes through `cli.main`, in process, with
-`check --consistency` (text and `--json`), which prints the text, line and
-column of every syntax or elaboration error.  Each fixture, family input,
+one file for each reason a merge fails, one whose merge aligns two loops and
+one whose merge is 901 steps deep (duplicate texts once).  Each goes through
+`cli.main`, in process, with `check --consistency` (text and `--json`),
+which prints the text, line and column of every syntax or elaboration
+error.  Each fixture, family input,
 loop, shared choice, ring, process and merge file then goes through
 `project` (text and `--json`) and `fsm --json` for every role of every
 protocol; `project` and `fsm --json` once without `--protocol`, for the
@@ -43,8 +44,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import (  # noqa: E402
-    benchmark_inputs, cut_and_splice, nested_loops, odd_files, reference_chain,
-    token_ring_text,
+    benchmark_inputs, bystander_chains, cut_and_splice, nested_loops, odd_files,
+    reference_chain, token_ring_text,
 )
 from mpstkit import cli  # noqa: E402
 from mpstkit.core import roles_of  # noqa: E402
@@ -120,6 +121,7 @@ global G = A -> B : {
   L . rec X . B -> C : { c . C -> A : c . X, d . C -> A : d . end },
   R . rec Y . B -> C : { c . C -> A : c . Y, e . C -> A : e . end } };
 """),
+    ("deep merge", bystander_chains(9)),
 ]
 # what the lexer must agree on: comments glued to tokens or inside a string,
 # non-ASCII blanks, CRLF line ends, and characters no token starts with

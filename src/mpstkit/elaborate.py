@@ -2,15 +2,15 @@
 
 Generic global definitions are instantiated by capture-avoiding substitution
 of their role and protocol parameters.  Each file's types are hash-consed as
-they are built, so equal subterms are one object.  Sort references resolve
-against the file's sort table; an endpoint sort's schema is the projection
-of a named global onto a role, so well-formedness of delegated types falls
-out of the same machinery as everything else.  Process bodies arrive as
-`typecheck` terms already, each sort constructor a `typecheck.NewSort`
-holding a bare `Sort(name)`; elaboration walks no process term, but sets the
-sort of each constructor the parser listed to the file's in place, and
-checks each process's session bindings.  The elaborated process is the
-parsed one.
+they are built (a step's key in the loop over its branches), so equal
+subterms are one object.  Sort references resolve against the file's sort
+table; an endpoint sort's schema is the projection of a named global onto a
+role, so well-formedness of delegated types falls out of the same machinery
+as everything else.  Process bodies arrive as `typecheck` terms already,
+each sort constructor a `typecheck.NewSort` holding a bare `Sort(name)`;
+elaboration walks no process term, but sets the sort of each constructor the
+parser listed to the file's in place, and checks each process's session
+bindings.  The elaborated process is the parsed one.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .core import (
     free_rec_vars,
 )
 from .projection import ProjectionError, project, project_all, result_or_error
+from .surface import STCom, STEnd, STRec
 
 
 class ElabError(Exception):
@@ -146,8 +147,8 @@ class _Elaborator:
     # -- sorts ---------------------------------------------------------------
 
     def sort(self, name: str, pos) -> Sort:
-        if name in self.sorts:
-            return self.sorts[name]
+        if (resolved := self.sorts.get(name)) is not None:
+            return resolved
         decl = self.sort_decls.get(name)
         if decl is None:
             raise ElabError(f"unknown sort: {name}", pos)
@@ -249,14 +250,8 @@ class _Elaborator:
 
     def type_expr(self, t, ctx: _Ctx):
         """A global type, or a declared local type when `ctx.local`."""
-        if isinstance(t, surface.STEnd):
-            return END
-        if isinstance(t, surface.STRec):
-            var = self._fresh_recvar(t.var, ctx)
-            inner = _Ctx(ctx.roles, ctx.protos, {**ctx.recvars, t.var: var}, ctx.local)
-            body = self.type_expr(t.body, inner)
-            return self._cons((Loop, var.name, id(body)), Loop, var, body)
-        if isinstance(t, surface.STCom):
+        kind = type(t)
+        if kind is STCom:
             if t.op == ":":
                 ctor = Com
                 sender = self._role(t.sender, ctx, t.pos)
@@ -264,12 +259,23 @@ class _Elaborator:
             else:  # a local type names its roles as written, even a recursion variable's
                 ctor = Send if t.op == "!" else Recv
                 sender, receiver = Role(t.sender), Role(t.receiver)
-            branches = tuple(
-                (self.sort(sname, t.pos), self.type_expr(cont, ctx))
-                for sname, cont in t.branches
-            )
-            key = (ctor, sender.name, receiver.name, *[id(x) for b in branches for x in b])
-            return self._cons(key, ctor, sender, receiver, branches)
+            key, branches = [ctor, sender.name, receiver.name], []
+            for sname, cont in t.branches:
+                sort, child = self.sort(sname, t.pos), self.type_expr(cont, ctx)
+                branches.append((sort, child))
+                key += id(sort), id(child)
+            key = tuple(key)
+            node = self._nodes.get(key)
+            if node is None:
+                node = self._nodes[key] = ctor(sender, receiver, tuple(branches))
+            return node
+        if kind is STEnd:
+            return END
+        if kind is STRec:
+            var = self._fresh_recvar(t.var, ctx)
+            inner = _Ctx(ctx.roles, ctx.protos, {**ctx.recvars, t.var: var}, ctx.local)
+            body = self.type_expr(t.body, inner)
+            return self._cons((Loop, var.name, id(body)), Loop, var, body)
         if not t.args and t.name in ctx.recvars:
             var = ctx.recvars[t.name]
             return self._cons((Recur, var.name), Recur, var)

@@ -75,7 +75,8 @@ class Fsm:
         }
 
 
-# Hash-cons keys of de Bruijn terms: a tag, then ints, names and sort keys.
+# Hash-cons keys of de Bruijn terms: a tag, then ints and names; a Com/Send/Recv
+# key is flat, its roles' names and then each branch's child id and sort key.
 _END, _SEND, _RECV, _LOOP, _VAR, _FREE, _COM = range(7)
 _TAGS = {Send: _SEND, Recv: _RECV, Com: _COM}
 
@@ -90,9 +91,9 @@ class StateGraph:
     (-1 when unbound).  A subterm object met again under the same innermost
     binder, so in the same scope, is one node.  `head(i)` unfolds node i.
     `closed(i)` names node i's closed term by hash-consing its de Bruijn
-    form in the table `cons`; two graphs that share a table give equal ids
-    exactly to alpha-equal closed terms.  `term(i)` rebuilds that term for
-    display.
+    form in the table `cons`, one flat key per node; two graphs that share a
+    table give equal ids exactly to alpha-equal closed terms.  `term(i)`
+    rebuilds that term for display.
     """
 
     def __init__(self, l: LocalType, cons: dict):
@@ -162,25 +163,14 @@ class StateGraph:
                 stack.pop()
                 continue
             t, link = nodes[n], links[n]
-            if isinstance(t, (Com, Send, Recv)):
-                missing = [(k, theta) for k in link if k * stride + theta not in memo]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                key = (
-                    _TAGS[type(t)],
-                    t.sender.name,
-                    t.receiver.name,
-                    tuple(_sort_key(s) for s, _ in t.branches),
-                    tuple(memo[k * stride + theta] for k in link),
-                )
-            elif isinstance(t, Loop):
+            kind = type(t)
+            if kind is Loop:
                 body = memo.get(link * stride + theta)
                 if body is None:
                     stack.append((link, theta))
                     continue
                 key = (_LOOP, body)
-            elif isinstance(t, Recur):
+            elif kind is Recur:
                 if link < 0:
                     key = (_FREE, t.var.name)
                 elif depth[link] >= theta:
@@ -193,6 +183,18 @@ class StateGraph:
                     memo[at] = binder
                     stack.pop()
                     continue
+            elif kind in _TAGS:
+                key, kid = [_TAGS[kind], t.sender.name, t.receiver.name], 0
+                for (s, _), k in zip(t.branches, link):
+                    kid = memo.get(k * stride + theta)
+                    if kid is None:
+                        break
+                    # an endpoint's Sort is kept: its equality compares the delegated type
+                    key += kid, s if isinstance(s.payload, EndpointPayload) else s.name
+                if kid is None:  # children first; those done already pop at once
+                    stack += [(k, theta) for k in link]
+                    continue
+                key = tuple(key)
             else:
                 key = (_END,)
             memo[at] = cons.setdefault(key, len(cons))
@@ -229,12 +231,6 @@ class StateGraph:
                 t = parts[0]  # a Recur bound outside: its binder's term
             done[n, theta] = t
         return done[i, depth[i]]
-
-
-def _sort_key(s: Sort):
-    # Sorts are equal by name unless one carries an endpoint; those few keep
-    # the Sort itself, whose equality compares the delegated type.
-    return s if isinstance(s.payload, EndpointPayload) else s.name
 
 
 def interpret(l: LocalType) -> Fsm:

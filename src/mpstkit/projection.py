@@ -14,9 +14,13 @@ in.  `project` reads one role's value from a fold that keeps only that
 role, `project_all` every role's from one fold that keeps them all.
 
 Full merge unions receive branches (distinct sorts are kept side by side,
-shared sorts have their continuations merged) and requires send branches to
-agree exactly.  Restriction merges with `union_sends`: there, an observed
-role's internal choice legitimately widens the sends its partner may see.
+shared sorts have their continuations merged), and pairs send branches by
+position: the sends must offer the same sort names in the same order, the
+merge keeps the left operand's sorts and merges each pair's continuations,
+and it never compares payloads.  Restriction merges with `union_sends`:
+there, an observed role's internal choice legitimately widens the sends its
+partner may see, and sends are united as receives are.  A union compares
+the payloads of a sort both operands name, and fails where they differ.
 An object merged with itself is itself, so a bystander merging two meetings
 of one shared projection does no work for it.  The merge walks its operand
 pairs on an explicit stack, so types of any depth merge.  A failed merge is a
@@ -110,9 +114,12 @@ def _merge(a: LocalType, b: LocalType, union_sends: bool):
 
     The walk keeps a frame on its own stack for each node whose branches it
     is merging, and takes that node's shared branches one at a time, in the
-    right operand's order: a pair's payloads are compared, and its
-    continuations merged, once the pair before it is merged, as the
-    recursion did.  A loop's frame is its binder."""
+    right operand's order: a pair's continuations are merged once the pair
+    before it is merged, as the recursion did.  Sends paired by position
+    keep the left operand's sorts, whose payloads are never compared; in a
+    union (receives, or sends under `union_sends`) a shared sort's payloads
+    are compared just before its pair is merged.  A loop's frame is its
+    binder."""
     frames = []  # loop binders, and [left node, right node, branches, shared, next shared]
     while True:
         kind = type(a)

@@ -17,11 +17,13 @@ declared local types that must match a projection, and process scripts:
     }
 
 A token is its lexeme: `tokenize` blanks the `//` comments, splits the text
-around its lexemes with one regex and keeps the offset each lexeme starts at,
-and the parser reads each token's kind off its text.  A lexeme's
-`(line, col)` is computed only where a `pos` or a `ParseError` keeps one.
+around its lexemes with one regex into the plain list the parser indexes, and
+keeps the offset each lexeme starts at.  A lexeme's `(line, col)` is computed
+only where a `pos` or a `ParseError` keeps one, in one call.
 
-Parsing is deterministic recursive descent.  Errors carry line/column and
+Parsing is deterministic recursive descent.  The rules most tokens pass
+through read their fixed token shapes by index, each token checked before the
+next is read; the others take a token at a time.  Errors carry line/column and
 the expected-token set; the parser resynchronises at the next top-level
 keyword so several errors can be reported in one pass.
 
@@ -91,14 +93,16 @@ class ParseError(Exception):
         return msg
 
 
-class Lexemes(list):
-    """The lexemes of a text, ending with "" for eof; `starts` holds the
-    offset each starts at (the text's length for eof), `newlines` -1 and then
-    the offset of each line break."""
+class Lexemes:
+    """The lexemes of a text, ending with "" for eof, as a plain list `tokens`;
+    `starts` holds the offset each starts at (the text's length for eof),
+    `newlines` -1 and then the offset of each line break."""
 
-    def __init__(self, lexemes: list, starts: list, newlines: list):
-        super().__init__(lexemes)
-        self.starts, self.newlines = starts, newlines
+    def __init__(self, tokens: list, starts: list, newlines: list):
+        self.tokens, self.starts, self.newlines = tokens, starts, newlines
+
+    def __len__(self) -> int:
+        return len(self.tokens)
 
     def pos(self, i: int) -> Pos:
         """The (line, col) of the i-th lexeme."""
@@ -119,7 +123,7 @@ def tokenize(text: str) -> Lexemes:
     starts = list(accumulate(map(len, parts)))[0::2]  # where each gap ends
     newlines = [-1, *(m.start() for m in re.finditer("\n", text))]
     lexemes = Lexemes(parts[1::2], starts, newlines)
-    lexemes.append("")
+    lexemes.tokens.append("")
     gaps = parts[0::2]
     blanks = "".join(gaps)
     if blanks and not blanks.isspace():
@@ -251,10 +255,8 @@ def default_session(bindings) -> str:
 
 class _Parser:
     def __init__(self, lexemes: Lexemes):
-        self.lexemes = lexemes
-        # CPython indexes an exact `list` faster than a subclass of one
-        self.tokens = list(lexemes)
-        self.names = set(filter(_is_name, set(lexemes)))  # what `ident` takes
+        self.tokens, self.starts, self.newlines = lexemes.tokens, lexemes.starts, lexemes.newlines
+        self.names = set(filter(_is_name, set(self.tokens)))  # what `ident` takes
         self.roles: dict = {}  # name -> core.Role, each built once
         self.sorts: dict = {}  # name -> bare core.Sort, each built once
         self.i = 0
@@ -271,7 +273,9 @@ class _Parser:
 
     def pos(self, back: int = 0) -> Pos:
         """The (line, col) of the next token, or of the one `back` before it."""
-        return self.lexemes.pos(self.i - back)
+        offset = self.starts[self.i - back]
+        line = bisect_right(self.newlines, offset)
+        return line, offset - self.newlines[line - 1]
 
     def accept(self, text: str) -> Optional[str]:
         if self.tokens[self.i] == text:
@@ -281,6 +285,11 @@ class _Parser:
 
     def unexpected(self, *expected: str):
         raise ParseError(*self.pos(), f"unexpected {self.peek()!r}", expected)
+
+    def fail(self, i: int, *expected: str):
+        """`unexpected` at token i, where parsing then resumes."""
+        self.i = i
+        self.unexpected(*expected)
 
     def expect(self, text: str) -> str:
         if self.tokens[self.i] != text:
@@ -295,10 +304,12 @@ class _Parser:
         self.i += 1
         return lexeme
 
-    def role(self) -> core.Role:
-        name = self.ident("role")
+    def role(self, i: int) -> core.Role:
+        name = self.tokens[i]
         role = self.roles.get(name)
         if role is None:
+            if name not in self.names:
+                self.fail(i, "role")
             role = self.roles[name] = core.Role(name)
         return role
 
@@ -328,7 +339,8 @@ class _Parser:
                 # syncing from just after the keyword always makes progress, and
                 # finds the same place as syncing from where the stack ran out,
                 # since no top-level keyword occurs inside a declaration
-                errors.append(ParseError(*self.lexemes.pos(start), "declaration nested too deeply"))
+                errors.append(
+                    ParseError(*self.pos(self.i - start), "declaration nested too deeply"))
                 self.i = start + 1
                 self._sync()
         return ParseResult(SurfaceFile(decls), errors)
@@ -405,24 +417,30 @@ class _Parser:
     def type_expr(self, local: bool):
         """A global type (`A -> B : …`, with protocol references `N[…]`) or,
         when `local`, a declared local type (`A -> B ! …` / `A -> B ? …`)."""
+        tokens, names, i = self.tokens, self.names, self.i
         pos = self.pos()
-        head = self.tokens[self.i]
+        head = tokens[i]
         if head == "end":
-            self.i += 1
+            self.i = i + 1
             return STEnd(pos)
         if head == "rec":
-            self.i += 1
-            var = self.ident("recursion variable")
-            self.expect(".")
-            return STRec(var, self.type_expr(local), pos)
-        name = self.ident("role or recursion variable" if local else "role or protocol name")
-        if self.accept("->"):
-            receiver = self.ident("role")
-            if local:
-                op = self.accept("!") or self.accept("?") or self.unexpected("!", "?")
-            else:
-                op = self.expect(":")
-            return STCom(name, receiver, op, self.branches(local), pos)
+            if tokens[i + 1] not in names:
+                self.fail(i + 1, "recursion variable")
+            if tokens[i + 2] != ".":
+                self.fail(i + 2, ".")
+            self.i = i + 3
+            return STRec(tokens[i + 1], self.type_expr(local), pos)
+        if head not in names:
+            self.unexpected("role or recursion variable" if local else "role or protocol name")
+        if tokens[i + 1] == "->":
+            if tokens[i + 2] not in names:
+                self.fail(i + 2, "role")
+            op = tokens[i + 3]
+            if op not in ("!", "?") if local else op != ":":
+                self.fail(i + 3, *(("!", "?") if local else (":",)))
+            self.i = i + 4
+            return STCom(head, tokens[i + 2], op, self.branches(local), pos)
+        self.i = i + 1
         args: list = []
         if not local and self.accept("["):
             while True:
@@ -430,20 +448,26 @@ class _Parser:
                 if not self.accept(","):
                     break
             self.expect("]")
-        return STRef(name, tuple(args), pos)
+        return STRef(head, tuple(args), pos)
 
     def branches(self, local: bool) -> tuple:
-        if self.accept("{"):
-            out = [self.branch(local)]
-            while self.accept(","):
-                out.append(self.branch(local))
-            self.expect("}")
-            return tuple(out)
-        return (self.branch(local),)
+        if self.tokens[self.i] != "{":
+            return (self.branch(local),)
+        self.i += 1
+        out = [self.branch(local)]
+        while self.accept(","):
+            out.append(self.branch(local))
+        self.expect("}")
+        return tuple(out)
 
     def branch(self, local: bool) -> tuple:
-        sort = self.ident("sort name")
-        self.expect(".")
+        tokens, i = self.tokens, self.i
+        sort = tokens[i]
+        if sort not in self.names:
+            self.unexpected("sort name")
+        if tokens[i + 1] != ".":
+            self.fail(i + 1, ".")
+        self.i = i + 2
         return (sort, self.type_expr(local))
 
     # -- processes -----------------------------------------------------------
@@ -469,58 +493,55 @@ class _Parser:
         self.expect("}")
         return ProcDef(name, tuple(bindings), body, pos, constructors)
 
-    def _session_sel(self) -> str:
-        if self.tokens[self.i] == "[":
-            self.i += 1
-            var = self.ident("session variable")
-            self.expect("]")
-            return var
-        return self.default_session
-
     def stmt(self) -> tc.ProcessTerm:
+        tokens, names, i = self.tokens, self.names, self.i
         pos = self.pos()
-        keyword = self.tokens[self.i]
+        keyword = tokens[i]
         if keyword not in _STMT_KEYWORDS:
             self.unexpected(*_STMT_KEYWORDS)
-        self.i += 1
+        i += 1
+        sel = self.default_session
+        if tokens[i] == "[" and keyword in ("send", "recv", "loop", "recur"):
+            sel = tokens[i + 1]
+            if sel not in names:
+                self.fail(i + 1, "session variable")
+            if tokens[i + 2] != "]":
+                self.fail(i + 2, "]")
+            i += 3
         if keyword == "send":
-            sel = self._session_sel()
-            to = self.role()
-            payload = self.new_sort(self.ident("sort name"), pos)
-            if self.accept("("):
+            to = self.role(i)
+            if tokens[i + 1] not in names:
+                self.fail(i + 1, "sort name")
+            payload = self.new_sort(tokens[i + 1], pos)
+            i += 2
+            if tokens[i] == "(":
+                self.i = i + 1
                 payload.args = (self.expr(),)
                 self.expect(")")
-            self.expect(";")
-            cont = self.stmt()
-            return tc.SendT(sel, to, payload, cont, pos)
+                i = self.i
+            if tokens[i] != ";":
+                self.fail(i, ";")
+            self.i = i + 1
+            return tc.SendT(sel, to, payload, self.stmt(), pos)
         if keyword == "recv":
-            sel = self._session_sel()
-            frm = self.role()
-            self.expect("{")
+            frm = self.role(i)
+            if tokens[i + 1] != "{":
+                self.fail(i + 1, "{")
+            self.i = i + 2
             arms = [self.arm()]
             while self.accept(","):
                 arms.append(self.arm())
             self.expect("}")
             return tc.RecvT(sel, frm, tuple(arms), pos)
+        self.i = i
+        if keyword in ("recur", "end"):  # a call below, where a chain had its deepest frame
+            return self.leaf(keyword, sel, pos)
         if keyword == "loop":
-            sel = self._session_sel()
             var = self.ident("loop label")
             self.expect("{")
             body = self.stmt()
             self.expect("}")
             return tc.LoopT(sel, var, body, pos)
-        if keyword == "recur":
-            sel = self._session_sel()
-            var = self.ident("loop label")
-            return tc.RecurT(var, sel, pos)
-        if keyword == "end":
-            results: list = []
-            if self.accept("("):
-                results.append(self.ident("variable"))
-                while self.accept(","):
-                    results.append(self.ident("variable"))
-                self.expect(")")
-            return tc.EndT(tuple(results), pos)
         if keyword == "if":
             cond = self.expr()
             self.expect("then")
@@ -540,16 +561,33 @@ class _Parser:
         cont = self.stmt()
         return tc.LetT(name, value, cont, pos)
 
+    def leaf(self, keyword: str, sel: str, pos: Pos) -> tc.ProcessTerm:
+        if keyword == "recur":
+            return tc.RecurT(self.ident("loop label"), sel, pos)
+        results: list = []
+        if self.accept("("):
+            results.append(self.ident("variable"))
+            while self.accept(","):
+                results.append(self.ident("variable"))
+            self.expect(")")
+        return tc.EndT(tuple(results), pos)
+
     def arm(self) -> tc.RecvArm:
+        tokens, names, i = self.tokens, self.names, self.i
         pos = self.pos()
-        sort = self.ident("sort name")
-        self.expect("(")
-        var = self.tokens[self.i]
-        if var != "_" and var not in self.names:
-            self.unexpected("variable", "_")
-        self.i += 1
-        self.expect(")")
-        self.expect("->")
+        sort = tokens[i]
+        if sort not in names:
+            self.unexpected("sort name")
+        if tokens[i + 1] != "(":
+            self.fail(i + 1, "(")
+        var = tokens[i + 2]
+        if var != "_" and var not in names:
+            self.fail(i + 2, "variable", "_")
+        if tokens[i + 3] != ")":
+            self.fail(i + 3, ")")
+        if tokens[i + 4] != "->":
+            self.fail(i + 4, "->")
+        self.i = i + 5
         return tc.RecvArm(sort, var, self.stmt(), pos)
 
     # -- expressions ---------------------------------------------------------

@@ -468,7 +468,7 @@ def oracle_tokenize(text: str) -> list:
 
 def positioned(tokens: list) -> list:
     """`tokenize`'s lexemes as `oracle_tokenize` gives them: with (line, col)."""
-    return [(lexeme, *tokens.pos(i)) for i, lexeme in enumerate(tokens)]
+    return [(lexeme, *tokens.pos(i)) for i, lexeme in enumerate(tokens.tokens)]
 
 
 def oracle_render_local(t) -> str:

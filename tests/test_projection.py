@@ -300,6 +300,13 @@ class TestMerge:
         with pytest.raises(MergeError):
             merge(a, b)
         assert merge(a, b, union_sends=True) == Send(B, A, ((Ok, END), (Quit, END)))
+        # paired by position, sends agree on sort names only: the merge keeps
+        # the left operand's sorts; only the union compares a shared sort's payloads
+        endpoint = Send(B, A, ((Sort("Aa", EndpointPayload(Role("C"), END)), END),))
+        plain = Send(B, A, ((Sort("Aa"), END),))
+        assert endpoint != plain and merge(endpoint, plain) == endpoint
+        with pytest.raises(MergeError, match="sort Aa has conflicting payloads"):
+            merge(endpoint, plain, union_sends=True)
 
     def test_peer_mismatch_fails(self):
         with pytest.raises(MergeError):

@@ -446,6 +446,22 @@ class TestOneTypeRule:
         # few inputs declare local types, so the small ones get their projections
         declared = [declare_projections(t) for t in texts if len(t) <= 3000]
         texts += declared + cut_and_splice(declared, 600, seed=9)
+        # every token shape a rule reads by index, then a copy for each of its
+        # tokens with that token blanked out and one with it replaced by `;`
+        shapes = (
+            "sort M(int);\nsort N;\n"
+            "global G = rec X . A -> B : { M . X, N . B -> A : N . end };\n"
+            "local G @ A = rec X . A -> B ! { M . X, N . B -> A ? N . end };\n"
+            "proc q plays B in G as s {\n"
+            "  loop L { recv [s] A { M(x) -> send [s] A M(x - 1); recur L,\n"
+            "                        N(_) -> recv A { N(y) -> send A N; end } } }\n"
+            "}\n"
+        )
+        texts.append(shapes)
+        lexemes = tokenize(shapes)
+        for lexeme, start in zip(lexemes.tokens, lexemes.starts):
+            before, after = shapes[:start], shapes[start + len(lexeme):]
+            texts += [before + " " * len(lexeme) + after, before + ";".ljust(len(lexeme)) + after]
         for text in texts:
             try:
                 tokens = tokenize(text)

@@ -15,9 +15,16 @@ and one fold of each role's projection restricts it to every partner at
 once: keyed on each action's peer, it gives the view of each partner the
 role acts with, and the role's *silent view*, with every action erased
 (always `end` or a MergeError), which is its view of every other partner.
-Duality does not depend on argument order, so it is decided once per
-unordered pair, and a pair whose two views are both `end` is dual without
-building state graphs.
+A pair *talks* when either role acts with the other, and only a talking pair
+is judged on its own; duality does not depend on argument order, so it is
+decided once per unordered talking pair, and a pair whose two views are both
+`end` is dual without building state graphs.  Any other pair takes the first
+failure, in the order unprojectable, restriction failed, not dual (r1's on a
+tie), of its two roles' own verdicts, each fixed by the role's projection
+error or silent view.  So g is consistent when its talking pairs are dual
+and every role whose own verdict fails talks with every other, which walks
+the roles and the talking pairs, not all n(n-1) ordered pairs.  The report
+keeps that table and builds each `PairVerdict` only when it is read.
 
 Consistency is a separate, explicitly invoked verdict.  Projection and
 process checking never depend on it: inconsistent-but-projectable protocols
@@ -26,7 +33,7 @@ are still compiled and run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import End, GlobalType, LocalType, Recv, Role, Send
@@ -110,13 +117,41 @@ class PairVerdict:
         return f"pair ({self.r1},{self.r2}): {status}"
 
 
-@dataclass
 class ConsistencyReport:
-    consistent: bool
-    pairs: list = field(default_factory=list)
+    """Every ordered role pair's verdict, in `pairs` by r1 then r2 name.  A
+    report that `consistent` made keeps the table they come from and builds
+    `pairs` on first read; `failing_pairs` and `render` build the failing
+    ones, and none on a consistent report."""
+
+    def __init__(self, consistent: bool, pairs: Optional[list] = None, *, table=None):
+        self.consistent = consistent
+        self._pairs = [] if pairs is None and table is None else pairs
+        self._table = table
+
+    @property
+    def pairs(self) -> list:
+        if self._pairs is None:
+            self._pairs = self._build(every=True)
+        return self._pairs
 
     def failing_pairs(self) -> list:
-        return [p for p in self.pairs if not p.ok]
+        if self._pairs is not None:
+            return [p for p in self._pairs if not p.ok]
+        return [] if self.consistent else self._build(every=False)
+
+    def _build(self, every: bool) -> list:
+        """The table's verdicts in order, on every pair or on the failing ones."""
+        roles, ranks, alone, talk = self._table
+        out: list = []
+        for i, r1 in enumerate(roles):
+            rank, own = ranks[i], alone[i]
+            line = [own if rank <= r else v for r, v in zip(ranks, alone)]
+            for j, v in talk[i].items():
+                line[j] = v
+            del line[i]
+            out += [PairVerdict(r1, r2, ok, reason)
+                    for r2, (ok, reason) in zip(roles[:i] + roles[i + 1:], line) if every or not ok]
+        return out
 
     def render(self) -> str:
         lines = ["consistent" if self.consistent else "inconsistent"]
@@ -149,40 +184,45 @@ def consistent(g: GlobalType, *, projections=None) -> ConsistencyReport:
     if projections is None:
         projections = project_all(g)
     roles = sorted(projections, key=lambda r: r.name)
-    local = [projections[r] for r in roles]
-    errors = [l if isinstance(l, ProjectionError) else None for l in local]
-    # one fold per projected role: its silent view and each partner's view
-    folds = [None if e else _restrictions(l) for l, e in zip(local, errors)]
-
-    def view(i: int, j: int):
-        silent, views = folds[i]
-        return views.get(roles[j].name, silent)
-
-    duals: dict = {}  # (i, j) with i < j -> dual(view(i, j), view(j, i))
-    pairs = []
-    for i, r1 in enumerate(roles):
-        for j, r2 in enumerate(roles):
-            if i == j:
+    index = {r.name: i for i, r in enumerate(roles)}
+    # each role's verdict on every partner it does not talk with, ranked
+    # (unprojectable, restriction failed, not dual, dual): a pair takes the
+    # lower-ranked of its two roles' verdicts, r1's on a tie
+    ranks, alone, folds = [], [], []
+    for r in roles:
+        l = projections[r]
+        fold = None if isinstance(l, ProjectionError) else _restrictions(l)
+        if fold is None:
+            rank, verdict = 0, (False, f"unprojectable: {l}")
+        elif isinstance(fold[0], MergeError):
+            rank, verdict = 1, (False, f"restriction failed: {fold[0].reason}")
+        elif isinstance(fold[0], End):
+            rank, verdict = 3, (True, None)
+        else:  # a silent view that does not end is dual to nothing
+            rank, verdict = 2, (False, "restricted views not dual")
+        ranks.append(rank)
+        alone.append(verdict)
+        folds.append(fold)
+    # each role's verdict on each projectable partner that it or the partner
+    # acts with, judged pair by pair; duality is decided once per such pair
+    talk: list = [{} for _ in roles]
+    for i, fold in enumerate(folds):
+        for name in fold[1] if fold else ():
+            j = index.get(name, i)  # a peer that is no role of g is skipped
+            if j == i or j in talk[i] or folds[j] is None:
                 continue
-            bad = errors[i] or errors[j]
-            if bad is not None:
-                pairs.append(PairVerdict(r1, r2, False, f"unprojectable: {bad}"))
-                continue
-            v1, v2 = view(i, j), view(j, i)
-            failed = v1 if isinstance(v1, MergeError) else v2
-            if isinstance(failed, MergeError):
-                pairs.append(
-                    PairVerdict(r1, r2, False, f"restriction failed: {failed.reason}")
-                )
-                continue
-            key = (i, j) if i < j else (j, i)
-            ok = duals.get(key)
-            if ok is None:
-                ok = duals[key] = (
-                    isinstance(v1, End) and isinstance(v2, End)
-                ) or dual(v1, v2)
-            if ok:
-                pairs.append(PairVerdict(r1, r2, True))
+            v1, v2 = fold[1][name], folds[j][1].get(roles[i].name, folds[j][0])
+            if isinstance(v1, MergeError) or isinstance(v2, MergeError):
+                first = v1 if isinstance(v1, MergeError) else v2
+                second = v2 if isinstance(v2, MergeError) else v1
+                talk[i][j] = (False, f"restriction failed: {first.reason}")
+                talk[j][i] = (False, f"restriction failed: {second.reason}")
+            elif (isinstance(v1, End) and isinstance(v2, End)) or dual(v1, v2):
+                talk[i][j] = talk[j][i] = (True, None)
             else:
-                pairs.append(PairVerdict(r1, r2, False, "restricted views not dual"))
-    return ConsistencyReport(all(p.ok for p in pairs), pairs)
+                talk[i][j] = talk[j][i] = (False, "restricted views not dual")
+    # a role whose own verdict fails fails every pair it does not talk in
+    ok = all(v[0] for row in talk for v in row.values()) and all(
+        rank == 3 or len(row) == len(roles) - 1 for rank, row in zip(ranks, talk)
+    )
+    return ConsistencyReport(ok, table=(roles, ranks, alone, talk))

@@ -314,11 +314,12 @@ class Violation:
 
 def path_text(path) -> str:
     """Render a path kept as nested (parent, step) pairs from the root
-    (None): step None is `.body`, an int i is `.branches[i]`."""
+    (None): step None is `.body`, an int i is `.branches[i]` and a str is
+    itself."""
     steps = []
     while path is not None:
         path, step = path
-        steps.append(".body" if step is None else f".branches[{step}]")
+        steps.append(step if type(step) is str else ".body" if step is None else f".branches[{step}]")
     return "$" + "".join(reversed(steps))
 
 

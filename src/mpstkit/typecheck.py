@@ -37,6 +37,7 @@ from .core import (
     Role,
     Send,
     Sort,
+    path_text,
     roles_of,
     well_formed,
 )
@@ -44,6 +45,9 @@ from .fsm import StateGraph
 from .projection import ProjectionError
 
 Pos = Optional[tuple]  # (line, col)
+# a term's place as nested (parent, step) pairs from the root (None), each
+# step the text it appends: rendered by core.path_text only for a Diagnostic
+TermPath = Optional[tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +288,16 @@ class Checker:
         self,
         cls: ErrorClass,
         message: str,
-        path: str,
+        path: TermPath,
         pos: Pos,
         expected: Optional[str] = None,
         found: Optional[str] = None,
     ) -> None:
-        self.diags.append(Diagnostic(cls, message, path, pos, expected, found))
+        self.diags.append(Diagnostic(cls, message, path_text(path), pos, expected, found))
 
     # -- expressions -------------------------------------------------------
 
-    def expr_type(self, env: TypingEnv, e: Expr, path: str):
+    def expr_type(self, env: TypingEnv, e: Expr, path: TermPath):
         """Type of a data expression; session variables are rejected here
         (they are only meaningful as delegation payloads)."""
         spine = []  # the left spine of `-` and `<`: a long chain must not recurse per term
@@ -316,7 +320,7 @@ class Checker:
             t = T_INT if isinstance(node, Sub) else T_BOOL
         return t
 
-    def _atom_type(self, env: TypingEnv, e: Expr, path: str):
+    def _atom_type(self, env: TypingEnv, e: Expr, path: TermPath):
         if isinstance(e, IntLit):
             return T_INT
         if isinstance(e, StrLit):
@@ -380,7 +384,7 @@ class Checker:
             return e.sort
         raise TypeError(f"unknown expression node: {e!r}")
 
-    def _check_sort_args(self, env: TypingEnv, e: NewSort, path: str) -> None:
+    def _check_sort_args(self, env: TypingEnv, e: NewSort, path: TermPath) -> None:
         schema = e.sort.payload
         if schema == PAYLOAD_NONE:
             if e.args:
@@ -423,7 +427,7 @@ class Checker:
 
     # -- session variable access -------------------------------------------
 
-    def _session(self, env: TypingEnv, var: str, path: str, pos: Pos) -> _Live:
+    def _session(self, env: TypingEnv, var: str, path: TermPath, pos: Pos) -> _Live:
         """Look up a live session, reporting and recovering from misuse.
 
         Using a name that was aliased away steals the state back from the
@@ -457,7 +461,7 @@ class Checker:
     def _names_session(env: TypingEnv, e: Expr) -> bool:
         return isinstance(e, VarRef) and (e.name in env.sessions or e.name in env.dead)
 
-    def _match_payload(self, env: TypingEnv, term: SendT, state: _Live, h: int, path: str):
+    def _match_payload(self, env: TypingEnv, term: SendT, state: _Live, h: int, path: TermPath):
         """Resolve the send's payload against the branches of Send node h.
 
         Returns the chosen branch's child node, or None after reporting.  A
@@ -512,7 +516,7 @@ class Checker:
 
     # -- terms ---------------------------------------------------------------
 
-    def check(self, env: TypingEnv, term: ProcessTerm, path: str = "$") -> None:
+    def check(self, env: TypingEnv, term: ProcessTerm, path: TermPath = None) -> None:
         """Check a term depth-first with an explicit stack.  Each step returns
         its successors in order: (env, term, path) items to check next and
         diagnostics to report between them."""
@@ -536,7 +540,7 @@ class Checker:
                 raise TypeError(f"unknown process term: {term!r}")
             work.extend(reversed(steps[type(term)](env, term, path)))
 
-    def _check_if(self, env: TypingEnv, term: IfT, path: str) -> list:
+    def _check_if(self, env: TypingEnv, term: IfT, path: TermPath) -> list:
         t = self.expr_type(env, term.cond, path)
         if t is not None and t != T_BOOL:
             self._err(
@@ -548,11 +552,11 @@ class Checker:
                 found=str(t),
             )
         return [
-            (env.copy(), term.then, f"{path}.then"),
-            (env.copy(), term.els, f"{path}.else"),
+            (env.copy(), term.then, (path, ".then")),
+            (env.copy(), term.els, (path, ".else")),
         ]
 
-    def _check_send(self, env: TypingEnv, term: SendT, path: str) -> list:
+    def _check_send(self, env: TypingEnv, term: SendT, path: TermPath) -> list:
         state = self._session(env, term.session, path, term.pos)
         if state.graph is not None:
             h = self._head(state, Send, term.to, path, term.pos, f"send to {term.to}")
@@ -562,9 +566,9 @@ class Checker:
             else:
                 state = _Live(state.role, state.graph, child, state.loops)
         env.sessions[term.session] = state
-        return [(env, term.cont, f"{path}.cont")]
+        return [(env, term.cont, (path, ".cont"))]
 
-    def _head(self, state: _Live, want: type, peer: Role, path: str, pos: Pos, doing: str):
+    def _head(self, state: _Live, want: type, peer: Role, path: TermPath, pos: Pos, doing: str):
         """Head node of the session's type when it is a `want` (Send or Recv)
         exchanging with `peer`, else None after reporting.  `doing` names the
         process's action in diagnostics."""
@@ -597,11 +601,11 @@ class Checker:
             return None
         return h
 
-    def _check_recv(self, env: TypingEnv, term: RecvT, path: str) -> list:
+    def _check_recv(self, env: TypingEnv, term: RecvT, path: TermPath) -> list:
         state = self._session(env, term.session, path, term.pos)
         g = state.graph
         if g is None:
-            return [(env.copy(), arm.cont, f"{path}.{arm.sort_name}") for arm in term.branches]
+            return [(env.copy(), arm.cont, (path, f".{arm.sort_name}")) for arm in term.branches]
         h = self._head(state, Recv, term.frm, path, term.pos, f"receive from {term.frm}")
         if h is None:
             return []
@@ -620,13 +624,13 @@ class Checker:
             )
         out = []
         for arm in term.branches:
-            arm_path = f"{path}.{arm.sort_name}"
+            arm_path = (path, f".{arm.sort_name}")
             if arm.sort_name not in offered:
                 out.append(
                     Diagnostic(
                         ErrorClass.WRONG_SORT,
                         "receive branch for a sort the protocol does not offer",
-                        arm_path,
+                        path_text(arm_path),
                         arm.pos,
                         expected=f"one of [{', '.join(offered)}]",
                         found=arm.sort_name,
@@ -649,7 +653,7 @@ class Checker:
                     Diagnostic(
                         ErrorClass.LINEARITY_REUSE,
                         "a received endpoint must be bound, not discarded",
-                        arm_path,
+                        path_text(arm_path),
                         arm.pos,
                     )
                 )
@@ -657,7 +661,7 @@ class Checker:
             out.append((arm_env, arm.cont, arm_path))
         return out
 
-    def _check_loop(self, env: TypingEnv, term: LoopT, path: str) -> list:
+    def _check_loop(self, env: TypingEnv, term: LoopT, path: TermPath) -> list:
         state = self._session(env, term.session, path, term.pos)
         g = state.graph
         if g is not None:
@@ -683,9 +687,9 @@ class Checker:
                 )
                 state = _Live(state.role, None, state.node, state.loops)
         env.sessions[term.session] = state
-        return [(env, term.body, f"{path}.loop({term.recur_var})")]
+        return [(env, term.body, (path, f".loop({term.recur_var})"))]
 
-    def _check_recur(self, env: TypingEnv, term: RecurT, path: str) -> list:
+    def _check_recur(self, env: TypingEnv, term: RecurT, path: TermPath) -> list:
         if term.session in env.dead:
             self._err(
                 ErrorClass.WRONG_RECURSIVE_TYPE,
@@ -751,7 +755,7 @@ class Checker:
                 )
         return []
 
-    def _check_end(self, env: TypingEnv, term: EndT, path: str) -> list:
+    def _check_end(self, env: TypingEnv, term: EndT, path: TermPath) -> list:
         for v in term.results:
             if v not in env.sessions and v not in env.dead:
                 self._err(
@@ -773,7 +777,7 @@ class Checker:
                 )
         return []
 
-    def _check_let(self, env: TypingEnv, term: LetT, path: str) -> list:
+    def _check_let(self, env: TypingEnv, term: LetT, path: TermPath) -> list:
         value = term.value
         if isinstance(value, VarRef) and value.name in env.sessions:
             # aliasing a session transfers ownership; the old name is dead
@@ -792,7 +796,7 @@ class Checker:
                 )
             elif t is not None:
                 env.data[term.name] = t
-        return [(env, term.cont, f"{path}.let({term.name})")]
+        return [(env, term.cont, (path, f".let({term.name})"))]
 
 
 def check_expr(env: TypingEnv, e: Expr):
@@ -801,7 +805,7 @@ def check_expr(env: TypingEnv, e: Expr):
         state = env.sessions[e.name]
         return EndpointType(state.role, state.type), []
     ch = Checker()
-    return ch.expr_type(env, e, "$"), ch.diags
+    return ch.expr_type(env, e, None), ch.diags
 
 
 def check_process(env: TypingEnv, term: ProcessTerm) -> list:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mpstkit import cli, consistency, projection
-from mpstkit.consistency import consistent, dual, restrict_to_partner
+from mpstkit.consistency import ConsistencyReport, PairVerdict, consistent, dual, restrict_to_partner
 from mpstkit.core import (
     Com,
     END,
@@ -351,6 +351,22 @@ class TestSharedWork:
             ("C", "B", None),
         ]
 
+    def test_a_silent_view_that_does_not_end_is_dual_to_nothing(self):
+        # a given projection that only recurs on a free variable acts with
+        # no one, and its silent view is that recursion
+        assert self._verdicts({
+            A: Send(A, B, ((Ok, END),)),
+            B: Recv(A, B, ((Ok, END),)),
+            C: Recur(RecVar("X")),
+        }) == [
+            ("A", "B", None),
+            ("A", "C", "restricted views not dual"),
+            ("B", "A", None),
+            ("B", "C", "restricted views not dual"),
+            ("C", "A", "restricted views not dual"),
+            ("C", "B", "restricted views not dual"),
+        ]
+
     def test_first_role_of_the_pair_reports_its_restriction(self):
         x, y = RecVar("X"), RecVar("Y")
         left, right = Sort("L"), Sort("R")
@@ -368,6 +384,26 @@ class TestSharedWork:
             ("B", "C", None),
             ("C", "A", "restricted views not dual"),
             ("C", "B", None),
+        ]
+
+    def test_each_role_of_a_talking_pair_reports_its_own_restriction(self):
+        # A and B talk, and each one's view of the other fails for its own reason
+        x, y = RecVar("X"), RecVar("Y")
+        left, right = Sort("L"), Sort("R")
+        assert self._verdicts({
+            A: Loop(x, Loop(y, Send(A, C, (
+                (left, Send(A, B, ((Ok, Recur(x)),))),
+                (right, Send(A, B, ((Ok, Recur(y)),))),
+            )))),
+            B: Loop(x, Recv(C, B, ((left, Recv(A, B, ((Ok, Recur(x)),))), (right, END)))),
+            C: END,
+        }) == [
+            ("A", "B", "restriction failed: different recursion variables"),
+            ("A", "C", "restricted views not dual"),
+            ("B", "A", "restriction failed: incompatible constructors"),
+            ("B", "C", "restricted views not dual"),
+            ("C", "A", "restricted views not dual"),
+            ("C", "B", "restricted views not dual"),
         ]
 
     def test_partners_come_from_the_global_type(self, monkeypatch):
@@ -472,3 +508,94 @@ class TestSharedWork:
             assert reasons[r1, r2] == reasons[r2, r1] == (
                 "restriction failed: incompatible constructors"
             )
+
+
+class TestVerdictClasses:
+    """`consistent` judges each talking pair on its own and every other pair
+    by its two roles' silent views or projection errors, and the report
+    builds `PairVerdict`s only when they are read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The roles of each `PairVerdict` built while the test runs."""
+        made: list = []
+
+        class Counted(PairVerdict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((self.r1, self.r2))
+
+        monkeypatch.setattr(consistency, "PairVerdict", Counted)
+        return made
+
+    def test_a_consistent_ring_builds_verdicts_only_when_read(self, monkeypatch, built):
+        counts = {"dual": 0}
+
+        def count_dual(a, b, fn=dual):
+            counts["dual"] += 1
+            return fn(a, b)
+
+        monkeypatch.setattr(consistency, "dual", count_dual)
+        n = 320
+        pf = TestSharedWork._ring(n)
+        report = consistent(pf.concrete["Ring"], projections=pf.projections("Ring"))
+        assert report.consistent and report.render() == "consistent"
+        assert report.failing_pairs() == [] and built == []
+        assert counts["dual"] <= n
+        pairs = report.pairs
+        assert len(built) == len(pairs) == n * (n - 1) and report.pairs is pairs
+        assert all(p.ok for p in pairs) and len(built) == n * (n - 1)
+
+    def test_failing_pairs_builds_only_the_failing(self, built):
+        n = 40
+        g = load_text(token_ring_text(n, with_exit=True)).concrete["Ring"]
+        report = consistent(g)
+        assert not report.consistent and built == []
+        want = oracle_consistent(g)
+        failing = report.failing_pairs()
+        assert self._fields(failing) == self._fields(want.failing_pairs())
+        assert len(built) == len(failing) < n * (n - 1)
+        assert report.render() == want.render() and len(built) == 2 * len(failing)
+        assert self._fields(report.pairs) == self._fields(want.pairs)
+        assert len(built) == 2 * len(failing) + n * (n - 1)
+
+    @staticmethod
+    def _fields(pairs) -> list:
+        return [(p.r1, p.r2, p.ok, p.reason) for p in pairs]
+
+    @pytest.mark.parametrize("with_exit", [False, True])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rings_agree_with_oracle(self, n, with_exit):
+        self._agree(token_ring_global(n, with_exit))
+
+    def test_unprojectable_roles_agree_with_oracle(self):
+        # C and E never hear A's choice but send in one branch, and a ring
+        # with an exit follows either branch, which the roles outside it
+        # cannot project; a pair takes r1's projection error first
+        e, ring = Role("E"), token_ring_global(4, with_exit=True)
+        g = Com(A, B, ((Ok, Com(C, A, ((Ok, Com(e, A, ((Ok, ring),))),))), (Quit, ring)))
+        report = self._agree(g)
+        bad = {r.name for r, l in projection.project_all(g).items() if isinstance(l, ProjectionError)}
+        assert bad == {"A", "B", "C", "E"}
+        assert len(report.pairs) == 8 * 7
+        for p in report.pairs:
+            first = next((r for r in (p.r1.name, p.r2.name) if r in bad), None)
+            if first is not None:
+                assert p.reason.startswith(f"unprojectable: global type is not projectable onto {first} ")
+
+    def test_a_report_from_a_list_reads_that_list(self, built):
+        g = load_text(token_ring_text(4, with_exit=True)).concrete["Ring"]
+        pairs = list(oracle_consistent(g).pairs)
+        report = ConsistencyReport(False, pairs)
+        assert report.pairs is pairs
+        assert report.failing_pairs() == [p for p in pairs if not p.ok]
+        assert report.render() == consistent(g).render() and report.to_json() == consistent(g).to_json()
+        assert ConsistencyReport(True).pairs == [] and ConsistencyReport(True).render() == "consistent"
+
+    @staticmethod
+    def _agree(g):
+        report, want = consistent(g), oracle_consistent(g)
+        assert report.consistent == want.consistent
+        assert report.render() == want.render()
+        assert report.to_json() == want.to_json()
+        return report

@@ -9,12 +9,15 @@ this checkout's `benchmark/inputs.py` generates them; generated texts are
 written to a temporary directory, so nothing under `benchmark/` is touched.
 
 First, `cli.load_file` of each input must give a `repr`-identical result in
-both (the surface file and the elaborated protocols, positions included);
-the script stops at the first input where they differ.  Then, per input and
+both (the surface file and the elaborated protocols, positions included),
+and the check operation below an equal `CheckOutcome.to_json()`; the script
+stops at the first input where they differ.  Then, per input and
 for `rounds` rounds, it times A and B in turn, swapping which goes first
 each round:
 
 - `load`: one `cli.load_file`;
+- `check`: what the benchmark's check operation does, `load_file` and then
+  `check_protocol_file` with consistency, as `check --consistency` does;
 - `fsm`: what the benchmark's FSM operation does, `load_file`, `project`,
   `interpret` and `to_dot`, on one (protocol, role) pair of the input,
   taking its pairs in turn from round to round.
@@ -60,6 +63,14 @@ def import_inputs():
     return inputs
 
 
+def check_op(tk, path: str):
+    """The benchmark's check operation on one input."""
+    pf, errors = tk.cli.load_file(path)
+    if errors:
+        return errors
+    return tk.cli.check_protocol_file(pf, path, True)
+
+
 def fsm_op(tk, path: str, proto: str, role: str):
     """The benchmark's FSM operation on one (protocol, role) pair."""
     pf, errors = tk.cli.load_file(path)
@@ -101,7 +112,7 @@ def main(argv=None) -> int:
     print(f"{'input':<28}{'op':<6}{'A ms':>9}{'B ms':>9}{'A/B':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
-            totals = {"load": [0.0, 0.0], "fsm": [0.0, 0.0]}
+            totals = {"load": [0.0, 0.0], "check": [0.0, 0.0], "fsm": [0.0, 0.0]}
             for f in inputs.family(workload, args.seed, ROOT):
                 if f.path is None:
                     path = Path(tmp) / f"{workload}-{f.name}.mpst"
@@ -114,6 +125,9 @@ def main(argv=None) -> int:
                 if repr((pf_a, errors_a)) != repr((pf_b, errors_b)):
                     print(f"{workload}/{f.name}: load_file results differ", file=sys.stderr)
                     return 1
+                if not errors_a and check_op(a, path).to_json() != check_op(b, path).to_json():
+                    print(f"{workload}/{f.name}: check outcomes differ", file=sys.stderr)
+                    return 1
                 pairs = sorted(
                     (proto, role.name)
                     for proto, g in (pf_a.concrete.items() if pf_a else ())
@@ -121,6 +135,7 @@ def main(argv=None) -> int:
                 ) or [None]
                 ops = {
                     "load": lambda tk: lambda r: tk.cli.load_file(path),
+                    "check": lambda tk: lambda r: check_op(tk, path),
                     "fsm": lambda tk: lambda r: fsm_op(tk, path, *pairs[r % len(pairs)]),
                 }
                 for op, make in ops.items():

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import End, GlobalType, LocalType, Recv, Role, Send
+from .core import End, GlobalType, LocalType, Loop, Recur, Recv, Role, Send
 from .fsm import StateGraph
 from .projection import MergeError, ProjectionError, erase, project_all
 
@@ -76,31 +76,46 @@ def dual(a: LocalType, b: LocalType) -> bool:
     with equal sort sets and pairwise-dual continuations.
 
     Each view is numbered once as a `StateGraph`, and the walk goes depth
-    first over pairs of their head nodes, visiting each pair once.  A head
-    node's behaviour is fixed by the graph, so two finite graphs stepped
-    pair by pair decide the relation; no state is named up to renaming.
+    first over pairs of their head nodes, visiting each pair once; only a
+    Loop or Recur node is unfolded to its head.  A head node's behaviour is
+    fixed by the graph, so two finite graphs stepped pair by pair decide the
+    relation; no state is named up to renaming.
     """
     ga, gb = StateGraph(a, {}), StateGraph(b, {})
+    na, la, nb, lb = ga.nodes, ga.links, gb.nodes, gb.links
     seen: set = set()
     stack = [(0, 0)]
     while stack:
         x, y = stack.pop()
-        x, y = ga.head(x), gb.head(y)
-        if (x, y) in seen:
+        tx, ty = na[x], nb[y]
+        if type(tx) is Loop or type(tx) is Recur:  # only these unfold
+            x = ga.head(x)
+            tx = na[x]
+        if type(ty) is Loop or type(ty) is Recur:
+            y = gb.head(y)
+            ty = nb[y]
+        pair = (x, y)
+        if pair in seen:
             continue
-        seen.add((x, y))
-        tx, ty = ga.nodes[x], gb.nodes[y]
-        if isinstance(tx, End) and isinstance(ty, End):
+        seen.add(pair)
+        kx, ky = type(tx), type(ty)
+        if kx is End and ky is End:
             continue
-        if {type(tx), type(ty)} != {Send, Recv}:
+        if not (kx is Send and ky is Recv or kx is Recv and ky is Send):
             return False
-        if (tx.sender, tx.receiver) != (ty.sender, ty.receiver):
+        if tx.sender.name != ty.sender.name or tx.receiver.name != ty.receiver.name:
             return False
-        xs = {n.name: k for (n, _), k in zip(tx.branches, ga.links[x])}
-        ys = {n.name: k for (n, _), k in zip(ty.branches, gb.links[y])}
+        bx, by = tx.branches, ty.branches
+        if len(bx) == 1 and len(by) == 1:
+            if bx[0][0].name != by[0][0].name:
+                return False
+            stack.append((la[x][0], lb[y][0]))
+            continue
+        xs = {n.name: k for (n, _), k in zip(bx, la[x])}
+        ys = {n.name: k for (n, _), k in zip(by, lb[y])}
         if xs.keys() != ys.keys():
             return False
-        sender = xs if isinstance(tx, Send) else ys
+        sender = xs if kx is Send else ys
         stack.extend((xs[n], ys[n]) for n in reversed(sender))
     return True
 

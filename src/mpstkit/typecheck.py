@@ -3,9 +3,14 @@
 A process term is the elaborated form of a `.mpst` process: every
 communication action names the session variable it acts on, and that name
 then stands for the successor endpoint, as an endpoint handle is consumed and
-replaced at run time.  The checker walks the term with an explicit stack and
-a typing environment that maps session variables to a role and a node of
-their local type's `fsm.StateGraph`, and data variables to value types.
+replaced at run time.  The checker walks the term with a typing environment
+that maps session variables to a role and a node of their local type's
+`fsm.StateGraph`, and data variables to value types.  A step with a single
+successor goes on in place, in the same environment; only branch points (a
+receive with several arms, an `if`) put their successors on an explicit work
+list, and a receive copies the environment once per extra arm, the last arm
+taking the step's own.  A step decides the case where nothing is wrong with
+inline tests and calls a helper only to report a failure and recover.
 
 Session variables are linear: a delegation or an alias kills the name.  Sends
 may implement any single offered branch; receives must implement all of
@@ -38,7 +43,6 @@ from .core import (
     Send,
     Sort,
     path_text,
-    roles_of,
     well_formed,
 )
 from .fsm import StateGraph
@@ -428,7 +432,8 @@ class Checker:
     # -- session variable access -------------------------------------------
 
     def _session(self, env: TypingEnv, var: str, path: TermPath, pos: Pos) -> _Live:
-        """Look up a live session, reporting and recovering from misuse.
+        """Look up a session, reporting and recovering from misuse; a step
+        finds a live one in `env.sessions` itself and calls this otherwise.
 
         Using a name that was aliased away steals the state back from the
         live alias (the alias becomes dead), so checking can continue and
@@ -454,6 +459,35 @@ class Checker:
             )
         env.sessions[var] = _Live(Role("Unknown"), None)
         return env.sessions[var]
+
+    def _bad_head(self, g: StateGraph, h: int, want: type, peer: Role, path: TermPath, pos: Pos,
+                  doing: str) -> None:
+        """Report why head node h of a session's graph does not allow the
+        process's action: it is no `want` (Send or Recv), or it exchanges
+        with another role than `peer`.  `doing` names the action."""
+        ty = g.nodes[h]
+        if not isinstance(ty, want):
+            act = "send" if want is Send else "receive"
+            kind = {Send: "send", Recv: "receive"}.get(type(ty), "termination")
+            self._err(
+                ErrorClass.WRONG_ACTION_KIND,
+                f"protocol does not allow a {act} here",
+                path,
+                pos,
+                expected=f"a {kind} ({g.term(h)})",
+                found=doing,
+            )
+        else:
+            other = ty.receiver if want is Send else ty.sender
+            wrong = "send addressed to" if want is Send else "receive awaits"
+            self._err(
+                ErrorClass.WRONG_PEER,
+                f"{wrong} the wrong role",
+                path,
+                pos,
+                expected=str(other),
+                found=str(peer),
+            )
 
     # -- payload matching ---------------------------------------------------
 
@@ -517,9 +551,12 @@ class Checker:
     # -- terms ---------------------------------------------------------------
 
     def check(self, env: TypingEnv, term: ProcessTerm, path: TermPath = None) -> None:
-        """Check a term depth-first with an explicit stack.  Each step returns
-        its successors in order: (env, term, path) items to check next and
-        diagnostics to report between them."""
+        """Check a term depth-first.  Each step returns what follows it: None,
+        the one (env, term, path) to check next, which goes on in place, or
+        at a branch point a list of such items in order, with diagnostics to
+        report between them, which goes on the work list.  A branch point
+        copies the environment once per extra successor: its last takes the
+        step's own."""
         steps = {
             SendT: self._check_send,
             RecvT: self._check_recv,
@@ -529,16 +566,25 @@ class Checker:
             IfT: self._check_if,
             LetT: self._check_let,
         }
-        work: list = [(env, term, path)]
-        while work:
-            item = work.pop()
-            if isinstance(item, Diagnostic):
-                self.diags.append(item)
-                continue
-            env, term, path = item
-            if type(term) not in steps:
+        work: list = []
+        while True:
+            step = steps.get(type(term))
+            if step is None:
                 raise TypeError(f"unknown process term: {term!r}")
-            work.extend(reversed(steps[type(term)](env, term, path)))
+            out = step(env, term, path)
+            if type(out) is tuple:
+                env, term, path = out
+                continue
+            if out:
+                work += reversed(out)
+            while work:
+                item = work.pop()
+                if type(item) is tuple:
+                    env, term, path = item
+                    break
+                self.diags.append(item)
+            else:
+                return
 
     def _check_if(self, env: TypingEnv, term: IfT, path: TermPath) -> list:
         t = self.expr_type(env, term.cond, path)
@@ -551,67 +597,69 @@ class Checker:
                 expected=T_BOOL,
                 found=str(t),
             )
-        return [
-            (env.copy(), term.then, (path, ".then")),
-            (env.copy(), term.els, (path, ".else")),
-        ]
+        return [(env.copy(), term.then, (path, ".then")), (env, term.els, (path, ".else"))]
 
-    def _check_send(self, env: TypingEnv, term: SendT, path: TermPath) -> list:
-        state = self._session(env, term.session, path, term.pos)
-        if state.graph is not None:
-            h = self._head(state, Send, term.to, path, term.pos, f"send to {term.to}")
-            child = None if h is None else self._match_payload(env, term, state, h, path)
+    def _check_send(self, env: TypingEnv, term: SendT, path: TermPath):
+        var = term.session
+        state = env.sessions.get(var)
+        if state is None:
+            state = self._session(env, var, path, term.pos)
+        g = state.graph
+        if g is not None:
+            h = state.node
+            ty = g.nodes[h]
+            if type(ty) is not Send:
+                h = g.head(h)
+                ty = g.nodes[h]
+            child = None
+            if type(ty) is not Send or ty.receiver.name != term.to.name:
+                self._bad_head(g, h, Send, term.to, path, term.pos, f"send to {term.to}")
+            else:
+                e = term.payload
+                if not e.args and e.sort.payload == PAYLOAD_NONE:
+                    name = e.sort.name
+                    for (s, _), k in zip(ty.branches, g.links[h]):
+                        if s.name == name:
+                            child = k
+                            break
+                if child is None:
+                    child = self._match_payload(env, term, state, h, path)
             if child is None:
                 state = _Live(state.role, None, state.node, state.loops)
             else:
-                state = _Live(state.role, state.graph, child, state.loops)
-        env.sessions[term.session] = state
-        return [(env, term.cont, (path, ".cont"))]
+                state = _Live(state.role, g, child, state.loops)
+        env.sessions[var] = state
+        return env, term.cont, (path, ".cont")
 
-    def _head(self, state: _Live, want: type, peer: Role, path: TermPath, pos: Pos, doing: str):
-        """Head node of the session's type when it is a `want` (Send or Recv)
-        exchanging with `peer`, else None after reporting.  `doing` names the
-        process's action in diagnostics."""
+    def _check_recv(self, env: TypingEnv, term: RecvT, path: TermPath):
+        var, arms = term.session, term.branches
+        state = env.sessions.get(var)
+        if state is None:
+            state = self._session(env, var, path, term.pos)
         g = state.graph
-        h = g.head(state.node)
+        if g is None:  # each arm in a copy of env, but the last in env itself
+            last = len(arms) - 1
+            return [(env if i == last else env.copy(), arm.cont, (path, f".{arm.sort_name}"))
+                    for i, arm in enumerate(arms)]
+        h = state.node
         ty = g.nodes[h]
-        act = "send" if want is Send else "receive"
-        if not isinstance(ty, want):
-            kind = {Send: "send", Recv: "receive"}.get(type(ty), "termination")
-            self._err(
-                ErrorClass.WRONG_ACTION_KIND,
-                f"protocol does not allow a {act} here",
-                path,
-                pos,
-                expected=f"a {kind} ({g.term(h)})",
-                found=doing,
-            )
-            return None
-        other = ty.receiver if want is Send else ty.sender
-        if other != peer:
-            wrong = "send addressed to" if want is Send else "receive awaits"
-            self._err(
-                ErrorClass.WRONG_PEER,
-                f"{wrong} the wrong role",
-                path,
-                pos,
-                expected=str(other),
-                found=str(peer),
-            )
-            return None
-        return h
-
-    def _check_recv(self, env: TypingEnv, term: RecvT, path: TermPath) -> list:
-        state = self._session(env, term.session, path, term.pos)
-        g = state.graph
-        if g is None:
-            return [(env.copy(), arm.cont, (path, f".{arm.sort_name}")) for arm in term.branches]
-        h = self._head(state, Recv, term.frm, path, term.pos, f"receive from {term.frm}")
-        if h is None:
-            return []
-        ty = g.nodes[h]
-        offered = {s.name: (s, k) for (s, _), k in zip(ty.branches, g.links[h])}
-        supplied = {arm.sort_name for arm in term.branches}
+        if type(ty) is not Recv:
+            h = g.head(h)
+            ty = g.nodes[h]
+        if type(ty) is not Recv or ty.sender.name != term.frm.name:
+            self._bad_head(g, h, Recv, term.frm, path, term.pos, f"receive from {term.frm}")
+            return
+        branches, kids = ty.branches, g.links[h]
+        if len(arms) == 1 and len(branches) == 1 and arms[0].sort_name == branches[0][0].name:
+            arm = arms[0]
+            arm_path = (path, f".{arm.sort_name}")
+            wrong = self._bind(env, arm, branches[0][0], arm_path)
+            if wrong is not None:
+                self.diags.append(wrong)
+            env.sessions[var] = _Live(state.role, g, kids[0], state.loops)
+            return env, arm.cont, arm_path
+        offered = {s.name: (s, k) for (s, _), k in zip(branches, kids)}
+        supplied = {arm.sort_name for arm in arms}
         missing = [n for n in offered if n not in supplied]
         if missing:
             self._err(
@@ -622,8 +670,10 @@ class Checker:
                 expected=f"branches for [{', '.join(offered)}]",
                 found=f"missing [{', '.join(missing)}]",
             )
+        # the last arm that goes on takes env itself, after the others copied it
+        last = max((i for i, arm in enumerate(arms) if arm.sort_name in offered), default=-1)
         out = []
-        for arm in term.branches:
+        for i, arm in enumerate(arms):
             arm_path = (path, f".{arm.sort_name}")
             if arm.sort_name not in offered:
                 out.append(
@@ -638,31 +688,38 @@ class Checker:
                 )
                 continue
             srt, child = offered[arm.sort_name]
-            arm_env = env.copy()
-            schema = srt.payload
-            if arm.payload_var != "_":
-                if isinstance(schema, EndpointPayload):
-                    arm_env.sessions[arm.payload_var] = _Live(
-                        schema.role, StateGraph(schema.local, self.cons)
-                    )
-                    arm_env.dead.pop(arm.payload_var, None)
-                else:
-                    arm_env.data[arm.payload_var] = srt
-            elif isinstance(schema, EndpointPayload):
-                out.append(
-                    Diagnostic(
-                        ErrorClass.LINEARITY_REUSE,
-                        "a received endpoint must be bound, not discarded",
-                        path_text(arm_path),
-                        arm.pos,
-                    )
-                )
-            arm_env.sessions[term.session] = _Live(state.role, g, child, state.loops)
+            arm_env = env if i == last else env.copy()
+            wrong = self._bind(arm_env, arm, srt, arm_path)
+            if wrong is not None:
+                out.append(wrong)
+            arm_env.sessions[var] = _Live(state.role, g, child, state.loops)
             out.append((arm_env, arm.cont, arm_path))
         return out
 
-    def _check_loop(self, env: TypingEnv, term: LoopT, path: TermPath) -> list:
-        state = self._session(env, term.session, path, term.pos)
+    def _bind(self, env: TypingEnv, arm: RecvArm, srt: Sort, path: TermPath) -> Optional[Diagnostic]:
+        """Bind a receive arm's payload variable in env, or return what is
+        wrong with discarding the payload."""
+        schema = srt.payload
+        if arm.payload_var != "_":
+            if isinstance(schema, EndpointPayload):
+                env.sessions[arm.payload_var] = _Live(schema.role, StateGraph(schema.local, self.cons))
+                env.dead.pop(arm.payload_var, None)
+            else:
+                env.data[arm.payload_var] = srt
+        elif isinstance(schema, EndpointPayload):
+            return Diagnostic(
+                ErrorClass.LINEARITY_REUSE,
+                "a received endpoint must be bound, not discarded",
+                path_text(path),
+                arm.pos,
+            )
+        return None
+
+    def _check_loop(self, env: TypingEnv, term: LoopT, path: TermPath):
+        var = term.session
+        state = env.sessions.get(var)
+        if state is None:
+            state = self._session(env, var, path, term.pos)
         g = state.graph
         if g is not None:
             i = state.node
@@ -672,7 +729,7 @@ class Checker:
                 others = tuple(
                     (v, s.graph.closed(s.node))
                     for v, s in sorted(env.sessions.items())
-                    if v != term.session and s.graph is not None
+                    if v != var and s.graph is not None
                 )
                 entry = LoopEntry(term.recur_var, i, others)
                 state = _Live(state.role, g, g.links[i], state.loops + (entry,))
@@ -686,10 +743,10 @@ class Checker:
                     found=f"loop {term.recur_var}",
                 )
                 state = _Live(state.role, None, state.node, state.loops)
-        env.sessions[term.session] = state
-        return [(env, term.body, (path, f".loop({term.recur_var})"))]
+        env.sessions[var] = state
+        return env, term.body, (path, f".loop({term.recur_var})")
 
-    def _check_recur(self, env: TypingEnv, term: RecurT, path: TermPath) -> list:
+    def _check_recur(self, env: TypingEnv, term: RecurT, path: TermPath) -> None:
         if term.session in env.dead:
             self._err(
                 ErrorClass.WRONG_RECURSIVE_TYPE,
@@ -699,7 +756,7 @@ class Checker:
                 path,
                 term.pos,
             )
-            return []
+            return
         if term.session not in env.sessions:
             self._err(
                 ErrorClass.UNBOUND_VARIABLE,
@@ -707,12 +764,12 @@ class Checker:
                 path,
                 term.pos,
             )
-            return []
+            return
         state = env.sessions.pop(term.session)
         env.dead[term.session] = "consumed by recur"
         g = state.graph
         if g is None:
-            return []
+            return
         entry = next((e for e in reversed(state.loops) if e.recur_var == term.recur_var), None)
         if entry is None:
             self._err(
@@ -721,7 +778,7 @@ class Checker:
                 path,
                 term.pos,
             )
-            return []
+            return
         # the loop node itself, or a Recur bound to it, names the loop-entry
         # type by `StateGraph.closed`'s own rule, without walking the term
         node, back = state.node, entry.node
@@ -753,9 +810,8 @@ class Checker:
                     path,
                     term.pos,
                 )
-        return []
 
-    def _check_end(self, env: TypingEnv, term: EndT, path: TermPath) -> list:
+    def _check_end(self, env: TypingEnv, term: EndT, path: TermPath) -> None:
         for v in term.results:
             if v not in env.sessions and v not in env.dead:
                 self._err(
@@ -764,7 +820,8 @@ class Checker:
                     path,
                     term.pos,
                 )
-        for v, state in sorted(env.sessions.items()):
+        live = env.sessions
+        for v, state in sorted(live.items()) if len(live) > 1 else live.items():
             g = state.graph
             if g is not None and not isinstance(g.nodes[g.head(state.node)], End):
                 self._err(
@@ -775,9 +832,8 @@ class Checker:
                     expected="end",
                     found=str(g.term(state.node)),
                 )
-        return []
 
-    def _check_let(self, env: TypingEnv, term: LetT, path: TermPath) -> list:
+    def _check_let(self, env: TypingEnv, term: LetT, path: TermPath):
         value = term.value
         if isinstance(value, VarRef) and value.name in env.sessions:
             # aliasing a session transfers ownership; the old name is dead
@@ -796,7 +852,7 @@ class Checker:
                 )
             elif t is not None:
                 env.data[term.name] = t
-        return [(env, term.cont, (path, f".let({term.name})"))]
+        return env, term.cont, (path, f".let({term.name})")
 
 
 def check_expr(env: TypingEnv, e: Expr):
@@ -852,15 +908,17 @@ class SessionCheckResult:
 def unplayed_roles(protocol_file) -> dict:
     """For each protocol that a process plays, in the order first played: the
     roles of its definition that no process plays, sorted by name, or None
-    when the protocol has no concrete definition (it is generic or unknown)."""
+    when the protocol has no concrete definition (it is generic or unknown).
+    The roles are the keys of the protocol's projection table
+    (`ProtocolFile.projections`), which `check_session` fills anyway."""
     played: dict = {}
     for proc in protocol_file.procs:
         for role, proto_name, _ in proc.bindings:
             played.setdefault(proto_name, set()).add(role)
     out = {}
     for name, roles in played.items():
-        g = protocol_file.concrete.get(name)
-        out[name] = None if g is None else sorted(roles_of(g) - roles, key=lambda r: r.name)
+        every = protocol_file.projections(name) if name in protocol_file.concrete else None
+        out[name] = None if every is None else sorted(every.keys() - roles, key=lambda r: r.name)
     return out
 
 

@@ -1428,6 +1428,433 @@ def mergeable_pair(rng: random.Random, merged):
 
 
 # ---------------------------------------------------------------------------
+# The process checker's steps as they were before they decided the passing
+# case inline: every step looks its session up through `_session` and its head
+# through `_head`, every successor goes through the work list, and every
+# receive arm checks in its own copy of the environment.  Expressions are
+# typed by `tc.Checker`'s own methods, which are shared.
+
+
+class OracleChecker(tc.Checker):
+    # -- session variable access -------------------------------------------
+
+    def _session(self, env: tc.TypingEnv, var: str, path: tc.TermPath, pos: tc.Pos) -> tc._Live:
+        """Look up a live session, reporting and recovering from misuse.
+
+        Using a name that was aliased away steals the state back from the
+        live alias (the alias becomes dead), so checking can continue and
+        later misuse of the alias is still caught."""
+        if var in env.sessions:
+            return env.sessions[var]
+        if var in env.dead:
+            reason = env.dead.pop(var)
+            self._err(
+                tc.ErrorClass.LINEARITY_REUSE,
+                f"session variable {var} is no longer usable ({reason})",
+                path,
+                pos,
+            )
+            alias = reason[len("aliased to "):] if reason.startswith("aliased to ") else None
+            if alias in env.sessions:
+                env.dead[alias] = f"superseded by original name {var}"
+                env.sessions[var] = env.sessions.pop(alias)
+                return env.sessions[var]
+        else:
+            self._err(
+                tc.ErrorClass.UNBOUND_VARIABLE, f"unknown session variable {var}", path, pos
+            )
+        env.sessions[var] = tc._Live(Role("Unknown"), None)
+        return env.sessions[var]
+
+    # -- payload matching ---------------------------------------------------
+
+    @staticmethod
+    def _names_session(env: tc.TypingEnv, e: tc.Expr) -> bool:
+        return isinstance(e, tc.VarRef) and (e.name in env.sessions or e.name in env.dead)
+
+    def _match_payload(self, env: tc.TypingEnv, term: tc.SendT, state: tc._Live, h: int, path: tc.TermPath):
+        """Resolve the send's payload against the branches of Send node h.
+
+        Returns the chosen branch's child node, or None after reporting.  A
+        session variable as the payload's argument is delegated: the sort
+        must carry an endpoint, the session must fit its schema, and it dies."""
+        ty = state.graph.nodes[h]
+        e = term.payload
+        arg = e.args[0] if len(e.args) == 1 else None
+        deleg = arg.name if self._names_session(env, arg) else None
+        if deleg is None:
+            self._check_sort_args(env, e, path)
+        else:
+            sent = self._session(env, deleg, path, term.pos)
+            if sent.graph is None:
+                return None
+        names = [s.name for s, _ in ty.branches]
+        if e.sort.name not in names:
+            self._err(
+                tc.ErrorClass.WRONG_SORT,
+                "sort not offered by the protocol here",
+                path,
+                term.pos,
+                expected=f"one of [{', '.join(names)}]",
+                found=e.sort.name,
+            )
+            return None
+        k = names.index(e.sort.name)
+        if deleg is not None:
+            schema = ty.branches[k][0].payload
+            if not isinstance(schema, tc.EndpointPayload):
+                self._err(
+                    tc.ErrorClass.WRONG_SORT,
+                    f"sort {e.sort.name} does not carry an endpoint",
+                    path,
+                    term.pos,
+                )
+                return None
+            want = tc.StateGraph(schema.local, self.cons).closed(0)  # alpha-equality
+            if schema.role != sent.role or want != sent.graph.closed(sent.node):
+                self._err(
+                    tc.ErrorClass.WRONG_SORT,
+                    "delegated endpoint does not match the declared schema",
+                    path,
+                    term.pos,
+                    expected=f"{schema.role} at {schema.local}",
+                    found=f"{sent.role} at {sent.graph.term(sent.node)}",
+                )
+                return None
+            del env.sessions[deleg]
+            env.dead[deleg] = "delegated away"
+        return state.graph.links[h][k]
+
+    # -- terms ---------------------------------------------------------------
+
+    def check(self, env: tc.TypingEnv, term: tc.ProcessTerm, path: tc.TermPath = None) -> None:
+        """Check a term depth-first with an explicit stack.  Each step returns
+        its successors in order: (env, term, path) items to check next and
+        diagnostics to report between them."""
+        steps = {
+            tc.SendT: self._check_send,
+            tc.RecvT: self._check_recv,
+            tc.LoopT: self._check_loop,
+            tc.RecurT: self._check_recur,
+            tc.EndT: self._check_end,
+            tc.IfT: self._check_if,
+            tc.LetT: self._check_let,
+        }
+        work: list = [(env, term, path)]
+        while work:
+            item = work.pop()
+            if isinstance(item, tc.Diagnostic):
+                self.diags.append(item)
+                continue
+            env, term, path = item
+            if type(term) not in steps:
+                raise TypeError(f"unknown process term: {term!r}")
+            work.extend(reversed(steps[type(term)](env, term, path)))
+
+    def _check_if(self, env: tc.TypingEnv, term: tc.IfT, path: tc.TermPath) -> list:
+        t = self.expr_type(env, term.cond, path)
+        if t is not None and t != tc.T_BOOL:
+            self._err(
+                tc.ErrorClass.EXPR_TYPE,
+                "condition is not a boolean",
+                path,
+                term.pos,
+                expected=tc.T_BOOL,
+                found=str(t),
+            )
+        return [
+            (env.copy(), term.then, (path, ".then")),
+            (env.copy(), term.els, (path, ".else")),
+        ]
+
+    def _check_send(self, env: tc.TypingEnv, term: tc.SendT, path: tc.TermPath) -> list:
+        state = self._session(env, term.session, path, term.pos)
+        if state.graph is not None:
+            h = self._head(state, Send, term.to, path, term.pos, f"send to {term.to}")
+            child = None if h is None else self._match_payload(env, term, state, h, path)
+            if child is None:
+                state = tc._Live(state.role, None, state.node, state.loops)
+            else:
+                state = tc._Live(state.role, state.graph, child, state.loops)
+        env.sessions[term.session] = state
+        return [(env, term.cont, (path, ".cont"))]
+
+    def _head(self, state: tc._Live, want: type, peer: Role, path: tc.TermPath, pos: tc.Pos, doing: str):
+        """Head node of the session's type when it is a `want` (Send or Recv)
+        exchanging with `peer`, else None after reporting.  `doing` names the
+        process's action in diagnostics."""
+        g = state.graph
+        h = g.head(state.node)
+        ty = g.nodes[h]
+        act = "send" if want is Send else "receive"
+        if not isinstance(ty, want):
+            kind = {Send: "send", Recv: "receive"}.get(type(ty), "termination")
+            self._err(
+                tc.ErrorClass.WRONG_ACTION_KIND,
+                f"protocol does not allow a {act} here",
+                path,
+                pos,
+                expected=f"a {kind} ({g.term(h)})",
+                found=doing,
+            )
+            return None
+        other = ty.receiver if want is Send else ty.sender
+        if other != peer:
+            wrong = "send addressed to" if want is Send else "receive awaits"
+            self._err(
+                tc.ErrorClass.WRONG_PEER,
+                f"{wrong} the wrong role",
+                path,
+                pos,
+                expected=str(other),
+                found=str(peer),
+            )
+            return None
+        return h
+
+    def _check_recv(self, env: tc.TypingEnv, term: tc.RecvT, path: tc.TermPath) -> list:
+        state = self._session(env, term.session, path, term.pos)
+        g = state.graph
+        if g is None:
+            return [(env.copy(), arm.cont, (path, f".{arm.sort_name}")) for arm in term.branches]
+        h = self._head(state, Recv, term.frm, path, term.pos, f"receive from {term.frm}")
+        if h is None:
+            return []
+        ty = g.nodes[h]
+        offered = {s.name: (s, k) for (s, _), k in zip(ty.branches, g.links[h])}
+        supplied = {arm.sort_name for arm in term.branches}
+        missing = [n for n in offered if n not in supplied]
+        if missing:
+            self._err(
+                tc.ErrorClass.MISSING_RECV_BRANCH,
+                "receive must implement every offered branch",
+                path,
+                term.pos,
+                expected=f"branches for [{', '.join(offered)}]",
+                found=f"missing [{', '.join(missing)}]",
+            )
+        out = []
+        for arm in term.branches:
+            arm_path = (path, f".{arm.sort_name}")
+            if arm.sort_name not in offered:
+                out.append(
+                    tc.Diagnostic(
+                        tc.ErrorClass.WRONG_SORT,
+                        "receive branch for a sort the protocol does not offer",
+                        tc.path_text(arm_path),
+                        arm.pos,
+                        expected=f"one of [{', '.join(offered)}]",
+                        found=arm.sort_name,
+                    )
+                )
+                continue
+            srt, child = offered[arm.sort_name]
+            arm_env = env.copy()
+            schema = srt.payload
+            if arm.payload_var != "_":
+                if isinstance(schema, tc.EndpointPayload):
+                    arm_env.sessions[arm.payload_var] = tc._Live(
+                        schema.role, tc.StateGraph(schema.local, self.cons)
+                    )
+                    arm_env.dead.pop(arm.payload_var, None)
+                else:
+                    arm_env.data[arm.payload_var] = srt
+            elif isinstance(schema, tc.EndpointPayload):
+                out.append(
+                    tc.Diagnostic(
+                        tc.ErrorClass.LINEARITY_REUSE,
+                        "a received endpoint must be bound, not discarded",
+                        tc.path_text(arm_path),
+                        arm.pos,
+                    )
+                )
+            arm_env.sessions[term.session] = tc._Live(state.role, g, child, state.loops)
+            out.append((arm_env, arm.cont, arm_path))
+        return out
+
+    def _check_loop(self, env: tc.TypingEnv, term: tc.LoopT, path: tc.TermPath) -> list:
+        state = self._session(env, term.session, path, term.pos)
+        g = state.graph
+        if g is not None:
+            i = state.node
+            if isinstance(g.nodes[i], Recur) and g.links[i] >= 0:
+                i = g.links[i]  # a bound Recur stands for its binder
+            if isinstance(g.nodes[i], Loop):
+                others = tuple(
+                    (v, s.graph.closed(s.node))
+                    for v, s in sorted(env.sessions.items())
+                    if v != term.session and s.graph is not None
+                )
+                entry = tc.LoopEntry(term.recur_var, i, others)
+                state = tc._Live(state.role, g, g.links[i], state.loops + (entry,))
+            else:
+                self._err(
+                    tc.ErrorClass.WRONG_ACTION_KIND,
+                    "protocol does not loop here",
+                    path,
+                    term.pos,
+                    expected=str(g.term(i)),
+                    found=f"loop {term.recur_var}",
+                )
+                state = tc._Live(state.role, None, state.node, state.loops)
+        env.sessions[term.session] = state
+        return [(env, term.body, (path, f".loop({term.recur_var})"))]
+
+    def _check_recur(self, env: tc.TypingEnv, term: tc.RecurT, path: tc.TermPath) -> list:
+        if term.session in env.dead:
+            self._err(
+                tc.ErrorClass.WRONG_RECURSIVE_TYPE,
+                f"recur on a stale session handle {term.session}"
+                f" ({env.dead[term.session]}); the loop must recur on the"
+                " current endpoint",
+                path,
+                term.pos,
+            )
+            return []
+        if term.session not in env.sessions:
+            self._err(
+                tc.ErrorClass.UNBOUND_VARIABLE,
+                f"unknown session variable {term.session}",
+                path,
+                term.pos,
+            )
+            return []
+        state = env.sessions.pop(term.session)
+        env.dead[term.session] = "consumed by recur"
+        g = state.graph
+        if g is None:
+            return []
+        entry = next((e for e in reversed(state.loops) if e.recur_var == term.recur_var), None)
+        if entry is None:
+            self._err(
+                tc.ErrorClass.WRONG_RECURSIVE_TYPE,
+                f"no enclosing loop {term.recur_var} for session {term.session}",
+                path,
+                term.pos,
+            )
+            return []
+        # the loop node itself, or a Recur bound to it, names the loop-entry
+        # type by `StateGraph.closed`'s own rule, without walking the term
+        node, back = state.node, entry.node
+        at_entry = node == back or (isinstance(g.nodes[node], Recur) and g.links[node] == back)
+        if not at_entry and g.closed(node) != g.closed(back):
+            self._err(
+                tc.ErrorClass.WRONG_RECURSIVE_TYPE,
+                "session is not back at the loop-entry type",
+                path,
+                term.pos,
+                expected=str(g.term(back)),
+                found=str(g.term(node)),
+            )
+        snapshot = dict(entry.others)
+        for v, s in sorted(env.sessions.items()):
+            if s.graph is None:
+                continue
+            if v not in snapshot:
+                self._err(
+                    tc.ErrorClass.NON_TERMINATED_SESSION,
+                    f"session {v} was opened inside the loop body and is still live at recur",
+                    path,
+                    term.pos,
+                )
+            elif s.graph.closed(s.node) != snapshot[v]:
+                self._err(
+                    tc.ErrorClass.WRONG_RECURSIVE_TYPE,
+                    f"session {v} changed state across the loop iteration",
+                    path,
+                    term.pos,
+                )
+        return []
+
+    def _check_end(self, env: tc.TypingEnv, term: tc.EndT, path: tc.TermPath) -> list:
+        for v in term.results:
+            if v not in env.sessions and v not in env.dead:
+                self._err(
+                    tc.ErrorClass.UNBOUND_VARIABLE,
+                    f"unknown result variable {v}",
+                    path,
+                    term.pos,
+                )
+        for v, state in sorted(env.sessions.items()):
+            g = state.graph
+            if g is not None and not isinstance(g.nodes[g.head(state.node)], End):
+                self._err(
+                    tc.ErrorClass.NON_TERMINATED_SESSION,
+                    f"session {v} still has protocol left at termination",
+                    path,
+                    term.pos,
+                    expected="end",
+                    found=str(g.term(state.node)),
+                )
+        return []
+
+    def _check_let(self, env: tc.TypingEnv, term: tc.LetT, path: tc.TermPath) -> list:
+        value = term.value
+        if isinstance(value, tc.VarRef) and value.name in env.sessions:
+            # aliasing a session transfers ownership; the old name is dead
+            state = env.sessions.pop(value.name)
+            env.dead[value.name] = f"aliased to {term.name}"
+            env.dead.pop(term.name, None)
+            env.sessions[term.name] = state
+        else:
+            t = self.expr_type(env, value, path)
+            if term.name in env.sessions:
+                self._err(
+                    tc.ErrorClass.LINEARITY_REUSE,
+                    f"binding {term.name} would shadow a live session",
+                    path,
+                    term.pos,
+                )
+            elif t is not None:
+                env.data[term.name] = t
+        return [(env, term.cont, (path, f".let({term.name})"))]
+
+
+def oracle_check_process(env: tc.TypingEnv, term: tc.ProcessTerm) -> list:
+    """`tc.check_process` with `OracleChecker` in place of `tc.Checker`."""
+    for state in env.sessions.values():
+        bad = tc.well_formed(state.type)
+        if bad:
+            raise ValueError(f"ill-formed local type in environment: {bad[0]}")
+    ch = OracleChecker()
+    live = {v: tc._Live(s.role, tc.StateGraph(s.type, ch.cons)) for v, s in env.sessions.items()}
+    ch.check(tc.TypingEnv(live, dict(env.dead), dict(env.data)), term)
+    return ch.diags
+
+
+def oracle_check_session(protocol_file) -> tc.SessionCheckResult:
+    """`tc.check_session` with `OracleChecker`, and with each played
+    protocol's roles taken from a walk of its global type."""
+    reports = []
+    for proc in protocol_file.procs:
+        env = tc.TypingEnv()
+        diags: list = []
+        for role, proto_name, var in proc.bindings:
+            local = tc._session_type(protocol_file, proto_name, role, proc.pos)
+            if isinstance(local, tc.Diagnostic):
+                diags.append(local)
+            else:
+                env.sessions[var] = tc.SessionState(role, local)
+        if not diags:
+            ch = OracleChecker()
+            live = {v: tc._Live(s.role, tc.StateGraph(s.type, ch.cons)) for v, s in env.sessions.items()}
+            ch.check(tc.TypingEnv(live, {}, {}), proc.term)
+            diags = ch.diags
+        reports.append(tc.ProcReport(proc.name, diags))
+    played: dict = {}
+    for proc in protocol_file.procs:
+        for role, proto_name, _ in proc.bindings:
+            played.setdefault(proto_name, set()).add(role)
+    warnings = [
+        f"role {role} of protocol {name} has no process (unimplemented)"
+        for name, roles in played.items()
+        if name in protocol_file.concrete
+        for role in sorted(roles_of(protocol_file.concrete[name]) - roles, key=lambda r: r.name)
+    ]
+    return tc.SessionCheckResult(reports, warnings)
+
+
+# ---------------------------------------------------------------------------
 # Process synthesis: a term that exactly mimics a local type.
 
 def synthesize_process(l, session: str = "s") -> tc.ProcessTerm:
@@ -1458,6 +1885,132 @@ def _payload_for(sort: Sort) -> tc.NewSort:
     if sort.payload == PAYLOAD_STRING:
         return tc.NewSort(sort, (tc.StrLit(""),))
     return tc.NewSort(sort, ())
+
+
+def process_subterms(term) -> list:
+    """Every subterm of a process term, each object once, in preorder."""
+    out, todo, seen = [], [term], set()
+    while todo:
+        t = todo.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        out.append(t)
+        if isinstance(t, tc.RecvT):
+            todo.extend(arm.cont for arm in reversed(t.branches))
+        elif isinstance(t, (tc.SendT, tc.LetT)):
+            todo.append(t.cont)
+        elif isinstance(t, tc.LoopT):
+            todo.append(t.body)
+        elif isinstance(t, tc.IfT):
+            todo += [t.els, t.then]
+    return out
+
+
+def replace_subterm(term, old, new):
+    """`term` with every occurrence of the object `old` replaced by `new`."""
+    if term is old:
+        return new
+    if isinstance(term, tc.RecvT):
+        arms = tuple(replace(a, cont=replace_subterm(a.cont, old, new)) for a in term.branches)
+        return replace(term, branches=arms)
+    if isinstance(term, (tc.SendT, tc.LetT)):
+        return replace(term, cont=replace_subterm(term.cont, old, new))
+    if isinstance(term, tc.LoopT):
+        return replace(term, body=replace_subterm(term.body, old, new))
+    if isinstance(term, tc.IfT):
+        return replace(term, then=replace_subterm(term.then, old, new),
+                       els=replace_subterm(term.els, old, new))
+    return term
+
+
+PROCESS_MUTATIONS = (
+    "drop-arm", "add-arm", "recv-peer", "bind-arm", "send-sort", "send-peer", "end-early",
+    "recur-label", "recur-stale", "alias", "alias-reuse", "wrong-arg", "if",
+)
+
+
+def mutate_process(rng: random.Random, term, kind: Optional[str] = None):
+    """One random change to a process term on session `s`: a receive arm
+    dropped or added, a receive from another role, a payload bound in one
+    arm and used in a later one, a send's sort or peer swapped, an early end, a recur
+    on another label or on a stale handle, an alias by `let` (kept to, or
+    with the old name used again), a payload argument of the wrong type, or
+    a subterm put under an `if`.  A change with no place to go ends the
+    process early instead."""
+    kind = kind or rng.choice(PROCESS_MUTATIONS)
+    subs = process_subterms(term)
+
+    def of(cls, ok=lambda t: True) -> list:
+        return [t for t in subs if isinstance(t, cls) and ok(t)]
+
+    at = rng.choice(subs)
+    new = tc.EndT()
+    if kind == "drop-arm" and of(tc.RecvT, lambda t: len(t.branches) > 1):
+        at = rng.choice(of(tc.RecvT, lambda t: len(t.branches) > 1))
+        arms = list(at.branches)
+        del arms[rng.randrange(len(arms))]
+        new = replace(at, branches=tuple(arms))
+    elif kind == "add-arm" and of(tc.RecvT):
+        at = rng.choice(of(tc.RecvT))
+        arm = rng.choice(at.branches + tuple(tc.RecvArm(s.name, "_", tc.EndT()) for s in SORT_POOL))
+        arms = list(at.branches)
+        arms.insert(rng.randrange(len(arms) + 1), arm)
+        new = replace(at, branches=tuple(arms))
+    elif kind == "recv-peer" and of(tc.RecvT):
+        at = rng.choice(of(tc.RecvT))
+        new = replace(at, frm=rng.choice([Role("A"), Role("C")]))
+    elif kind == "bind-arm" and of(tc.RecvT, lambda t: len(t.branches) > 1):
+        at = rng.choice(of(tc.RecvT, lambda t: len(t.branches) > 1))
+        first, *rest = at.branches
+        use = tc.LetT("w", tc.Field(tc.VarRef("v")), rest[-1].cont)
+        arms = (replace(first, payload_var="v"), *rest[:-1], replace(rest[-1], cont=use))
+        new = replace(at, branches=arms)
+    elif kind == "send-sort" and of(tc.SendT):
+        at = rng.choice(of(tc.SendT))
+        new = replace(at, payload=_payload_for(rng.choice(SORT_POOL)))
+    elif kind == "send-peer" and of(tc.SendT):
+        at = rng.choice(of(tc.SendT))
+        new = replace(at, to=rng.choice([Role("A"), Role("C")]))
+    elif kind in ("recur-label", "recur-stale") and of(tc.RecurT):
+        at = rng.choice(of(tc.RecurT))
+        if kind == "recur-label":
+            new = replace(at, recur_var=rng.choice(["R0", "R1", "R9"]))
+        else:
+            new = tc.LetT("t", tc.VarRef(at.session), at)
+    elif kind == "alias":
+        new = tc.LetT("t", tc.VarRef("s"), rename_session(at, "s", "t"))
+    elif kind == "alias-reuse":
+        new = tc.LetT("t", tc.VarRef("s"), at)
+    elif kind == "wrong-arg" and of(tc.SendT):
+        at = rng.choice(of(tc.SendT))
+        arg = rng.choice([tc.IntLit(1), tc.StrLit("x"), tc.VarRef("s"), tc.VarRef("nowhere")])
+        new = replace(at, payload=tc.NewSort(at.payload.sort, (arg,)))
+    elif kind == "if":
+        cond = rng.choice([tc.Lt(tc.IntLit(0), tc.IntLit(1)), tc.IntLit(0)])
+        new = tc.IfT(cond, at, mutate_process(rng, at, "end-early"))
+    return replace_subterm(term, at, new)
+
+
+def rename_session(term, old: str, new: str):
+    """`term` with session variable `old` renamed to `new` where it acts."""
+    if isinstance(term, tc.RecvT):
+        arms = tuple(replace(a, cont=rename_session(a.cont, old, new)) for a in term.branches)
+        return replace(term, session=new if term.session == old else term.session, branches=arms)
+    if isinstance(term, tc.SendT):
+        return replace(term, session=new if term.session == old else term.session,
+                       cont=rename_session(term.cont, old, new))
+    if isinstance(term, tc.LoopT):
+        return replace(term, session=new if term.session == old else term.session,
+                       body=rename_session(term.body, old, new))
+    if isinstance(term, tc.RecurT):
+        return replace(term, session=new if term.session == old else term.session)
+    if isinstance(term, tc.LetT):
+        return replace(term, cont=rename_session(term.cont, old, new))
+    if isinstance(term, tc.IfT):
+        return replace(term, then=rename_session(term.then, old, new),
+                       els=rename_session(term.els, old, new))
+    return term
 
 
 # ---------------------------------------------------------------------------

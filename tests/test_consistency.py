@@ -24,6 +24,7 @@ from mpstkit.core import (
     well_formed,
 )
 from mpstkit.elaborate import load_text
+from mpstkit.fsm import StateGraph
 from mpstkit.projection import MergeError, ProjectionError, project, result_or_error
 from mpstkit.typecheck import SessionState, TypingEnv, check_process
 
@@ -155,6 +156,15 @@ class TestDual:
         sends, recvs = long_chain(5000)
         assert dual(sends, recvs)
         assert dual(recvs, sends)
+
+    def test_only_a_loop_or_a_recur_is_unfolded(self, monkeypatch):
+        # each view's 5,000 steps are their own heads: only the loop at the
+        # start and the recur at the end of each view unfold
+        calls = []
+        head = StateGraph.head
+        monkeypatch.setattr(StateGraph, "head", lambda graph, i: calls.append(i) or head(graph, i))
+        assert dual(*long_chain(5000))
+        assert len(calls) <= 4
 
     def test_non_contractive_raises(self):
         x = RecVar("X")

@@ -39,7 +39,7 @@ from mpstkit.projection import (
 )
 from mpstkit.runtime import GlobalSession, run_all
 from mpstkit.surface import KEYWORDS, ParseError, render_local_type, tokenize
-from mpstkit.typecheck import SessionState, TypingEnv, check_process
+from mpstkit.typecheck import EndT, SessionState, TypingEnv, check_process
 
 from helpers import (
     ROOT,
@@ -50,6 +50,8 @@ from helpers import (
     global_traces,
     manual_dual,
     mergeable_pair,
+    mutate_process,
+    oracle_check_process,
     oracle_consistent,
     oracle_dual,
     oracle_interpret,
@@ -62,10 +64,12 @@ from helpers import (
     oracle_tokenize,
     oracle_well_formed,
     positioned,
+    process_subterms,
     random_global,
     random_local,
     rename_binders,
     repeating_global,
+    replace_subterm,
     seeded,
     share,
     stuck_product_states,
@@ -771,3 +775,27 @@ def test_checked_processes_run_to_completion(g):
     assert faults == []
     assert all(result.all_terminated for result in results.values())
     assert accepts_trace(g, [(e.sender, e.receiver, e.sort.name) for e in session.trace])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_process_checker_matches_the_oracle(seed, two_sessions):
+    """`check_process` reports, in order, what the checker before the inline
+    steps reports, on a process that follows a random local type and on a
+    chain of mutations of it; with `two_sessions`, a second session `u`
+    follows its own type after each end of the first."""
+    rng = seeded(seed)
+    local = random_local(rng, A, B)
+    sessions = {"s": SessionState(A, local)}
+    term = synthesize_process(local)
+    if two_sessions:
+        other = random_local(rng, A, B)
+        sessions["u"] = SessionState(A, other)
+        then = synthesize_process(other, "u")
+        for end in [t for t in process_subterms(term) if isinstance(t, EndT)]:
+            term = replace_subterm(term, end, then)
+    for _ in range(5):
+        got = check_process(TypingEnv(sessions=dict(sessions)), term)
+        want = oracle_check_process(TypingEnv(sessions=dict(sessions)), term)
+        assert [d.to_json() for d in got] == [d.to_json() for d in want]
+        term = mutate_process(rng, term)

@@ -3,7 +3,7 @@ linear session discipline."""
 
 import pytest
 
-from mpstkit import core
+from mpstkit import core, typecheck
 from mpstkit.core import (
     END,
     EndpointPayload,
@@ -26,10 +26,12 @@ from mpstkit.typecheck import (
     ErrorClass,
     EndT,
     Field,
+    IfT,
     IntLit,
     LoopT,
     Lt,
     RecurT,
+    RecvArm,
     RecvT,
     SendT,
     NewSort,
@@ -45,7 +47,10 @@ import conftest
 from helpers import (
     A,
     B,
+    ROOT,
+    benchmark_inputs,
     long_chain,
+    oracle_check_session,
     random_local,
     seeded,
     synthesize_process,
@@ -636,3 +641,100 @@ class TestLoopsOnTheStateGraph:
         ]
         direct = SendT("s", B, NewSort(deleg, (VarRef("d"),)), EndT())
         assert check_process(env, direct) == []
+
+
+def exchange_text(steps: int) -> str:
+    """A two-role exchange of `steps` messages: A's chain of sends and B's
+    receives, each nested in the one arm of the receive before."""
+    recvs = "end"
+    for _ in range(steps):
+        recvs = f"recv A {{ M(_) -> {recvs} }}"
+    return (
+        f"sort M;\nglobal G = {'A -> B : M . ' * steps}end;\n"
+        f"proc a plays A in G {{ {'send B M; ' * steps}end }}\n"
+        f"proc b plays B in G {{ {recvs} }}\n"
+    )
+
+
+def report_json(result) -> tuple:
+    reports = [(r.name, [d.to_json() for d in r.diagnostics]) for r in result.reports]
+    return reports, result.warnings
+
+
+class TestSavedWork:
+    """A step that passes goes on in place in its typing environment; a
+    branch point copies it once per successor but the last."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        made = []
+        copy = TypingEnv.copy
+        monkeypatch.setattr(TypingEnv, "copy", lambda env: made.append(env) or copy(env))
+        return made
+
+    def test_a_chain_of_one_arm_receives_copies_nothing(self, copies):
+        pf = load_text(exchange_text(250))
+        assert check_session(pf).ok
+        assert copies == []
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_a_receive_with_k_arms_makes_k_minus_1_copies(self, copies, k):
+        sorts = [Sort(f"M{i}") for i in range(k)]
+        local = core.Recv(B, A, tuple((s, END) for s in sorts))
+        env = TypingEnv(sessions={"s": SessionState(A, local)})
+        term = RecvT("s", B, tuple(RecvArm(s.name, "_", EndT()) for s in sorts))
+        assert check_process(env, term) == []
+        assert len(copies) == k - 1
+
+    def test_an_if_makes_one_copy(self, copies):
+        env = TypingEnv(sessions={"s": SessionState(A, END)})
+        assert check_process(env, IfT(Lt(IntLit(0), IntLit(1)), EndT(), EndT())) == []
+        assert len(copies) == 1
+
+    def test_a_poisoned_session_copies_once_per_extra_arm(self, copies):
+        term = RecvT("u", B, tuple(RecvArm(n, "_", EndT()) for n in ("X", "Y", "Z")))
+        diags = check_process(TypingEnv(), term)
+        assert classes(diags) == [ErrorClass.UNBOUND_VARIABLE]
+        assert len(copies) == 2
+
+
+class TestOracleReports:
+    """`check_session` reports what the checker before the inline steps
+    (`helpers.OracleChecker`) does, with the roles of each played protocol
+    taken from a walk of its global type."""
+
+    def test_fixtures_and_mutations(self):
+        paths = sorted(conftest.FIXTURES.rglob("*.mpst"))
+        assert len(paths) > 16
+        for path in paths:
+            pf = load_text(path.read_text())
+            assert report_json(check_session(pf)) == report_json(oracle_check_session(pf)), path.name
+
+    @pytest.mark.parametrize("seed", [1, 4242, 9101])
+    def test_benchmark_inputs(self, seed):
+        inputs = benchmark_inputs()
+        for workload in inputs.WORKLOADS:
+            for f in inputs.family(workload, seed, ROOT):
+                pf = load_text(f.text)
+                assert report_json(check_session(pf)) == report_json(oracle_check_session(pf)), f.name
+
+    @pytest.mark.parametrize("arm", ["Delegatee(s)", "Delegatee(_)", "Delegatee(u)"])
+    @pytest.mark.parametrize("more", ["", ", Int(_) -> end"])
+    def test_received_endpoints(self, arm, more):
+        # B3's receive of the endpoint, bound or discarded or shadowing u,
+        # as the one arm of its receive and with an arm the protocol lacks
+        text = conftest.fixture_path("three_buyer.mpst").read_text()
+        old = "recv[u] B2 { Delegatee(s) ->\n      send[u] B2 Quit;\n      send[s] B1 Quit;\n      send[s] S Quit;\n      end }"
+        assert old in text
+        pf = load_text(text.replace(old, old.replace("Delegatee(s)", arm)[:-1] + more + "}"))
+        assert report_json(check_session(pf)) == report_json(oracle_check_session(pf))
+
+    def test_unplayed_roles_are_the_projection_tables_keys(self):
+        pf = load_text(
+            "sort M;\nglobal G = A -> B : M . B -> C : M . end;\n"
+            "global H[T: protocol] = T;\n"
+            "proc a plays A in G { send B M; end }\n"
+            "proc h plays A in H { end }\n"
+        )
+        assert typecheck.unplayed_roles(pf) == {"G": [Role("B"), Role("C")], "H": None}
+        assert set(pf.projections("G")) == core.roles_of(pf.concrete["G"])

@@ -20,7 +20,16 @@ each round:
   `check_protocol_file` with consistency, as `check --consistency` does;
 - `fsm`: what the benchmark's FSM operation does, `load_file`, `project`,
   `interpret` and `to_dot`, on one (protocol, role) pair of the input,
-  taking its pairs in turn from round to round.
+  taking its pairs in turn from round to round;
+- `session`: one `typecheck.check_session` of the loaded file, whose
+  projection tables are filled first, so it times the process checker;
+- `consistent`: `consistency.consistent(g, projections=...)` on each of the
+  file's protocols in turn, its projections given, so it times restriction
+  and duality.
+
+Before `session` and `consistent` are timed, each must give equal results
+in both checkouts: the diagnostics' `to_json()` and the warnings of every
+process report, and each protocol's `report.to_json()`.
 
 It prints, per input and per workload, the median time of A and of B and
 the median of the per-round ratios A/B (below 1: A is faster).  A
@@ -50,7 +59,7 @@ def import_package(name: str, src: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("cli", "core", "projection", "fsm"):
+    for module in ("cli", "core", "projection", "fsm", "typecheck", "consistency"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -84,6 +93,25 @@ def fsm_op(tk, path: str, proto: str, role: str):
     return tk.fsm.to_dot(machine)
 
 
+def filled(tk, path: str):
+    """The loaded file with every protocol's projection table filled."""
+    pf, errors = tk.cli.load_file(path)
+    if not errors:
+        for name in pf.concrete:
+            pf.projections(name)
+    return pf
+
+
+def session_op(tk, pf):
+    result = tk.typecheck.check_session(pf)
+    return [(r.name, [d.to_json() for d in r.diagnostics]) for r in result.reports], result.warnings
+
+
+def consistent_op(tk, pf):
+    return [tk.consistency.consistent(g, projections=pf.projections(name)).to_json()
+            for name, g in pf.concrete.items()]
+
+
 def alternate(run_a, run_b, rounds: int) -> tuple:
     """Per-round times of A and B, timed in turn, and their ratios."""
     times_a, times_b = [], []
@@ -109,10 +137,10 @@ def main(argv=None) -> int:
     inputs = import_inputs()
     workloads = args.workload or list(inputs.WORKLOADS)
     print(f"A = {ROOT}\nB = {args.other.resolve()}\nseed {args.seed}, {args.rounds} rounds")
-    print(f"{'input':<28}{'op':<6}{'A ms':>9}{'B ms':>9}{'A/B':>8}")
+    print(f"{'input':<28}{'op':<11}{'A ms':>9}{'B ms':>9}{'A/B':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
-            totals = {"load": [0.0, 0.0], "check": [0.0, 0.0], "fsm": [0.0, 0.0]}
+            totals = {op: [0.0, 0.0] for op in ("load", "check", "fsm", "session", "consistent")}
             for f in inputs.family(workload, args.seed, ROOT):
                 if f.path is None:
                     path = Path(tmp) / f"{workload}-{f.name}.mpst"
@@ -128,6 +156,11 @@ def main(argv=None) -> int:
                 if not errors_a and check_op(a, path).to_json() != check_op(b, path).to_json():
                     print(f"{workload}/{f.name}: check outcomes differ", file=sys.stderr)
                     return 1
+                pfs = {} if errors_a else {a: filled(a, path), b: filled(b, path)}
+                for name, op in (("session", session_op), ("consistent", consistent_op)):
+                    if pfs and op(a, pfs[a]) != op(b, pfs[b]):
+                        print(f"{workload}/{f.name}: {name} results differ", file=sys.stderr)
+                        return 1
                 pairs = sorted(
                     (proto, role.name)
                     for proto, g in (pf_a.concrete.items() if pf_a else ())
@@ -137,20 +170,22 @@ def main(argv=None) -> int:
                     "load": lambda tk: lambda r: tk.cli.load_file(path),
                     "check": lambda tk: lambda r: check_op(tk, path),
                     "fsm": lambda tk: lambda r: fsm_op(tk, path, *pairs[r % len(pairs)]),
+                    "session": lambda tk: lambda r: session_op(tk, pfs[tk]),
+                    "consistent": lambda tk: lambda r: consistent_op(tk, pfs[tk]),
                 }
                 for op, make in ops.items():
-                    if op == "fsm" and pairs == [None]:
+                    if op == "fsm" and pairs == [None] or op in ("session", "consistent") and not pfs:
                         continue
                     gc.collect()
                     times_a, times_b, ratios = alternate(make(a), make(b), args.rounds)
                     med_a, med_b = statistics.median(times_a), statistics.median(times_b)
                     totals[op][0] += med_a
                     totals[op][1] += med_b
-                    print(f"{workload + '/' + f.name:<28}{op:<6}{med_a * 1e3:>9.3f}{med_b * 1e3:>9.3f}"
+                    print(f"{workload + '/' + f.name:<28}{op:<11}{med_a * 1e3:>9.3f}{med_b * 1e3:>9.3f}"
                           f"{statistics.median(ratios):>8.3f}")
             for op, (sum_a, sum_b) in totals.items():
                 if sum_b:
-                    print(f"{workload + ' (sum)':<28}{op:<6}{sum_a * 1e3:>9.3f}{sum_b * 1e3:>9.3f}"
+                    print(f"{workload + ' (sum)':<28}{op:<11}{sum_a * 1e3:>9.3f}{sum_b * 1e3:>9.3f}"
                           f"{sum_a / sum_b:>8.3f}")
     return 0
 
